@@ -33,7 +33,6 @@ class RunConfig:
     prime_limit: int = 100_000
     tolerance: float = 0.01
     threads: int = 1
-    seed: int = 0
     output_path: str | None = None
     format: str = "csv"
     stable_output: bool = False
@@ -325,8 +324,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
     d = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument("--threads", type=int, help="worker processes (or SENARY_THREADS)",
                         **(d or {"default": None}))
-    parser.add_argument("--seed", type=int, help="seed for randomized checks",
-                        **(d or {"default": 0}))
     parser.add_argument("--output", help="write to file instead of stdout",
                         **(d or {"default": None}))
     parser.add_argument("--format", choices=("csv", "json"), **(d or {"default": "csv"}))
@@ -399,7 +396,6 @@ def main(argv=None) -> int:
                 method=args.method,
                 primitive=args.primitive,
                 threads=threads,
-                seed=args.seed,
                 output_path=args.output,
                 format=args.format,
                 stable_output=args.stable_output,
@@ -421,7 +417,6 @@ def main(argv=None) -> int:
                 command="verify",
                 prime_limit=args.prime_limit,
                 threads=threads,
-                seed=args.seed,
                 output_path=args.output,
                 format=args.format,
                 stable_output=args.stable_output,
@@ -434,7 +429,6 @@ def main(argv=None) -> int:
                 prime_limit=args.prime_limit,
                 tolerance=args.tolerance,
                 threads=threads,
-                seed=args.seed,
                 output_path=args.output,
                 format="json",
                 extra={"name": args.name, "budget": args.budget},
@@ -445,7 +439,6 @@ def main(argv=None) -> int:
                 command="graph",
                 prime_limit=args.prime_limit,
                 threads=threads,
-                seed=args.seed,
                 output_path=args.output,
                 format="json",
                 extra={"action": args.action, "graph": args.graph, "p": args.p, "s": _parse_s(args.s)},

@@ -155,7 +155,8 @@ def _slice_chunk(P: int, z_tuple: tuple[int, ...], y1_lo: int, y1_hi: int) -> in
 
 
 def _run_partitioned(worker, P: int, args: tuple, threads: int) -> int:
-    """Split the outermost y1 range into disjoint chunks; deterministic sum."""
+    """Split the outermost loop range 1..P (y1 here, u in the torsor
+    counters) into disjoint chunks; deterministic sum."""
     if threads <= 1 or P < 2 * threads:
         return worker(P, *args, 1, P + 1)
     bounds = np.linspace(1, P + 1, threads + 1, dtype=int)
@@ -194,11 +195,7 @@ def mobius_check(B: int, threads: int = 1) -> tuple[bool, int]:
     """
     R = integer_cube_root(B)
     lhs = 2 * count_N(B, threads=threads).count
-    rhs = 0
-    for d in range(1, R + 1):
-        mu = moebius(d)
-        if mu:
-            rhs += mu * naive_count_V(R // d, threads=threads).count
+    rhs = _primitive_count_by_moebius(R, lambda m: naive_count_V(m, threads=threads).count)
     return lhs == rhs, lhs - rhs
 
 

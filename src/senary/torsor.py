@@ -14,13 +14,18 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from senary.arith import integer_cube_root
-from senary.cubic import CountReport, SolutionSextuple, _check_box_bound
+from senary.cubic import (
+    CountReport,
+    SolutionSextuple,
+    _check_box_bound,
+    _primitive_count_by_moebius,
+    _run_partitioned,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +232,6 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # ---------------------------------------------------------------------------
 # enumeration helpers
 
-_PRUNE_FACTOR = 8  # cap |r_i u_j w_k| <= 8P for the four products that are
-# unconditional consequences of the box constraints (the remaining two hold
-# only under an extra balance assumption, so they are not used for pruning)
-
 
 def _uw_tuples(P: int, u_lo: int, u_hi: int):
     """All (u, u1, u2, u3, w1, w2, w3) with positive entries, coprimality, and
@@ -295,101 +296,37 @@ def _r_pair_count(P, u1, u2, u3, q1, q2, q3) -> int:
     return total
 
 
-def _torsor_V_chunk(P: int, prune: bool, u_lo: int, u_hi: int) -> int:
+def _torsor_V_chunk(P: int, u_lo: int, u_hi: int) -> int:
     total = 0
-    cap = _PRUNE_FACTOR * P
     for u, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, u_lo, u_hi):
-        q1, q2, q3 = P // w1, P // w2, P // w3
-        if prune:
-            # unconditional consequences of the box constraints
-            if u2 * w3 > cap or u3 * w2 > cap:  # |r1 u2 w3|, |r1 u3 w2| with r1 >= 1
-                continue
-            total += _r_pair_count_pruned(P, u1, u2, u3, w1, w2, w3, q1, q2, q3)
-        else:
-            total += _r_pair_count(P, u1, u2, u3, q1, q2, q3)
+        total += _r_pair_count(P, u1, u2, u3, P // w1, P // w2, P // w3)
     return total
 
 
-def _r_pair_count_pruned(P, u1, u2, u3, w1, w2, w3, q1, q2, q3) -> int:
-    """Same count with the interval endpoints additionally clipped by the
-    unconditional |r1 u2 w3|, |r1 u3 w2| <= 8P and |r2 u1 w3|, |r3 u1 w2| <= 8P."""
-    cap = _PRUNE_FACTOR * P
-    r1_cap = min(cap // (u2 * w3), cap // (u3 * w2), u1)
-    r2_cap = cap // (u1 * w3)
-    r3_cap = cap // (u1 * w2)
-    total = 0
-    for r1 in range(1, r1_cap + 1):
-        r2lo = max(-((q3 - u2 * r1) // u1), -r2_cap)
-        r2hi = min((u2 * r1 + q3) // u1, r2_cap)
-        r3lo = max(-((q2 - u3 * r1) // u1), -r3_cap)
-        r3hi = min((u3 * r1 + q2) // u1, r3_cap)
-        if r2hi < r2lo or r3hi < r3lo:
-            continue
-        if r2hi - r2lo <= r3hi - r3lo:
-            for r2 in range(r2lo, r2hi + 1):
-                lo = max(-((q1 - u3 * r2) // u2), r3lo)
-                hi = min((u3 * r2 + q1) // u2, r3hi)
-                if hi >= lo:
-                    total += hi - lo + 1
-        else:
-            for r3 in range(r3lo, r3hi + 1):
-                lo = max(-((q1 - u2 * r3) // u3), r2lo)
-                hi = min((u2 * r3 + q1) // u3, r2hi)
-                if hi >= lo:
-                    total += hi - lo + 1
-    return total
-
-
-def _run_u_partitioned(worker, bound: int, args: tuple, threads: int) -> int:
-    if threads <= 1 or bound < 2 * threads:
-        return worker(bound, *args, 1, bound + 1)
-    splits = np.linspace(1, bound + 1, threads + 1, dtype=int)
-    jobs = [(int(a), int(b)) for a, b in zip(splits, splits[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, bound, *args, a, b) for a, b in jobs]
-        return sum(f.result() for f in futures)
-
-
-def torsor_count_V(P: int, threads: int = 1, prune: bool = False) -> CountReport:
+def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     """Exact V(P) through the descent parametrization: enumerate positive
     (u, u1, u2, u3, w1, w2, w3) under the y-box and coprimality constraints,
     count lattice parameters (r1, r2, r3) meeting the x-box constraints, and
     multiply by 8 for the w-sign orbits."""
     _check_box_bound(P)
     t0 = time.perf_counter()
-    total = 8 * _run_u_partitioned(_torsor_V_chunk, P, (prune,), threads)
+    total = 8 * _run_partitioned(_torsor_V_chunk, P, (), threads)
     return CountReport(P, "torsor", total, time.perf_counter() - t0)
 
 
-def _torsor_N_chunk(R: int, u_lo: int, u_hi: int) -> int:
-    total = 0
-    for u, u1, u2, u3, w1, w2, w3 in _uw_tuples(R, u_lo, u_hi):
-        m1, m2, m3 = R // w1, R // w2, R // w3
-        for v1 in range(-m1, m1 + 1):
-            a = u1 * v1
-            for v2 in range(-m2, m2 + 1):
-                s = a + u2 * v2
-                if s % u3:
-                    continue
-                v3 = -(s // u3)
-                if v3 > m3 or v3 < -m3:
-                    continue
-                if math.gcd(math.gcd(u, abs(v1) * w1), math.gcd(abs(v2) * w2, abs(v3) * w3)) == 1:
-                    total += 1
-    return total
-
-
 def torsor_count_N(B: int, threads: int = 1) -> CountReport:
-    """Exact N(B) by enumerating primitive torsor tuples.  Each rational point
-    corresponds to exactly two tuples sharing v with opposite w; fixing all
-    w_j > 0 and weighting the four sign classes of (w2, w3) gives the factor 4."""
+    """Exact N(B) as the Moebius sieve over the descent V count.  Each point
+    counted by V(R), R = floor(B^(1/3)), is g times a primitive point of the
+    box of radius R // g, g the gcd of its coordinates; Moebius inversion
+    gives 2N(B) = sum_{d <= R} mu(d) V(R // d), the factor 2 being the +/-
+    pair of each rational point."""
     if B < 1:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)
     _check_box_bound(R)
     t0 = time.perf_counter()
-    total = 4 * _run_u_partitioned(_torsor_N_chunk, R, (), threads)
-    return CountReport(B, "torsor-primitive", total, time.perf_counter() - t0)
+    total = _primitive_count_by_moebius(R, lambda m: torsor_count_V(m, threads=threads).count)
+    return CountReport(B, "torsor-primitive", total // 2, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import solutions_via_x3
-from senary.cubic import SolutionSextuple, is_solution, naive_count_V, count_N
+from senary.cubic import SolutionSextuple, count_N, is_solution, naive_count_V, slice_count
 from senary.torsor import (
     PrimitiveTorsorTuple,
     TorsorTupleA,
@@ -180,17 +181,33 @@ def test_torsor_count_matches_naive(P):
     assert torsor_count_V(P).count == naive_count_V(P).count
 
 
-def test_torsor_count_pruning_is_sound():
-    assert torsor_count_V(15, prune=True).count == torsor_count_V(15).count
-
-
-def test_torsor_count_thread_neutral():
-    assert torsor_count_V(8, threads=2).count == torsor_count_V(8).count
-
-
-@pytest.mark.parametrize("B", [1, 8, 27, 64, 1000, 15625])
+@pytest.mark.parametrize("B", [1, 7, 8, 26, 27, 64, 100, 1000, 12345, 15625])
 def test_torsor_primitive_count_matches_naive(B):
     assert torsor_count_N(B).count == count_N(B).count
+
+
+# Every counter that splits its outermost loop over worker processes, at a
+# bound below the serial cutoff (bound < 2 * threads) and at one above it;
+# the height counters partition the box of radius floor(B^(1/3)).
+_PARTITIONED = [
+    ("naive_count_V", naive_count_V, 3, 6),
+    ("count_N", count_N, 27, 216),
+    ("slice_count", functools.partial(slice_count, Z={2}), 3, 6),
+    ("torsor_count_V", torsor_count_V, 3, 8),
+    ("torsor_count_N", torsor_count_N, 27, 216),
+]
+
+
+@pytest.mark.parametrize(
+    "counter, bound",
+    [
+        pytest.param(counter, bound, id=f"{name}-{bound}")
+        for name, counter, below, above in _PARTITIONED
+        for bound in (below, above)
+    ],
+)
+def test_thread_partitioning_is_count_neutral(counter, bound):
+    assert counter(bound, threads=2).count == counter(bound, threads=1).count
 
 
 # --- lifts ------------------------------------------------------------------
