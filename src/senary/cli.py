@@ -48,16 +48,6 @@ class RunConfig:
                 raise ValueError("bounds must be >= 1")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SENARY_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 class _Output:
     def __init__(self, path: str | None):
         self.path = path
@@ -312,6 +302,13 @@ def _cmd_graph(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def _parse_s(text: str | None):
     if not text:
         return None
@@ -352,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=("bijection", "mobius", "theorem3", "tg-series", "factor-identity", "lift", "fp-counts"),
     )
-    v.add_argument("--pmax", type=int, default=None)
-    v.add_argument("--bmax", type=int, default=None)
+    v.add_argument("--pmax", type=_positive_int, default=None)
+    v.add_argument("--bmax", type=_positive_int, default=None)
     v.add_argument("--graph", default="senary")
     v.add_argument("--s", default=None)
-    v.add_argument("--n", type=int, default=None, help="series truncation")
+    v.add_argument("--n", type=_positive_int, default=None, help="series truncation")
     v.add_argument("--degree", type=int, default=None)
     v.add_argument("--prime-limit", type=int, default=100_000)
     _add_common(v, suppress=True)
@@ -365,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("name", choices=("alpha", "mu-infinity", "euler", "theta", "leading-v"))
     k.add_argument("--prime-limit", type=int, default=100_000)
     k.add_argument("--tolerance", type=float, default=0.01)
-    k.add_argument("--budget", type=int, default=None, help="quadrature sample cap")
+    k.add_argument("--budget", type=_positive_int, default=None, help="quadrature sample cap")
     _add_common(k, suppress=True)
 
     g = sub.add_parser("graph", help="coprimality-graph computations", allow_abbrev=False)
@@ -384,8 +381,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    threads = args.threads if args.threads is not None else _default_threads()
     try:
+        threads = args.threads
+        if threads is None:
+            threads = int(os.environ.get("SENARY_THREADS") or 1)
         if args.command == "count":
             if args.box is None and args.height is None:
                 raise ValueError("count needs --box or --height")

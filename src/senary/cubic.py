@@ -155,7 +155,7 @@ def _slice_chunk(P: int, z_tuple: tuple[int, ...], y1_lo: int, y1_hi: int) -> in
 
 
 def _run_partitioned(worker, P: int, args: tuple, threads: int) -> int:
-    """Split the outermost loop range 1..P (y1 here, u in the torsor
+    """Split the outermost loop range 1..P (y1 here, u1 in the torsor
     counters) into disjoint chunks; deterministic sum."""
     if threads <= 1 or P < 2 * threads:
         return worker(P, *args, 1, P + 1)

@@ -301,6 +301,8 @@ def truncated_DG(G: CoprimalityGraph, s, N: int) -> tuple[float, float]:
         raise ValueError("each exponent must exceed 1 for a convergent tail")
     if len(s) != G.r:
         raise ValueError("need one exponent per vertex")
+    if N < 1:
+        raise ValueError("truncation N must be >= 1")
     if N > 10_000:
         raise ValueError("truncation capped at N = 10^4 (radical-table size)")
     idx, radicals = _radical_table(N)

@@ -233,32 +233,38 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # enumeration helpers
 
 
-def _uw_tuples(P: int, u_lo: int, u_hi: int):
-    """All (u, u1, u2, u3, w1, w2, w3) with positive entries, coprimality, and
-    the y-box constraints u*u2*u3*w1 <= P, u*u1*u3*w2 <= P, u*u1*u2*w3 <= P."""
-    for u in range(u_lo, u_hi):
-        Pu = P // u
-        for u1 in range(1, Pu + 1):
-            for u2 in range(1, Pu // u1 + 1):
-                if math.gcd(u1, u2) != 1:
+def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
+    """All (n, u1, u2, u3, w1, w2, w3) with u1 in [u1_lo, u1_hi), positive
+    entries, u pairwise coprime, (u_j; w_j) = 1 and w pairwise coprime (these
+    w conditions only when w_coprime), and the u = 1 y-box constraints
+    u2*u3*w1 <= P, u1*u3*w2 <= P, u1*u2*w3 <= P.
+
+    u enters neither the x-box nor the coprimality system, so it is summed
+    out: n = P // max(u2*u3*w1, u1*u3*w2, u1*u2*w3) is the number of u >= 1
+    whose y-box admits the tuple."""
+    for u1 in range(u1_lo, u1_hi):
+        for u2 in range(1, P // u1 + 1):
+            if math.gcd(u1, u2) != 1:
+                continue
+            for u3 in range(1, min(P // u1, P // u2) + 1):
+                if math.gcd(u1, u3) != 1 or math.gcd(u2, u3) != 1:
                     continue
-                for u3 in range(1, min(Pu // u1, Pu // u2) + 1):
-                    if math.gcd(u1, u3) != 1 or math.gcd(u2, u3) != 1:
+                for w1 in range(1, P // (u2 * u3) + 1):
+                    if w_coprime and math.gcd(w1, u1) != 1:
                         continue
-                    for w1 in range(1, Pu // (u2 * u3) + 1):
-                        if math.gcd(w1, u1) != 1:
+                    y1 = u2 * u3 * w1
+                    for w2 in range(1, P // (u1 * u3) + 1):
+                        if w_coprime and (math.gcd(w2, u2) != 1 or math.gcd(w2, w1) != 1):
                             continue
-                        for w2 in range(1, Pu // (u1 * u3) + 1):
-                            if math.gcd(w2, u2) != 1 or math.gcd(w2, w1) != 1:
+                        y12 = max(y1, u1 * u3 * w2)
+                        for w3 in range(1, P // (u1 * u2) + 1):
+                            if w_coprime and (
+                                math.gcd(w3, u3) != 1
+                                or math.gcd(w3, w1) != 1
+                                or math.gcd(w3, w2) != 1
+                            ):
                                 continue
-                            for w3 in range(1, Pu // (u1 * u2) + 1):
-                                if (
-                                    math.gcd(w3, u3) != 1
-                                    or math.gcd(w3, w1) != 1
-                                    or math.gcd(w3, w2) != 1
-                                ):
-                                    continue
-                                yield u, u1, u2, u3, w1, w2, w3
+                            yield P // max(y12, u1 * u2 * w3), u1, u2, u3, w1, w2, w3
 
 
 def _r_pair_count(P, u1, u2, u3, q1, q2, q3) -> int:
@@ -296,18 +302,19 @@ def _r_pair_count(P, u1, u2, u3, q1, q2, q3) -> int:
     return total
 
 
-def _torsor_V_chunk(P: int, u_lo: int, u_hi: int) -> int:
+def _torsor_V_chunk(P: int, u1_lo: int, u1_hi: int) -> int:
     total = 0
-    for u, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, u_lo, u_hi):
-        total += _r_pair_count(P, u1, u2, u3, P // w1, P // w2, P // w3)
+    for n, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, u1_lo, u1_hi):
+        total += n * _r_pair_count(P, u1, u2, u3, P // w1, P // w2, P // w3)
     return total
 
 
 def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     """Exact V(P) through the descent parametrization: enumerate positive
-    (u, u1, u2, u3, w1, w2, w3) under the y-box and coprimality constraints,
-    count lattice parameters (r1, r2, r3) meeting the x-box constraints, and
-    multiply by 8 for the w-sign orbits."""
+    (u1, u2, u3, w1, w2, w3) under the y-box and coprimality constraints,
+    count lattice parameters (r1, r2, r3) meeting the x-box constraints, times
+    the number of admissible u in closed form, and multiply by 8 for the
+    w-sign orbits."""
     _check_box_bound(P)
     t0 = time.perf_counter()
     total = 8 * _run_partitioned(_torsor_V_chunk, P, (), threads)
@@ -333,57 +340,36 @@ def torsor_count_N(B: int, threads: int = 1) -> CountReport:
 # bijection verification
 
 
-def _uw_tuples_no_w_coprimality(P: int):
-    """Variant dropping the (u_j; w_j) and (w_i; w_j) conditions; negative
-    control for the bijection check."""
-    for u in range(1, P + 1):
-        Pu = P // u
-        for u1 in range(1, Pu + 1):
-            for u2 in range(1, Pu // u1 + 1):
-                if math.gcd(u1, u2) != 1:
-                    continue
-                for u3 in range(1, min(Pu // u1, Pu // u2) + 1):
-                    if math.gcd(u1, u3) != 1 or math.gcd(u2, u3) != 1:
-                        continue
-                    for w1 in range(1, Pu // (u2 * u3) + 1):
-                        for w2 in range(1, Pu // (u1 * u3) + 1):
-                            for w3 in range(1, Pu // (u1 * u2) + 1):
-                                yield u, u1, u2, u3, w1, w2, w3
-
-
 def verify_bijection(P: int, drop_w_coprimality: bool = False) -> bool:
     """Enumerate every lattice-parametrized tuple with image in the P-box,
     map forward, and compare the multiset of images with naive enumeration.
     True iff the map is a bijection onto the box solutions."""
     from senary.cubic import naive_count_V
 
-    source = _uw_tuples_no_w_coprimality(P) if drop_w_coprimality else _uw_tuples(P, 1, P + 1)
     images: dict[tuple, int] = {}
     n_tuples = 0
-    for u, u1, u2, u3, w1, w2, w3 in source:
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    a1, a2, a3 = s1 * w1, s2 * w2, s3 * w3
-                    q1, q2, q3 = P // w1, P // w2, P // w3
-                    y = (u * u2 * u3 * a1, u * u1 * u3 * a2, u * u1 * u2 * a3)
-                    for r1 in range(1, u1 + 1):
-                        r2lo = -((q3 - u2 * r1) // u1)
-                        r2hi = (u2 * r1 + q3) // u1
-                        r3lo = -((q2 - u3 * r1) // u1)
-                        r3hi = (u3 * r1 + q2) // u1
-                        for r2 in range(r2lo, r2hi + 1):
-                            lo = max(-((q1 - u3 * r2) // u2), r3lo)
-                            hi = min((u3 * r2 + q1) // u2, r3hi)
-                            for r3 in range(lo, hi + 1):
-                                x = (
-                                    a1 * (u2 * r3 - u3 * r2),
-                                    a2 * (u3 * r1 - u1 * r3),
-                                    a3 * (u1 * r2 - u2 * r1),
-                                )
-                                n_tuples += 1
-                                key = x + y
-                                images[key] = images.get(key, 0) + 1
+    for n, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, 1, P + 1, not drop_w_coprimality):
+        q1, q2, q3 = P // w1, P // w2, P // w3
+        for u, s1, s2, s3 in itertools.product(range(1, n + 1), (1, -1), (1, -1), (1, -1)):
+            a1, a2, a3 = s1 * w1, s2 * w2, s3 * w3
+            y = (u * u2 * u3 * a1, u * u1 * u3 * a2, u * u1 * u2 * a3)
+            for r1 in range(1, u1 + 1):
+                r2lo = -((q3 - u2 * r1) // u1)
+                r2hi = (u2 * r1 + q3) // u1
+                r3lo = -((q2 - u3 * r1) // u1)
+                r3hi = (u3 * r1 + q2) // u1
+                for r2 in range(r2lo, r2hi + 1):
+                    lo = max(-((q1 - u3 * r2) // u2), r3lo)
+                    hi = min((u3 * r2 + q1) // u2, r3hi)
+                    for r3 in range(lo, hi + 1):
+                        x = (
+                            a1 * (u2 * r3 - u3 * r2),
+                            a2 * (u3 * r1 - u1 * r3),
+                            a3 * (u1 * r2 - u2 * r1),
+                        )
+                        n_tuples += 1
+                        key = x + y
+                        images[key] = images.get(key, 0) + 1
     # Images satisfy the cubic and the box constraints by construction, so it
     # suffices to check: no collisions, and the image count matches the naive
     # enumeration (a subset of equal finite size is the whole set).

@@ -78,6 +78,27 @@ def test_threads_do_not_change_counts(capsys, monkeypatch):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_threads_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SENARY_THREADS", value)
+    code, out = run(capsys, "count", "--box", "2")
+    assert code == EXIT_USAGE and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "bijection", "--pmax", "0"),
+        ("verify", "mobius", "--bmax", "0"),
+        ("verify", "theorem3", "--n", "0"),
+        ("constants", "mu-infinity", "--budget", "-1"),
+    ],
+)
+def test_non_positive_sizes_are_usage_errors(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+
+
 def test_verify_bijection(capsys):
     code, out = run(capsys, "verify", "bijection", "--pmax", "3")
     assert code == EXIT_OK

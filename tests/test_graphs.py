@@ -198,6 +198,12 @@ def test_truncated_dg_empty_graph_factorizes():
     assert value == pytest.approx(partial**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_truncated_dg_rejects_non_positive_truncation(N):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        truncated_DG(SINGLE_EDGE, (2.0, 2.0), N)
+
+
 def test_truncated_dg_against_direct_triple_loop():
     s = (2.0, 1.8, 2.2)
     N = 30

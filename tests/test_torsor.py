@@ -12,6 +12,7 @@ from senary.torsor import (
     TorsorTupleA,
     TorsorTupleB,
     TriProjectivePoint,
+    _uw_tuples,
     count_O_Fp,
     count_X_Fp,
     lift_to_X,
@@ -176,7 +177,14 @@ def test_bijection_negative_control():
     assert not verify_bijection(5, drop_w_coprimality=True)
 
 
-@pytest.mark.parametrize("P", [1, 2, 3, 5, 8, 12])
+def test_descent_tuple_multiplicities_cover_every_y_triple():
+    # each positive y-triple in the box has exactly one descent tuple, so the
+    # multiplicities n (the admissible u per tuple) sum to P^3
+    for P in range(1, 31):
+        assert sum(n for n, *_ in _uw_tuples(P, 1, P + 1)) == P**3
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 5, 8, 12, 30])
 def test_torsor_count_matches_naive(P):
     assert torsor_count_V(P).count == naive_count_V(P).count
 
