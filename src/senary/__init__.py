@@ -19,6 +19,7 @@ from senary.cubic import (
     group_compose,
     count_degenerate,
     slice_count,
+    iter_box_solutions,
 )
 from senary.torsor import (
     TorsorTupleA,

@@ -33,7 +33,7 @@ class PrimeTable:
 def primes_up_to(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes; exact."""
     if limit < 2:
-        raise ValueError("limit must be >= 2")
+        raise ValueError(f"prime limit must be >= 2, got {limit}")
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
@@ -48,6 +48,11 @@ def gcd_many(values) -> int:
     if not values:
         raise ValueError("gcd of empty list")
     return math.gcd(*values)
+
+
+def is_prime(n: int) -> bool:
+    """Trial division; exact."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

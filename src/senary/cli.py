@@ -174,26 +174,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
         _verify_line(out, "factor-identity", ok, pmax=pmax)
     elif suite == "lift":
         pmax = cfg.extra.get("pmax", 5)
-        import itertools
-
         count = 0
         good = True
-        rng = range(-pmax, pmax + 1)
-        for y in itertools.product([v for v in rng if v != 0], repeat=3):
-            for x1, x2 in itertools.product(rng, repeat=2):
-                num = -(x1 * y[1] * y[2] + x2 * y[0] * y[2])
-                den = y[0] * y[1]
-                if num % den:
-                    continue
-                x3 = num // den
-                if abs(x3) > pmax:
-                    continue
-                s = cubic.SolutionSextuple(x1, x2, x3, *y)
-                try:
-                    torsor.lift_to_X(s)  # validates the equations on construction
-                except ValueError:
-                    good = False
-                count += 1
+        for coords in cubic.iter_box_solutions(pmax):
+            s = cubic.SolutionSextuple(*coords)
+            try:
+                torsor.lift_to_X(s)  # validates the equations on construction
+            except ValueError:
+                good = False
+            count += 1
         _verify_line(out, "lift", good, points=count)
         ok = good
     elif suite == "fp-counts":

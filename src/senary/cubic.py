@@ -1,18 +1,21 @@
 """Ground-truth enumeration of integer points on the senary cubic.
 
-The box counter iterates y over the positive octant (sign symmetry gives a
-factor 8), runs x1, x2 over the full box with numpy, and solves for x3 with an
-exact divisibility test.  It is deliberately the simplest correct method and
-serves as the oracle that the descent-based counter in :mod:`senary.torsor`
-must reproduce exactly.
+One kernel, ``_octant_solutions``, iterates y over the positive octant (sign
+symmetry gives a factor 8), runs x1, x2 over the full box with numpy, and
+solves for x3 with an exact divisibility test; the box, primitive and slice
+counters and ``iter_box_solutions`` all consume it.  It is deliberately the
+simplest correct method and serves as the oracle that the descent-based
+counter in :mod:`senary.torsor` must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,59 +102,53 @@ def _check_box_bound(P: int):
         raise OverflowError(f"box bound {P} exceeds the int64-checked range")
 
 
-def _octant_chunk(P: int, y1_lo: int, y1_hi: int) -> int:
-    """Solutions with y in the positive octant, y1 in [y1_lo, y1_hi)."""
+def _octant_solutions(P: int, y1_lo: int, y1_hi: int):
+    """The naive kernel: for each y in the positive octant with y1 in
+    [y1_lo, y1_hi), yield y and the int64 arrays (x1, x2, x3) of its box
+    solutions, with x1, x2 free and x3 found by exact division."""
     xs = np.arange(-P, P + 1, dtype=np.int64)
-    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-    total = 0
+    X1, X2 = (X.ravel() for X in np.meshgrid(xs, xs, indexing="ij"))
     for y1 in range(y1_lo, y1_hi):
         for y2 in range(1, P + 1):
             d = y1 * y2
             base = X1 * y2 + X2 * y1
             for y3 in range(1, P + 1):
-                num = base * (-y3)
-                q, r = np.divmod(num, d)
-                total += int(((r == 0) & (np.abs(q) <= P)).sum())
-    return total
+                q, r = np.divmod(base * (-y3), d)
+                # few entries divide exactly, so test |x3| <= P on those only
+                i = np.flatnonzero(r == 0)
+                i = i[np.abs(q[i]) <= P]
+                yield (y1, y2, y3), X1[i], X2[i], q[i]
 
 
-def _octant_primitive_chunk(P: int, y1_lo: int, y1_hi: int) -> int:
-    xs = np.arange(-P, P + 1, dtype=np.int64)
-    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-    total = 0
-    for y1 in range(y1_lo, y1_hi):
-        for y2 in range(1, P + 1):
-            d = y1 * y2
-            gy12 = math.gcd(y1, y2)
-            base = X1 * y2 + X2 * y1
-            for y3 in range(1, P + 1):
-                num = base * (-y3)
-                q, r = np.divmod(num, d)
-                ok = (r == 0) & (np.abs(q) <= P)
-                if not ok.any():
-                    continue
-                g = np.gcd(np.gcd(np.abs(X1[ok]), np.abs(X2[ok])), np.abs(q[ok]))
-                g = np.gcd(g, math.gcd(gy12, y3))
-                total += int((g == 1).sum())
-    return total
+def _count_chunk(P: int, count, y1_lo: int, y1_hi: int) -> int:
+    """Sum of count(y, x1, x2, x3) over the octant solutions with y1 in
+    [y1_lo, y1_hi); count is module-level so the pool can pickle it."""
+    return sum(count(*sol) for sol in _octant_solutions(P, y1_lo, y1_hi))
 
 
-def _slice_chunk(P: int, z_tuple: tuple[int, ...], y1_lo: int, y1_hi: int) -> int:
-    Z = set(z_tuple)
-    xs = np.arange(-P, P + 1, dtype=np.int64)
-    X1, X2 = np.meshgrid(xs, xs, indexing="ij")
-    total = 0
-    for y1 in range(y1_lo, y1_hi):
-        for y2 in range(1, P + 1):
-            d = y1 * y2
-            base = X1 * y2 + X2 * y1
-            for y3 in range(1, P + 1):
-                if not (y1 in Z or y2 in Z or y3 in Z):
-                    continue
-                num = base * (-y3)
-                q, r = np.divmod(num, d)
-                total += int(((r == 0) & (np.abs(q) <= P)).sum())
-    return total
+def _count_all(y, x1, x2, x3) -> int:
+    return len(x3)
+
+
+def _count_primitive(y, x1, x2, x3) -> int:
+    """Solutions whose six coordinates have gcd 1 (np.gcd ignores signs)."""
+    return int((np.gcd(np.gcd(np.gcd(x1, x2), x3), math.gcd(*y)) == 1).sum())
+
+
+def _count_in_slice(Z: frozenset, y, x1, x2, x3) -> int:
+    return 0 if Z.isdisjoint(y) else len(x3)
+
+
+def iter_box_solutions(P: int):
+    """Every integer sextuple in [-P, P]^6 on the cubic with y1*y2*y3 != 0,
+    once each: the sign orbits (s1 x1, s2 x2, s3 x3, s1 y1, s2 y2, s3 y3) of
+    the positive-octant solutions."""
+    _check_box_bound(P)
+    signs = list(itertools.product((1, -1), repeat=3))
+    for (y1, y2, y3), x1s, x2s, x3s in _octant_solutions(P, 1, P + 1):
+        for x1, x2, x3 in zip(x1s.tolist(), x2s.tolist(), x3s.tolist()):
+            for s1, s2, s3 in signs:
+                yield (s1 * x1, s2 * x2, s3 * x3, s1 * y1, s2 * y2, s3 * y3)
 
 
 def _run_partitioned(worker, P: int, args: tuple, threads: int) -> int:
@@ -171,7 +168,7 @@ def naive_count_V(P: int, threads: int = 1) -> CountReport:
     with y1*y2*y3 != 0 (no coprimality, both signs)."""
     _check_box_bound(P)
     t0 = time.perf_counter()
-    total = 8 * _run_partitioned(_octant_chunk, P, (), threads)
+    total = 8 * _run_partitioned(_count_chunk, P, (_count_all,), threads)
     return CountReport(P, "naive", total, time.perf_counter() - t0)
 
 
@@ -184,7 +181,7 @@ def count_N(B: int, threads: int = 1) -> CountReport:
     R = integer_cube_root(B)
     _check_box_bound(R)
     t0 = time.perf_counter()
-    total = 4 * _run_partitioned(_octant_primitive_chunk, R, (), threads)
+    total = 4 * _run_partitioned(_count_chunk, R, (_count_primitive,), threads)
     return CountReport(B, "naive-primitive", total, time.perf_counter() - t0)
 
 
@@ -249,7 +246,5 @@ def slice_count(P: int, Z, threads: int = 1) -> CountReport:
     if any(z < 1 or z > P for z in Z):
         raise ValueError("Z must be a subset of {1..P}")
     t0 = time.perf_counter()
-    if not Z:
-        return CountReport(P, "slice", 0, time.perf_counter() - t0)
-    total = 8 * _run_partitioned(_slice_chunk, P, (tuple(sorted(Z)),), threads)
+    total = 8 * _run_partitioned(_count_chunk, P, (partial(_count_in_slice, Z),), threads)
     return CountReport(P, "slice", total, time.perf_counter() - t0)

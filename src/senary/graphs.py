@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta as _scipy_zeta
 
-from senary.arith import primes_up_to
+from senary.arith import is_prime, primes_up_to
 
 _MAX_EDGES = 24  # 2^|E| subset enumeration cap
 
@@ -160,10 +160,11 @@ class EvaluationPoint:
         return cls((1.0,) * r)
 
 
-def _exponents(s) -> tuple[float, ...]:
-    if isinstance(s, EvaluationPoint):
-        return s.s
-    return tuple(float(v) for v in s)
+def _exponents(G: CoprimalityGraph, s) -> tuple[float, ...]:
+    s = s.s if isinstance(s, EvaluationPoint) else tuple(float(v) for v in s)
+    if len(s) != G.r:
+        raise ValueError(f"need one exponent per vertex ({G.r}), got {len(s)}")
+    return s
 
 
 def _subset_masks(G: CoprimalityGraph):
@@ -207,9 +208,7 @@ def b_coefficients(G: CoprimalityGraph) -> BVector:
 def _check_euler_region(G: CoprimalityGraph, s) -> float:
     """Validate the absolute-convergence region; return the minimal exponent
     sum m over (single-edge) vertex sets."""
-    s = _exponents(s)
-    if len(s) != G.r:
-        raise ValueError("need one exponent per vertex")
+    s = _exponents(G, s)
     if any(sj <= 0.5 for sj in s):
         raise ValueError("each exponent must exceed 1/2")
     if not G.edges:
@@ -226,7 +225,9 @@ def euler_factor(G: CoprimalityGraph, p: int, s, weights=None) -> float:
     ``weights`` is an optional per-vertex completely multiplicative weight,
     called as weights(j, p) with j in 1..r; default is the constant 1.
     """
-    s = _exponents(s)
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+    s = _exponents(G, s)
     vals = []
     for j in range(1, G.r + 1):
         a = 1.0 if weights is None else weights(j, p)
@@ -236,6 +237,8 @@ def euler_factor(G: CoprimalityGraph, p: int, s, weights=None) -> float:
 
 def euler_factor_exact(G: CoprimalityGraph, p: int, s) -> Fraction:
     """Exact rational Euler factor for integer exponents."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
     if any(int(sj) != sj for sj in s):
         raise ValueError("exact evaluation needs integer exponents")
     vals = [Fraction(1, p ** int(sj)) for sj in s]
@@ -250,10 +253,10 @@ def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     and m the minimal exponent sum over edges; summing over p > L is bounded
     by the integral of t^-m scaled by 1/log 2.
     """
-    s = _exponents(s)
+    s = _exponents(G, s)
     m = _check_euler_region(G, s)
     poly = sg_polynomial(G)
-    primes = np.array(primes_up_to(max(prime_limit, 2)).primes, dtype=np.float64)
+    primes = np.array(primes_up_to(prime_limit).primes, dtype=np.float64)
     product = np.ones_like(primes)
     for mask, coeff in poly.terms:
         if mask == 0:
@@ -296,11 +299,9 @@ def truncated_DG(G: CoprimalityGraph, s, N: int) -> tuple[float, float]:
     precomputed coprimality masks, with the last two vertices contracted into
     a matrix-vector product.
     """
-    s = _exponents(s)
+    s = _exponents(G, s)
     if any(sj <= 1 for sj in s):
         raise ValueError("each exponent must exceed 1 for a convergent tail")
-    if len(s) != G.r:
-        raise ValueError("need one exponent per vertex")
     if N < 1:
         raise ValueError("truncation N must be >= 1")
     if N > 10_000:
@@ -379,7 +380,7 @@ def zeta_truncated(s: float, prime_limit: int) -> tuple[float, float]:
     the multiplicative error."""
     if s <= 1:
         raise ValueError("need s > 1")
-    primes = np.array(primes_up_to(max(prime_limit, 2)).primes, dtype=np.float64)
+    primes = np.array(primes_up_to(prime_limit).primes, dtype=np.float64)
     value = float(np.prod(1.0 / (1.0 - primes ** (-s))))
     tail_log = 2.0 * prime_limit ** (1.0 - s) / ((s - 1.0) * math.log(2.0))
     return value, value * math.expm1(tail_log)
@@ -391,7 +392,7 @@ def verify_theorem3(G: CoprimalityGraph, s, N: int, prime_limit: int):
 
     Returns (ok, residual, allowance).
     """
-    s = _exponents(s)
+    s = _exponents(G, s)
     lhs, lhs_tail = truncated_DG(G, s, N)
     xi_val, xi_tail = xi(G, s, prime_limit)
     zfac = 1.0
@@ -414,8 +415,8 @@ def tg_series_check(G: CoprimalityGraph, degree_cap: int) -> bool:
 
     Compares integer coefficients up to total degree ``degree_cap``.
     """
-    if degree_cap > 8 or G.r > 6:
-        raise ValueError("degree_cap <= 8 and r <= 6 required")
+    if not 0 <= degree_cap <= 8 or G.r > 6:
+        raise ValueError("0 <= degree_cap <= 8 and r <= 6 required")
     r = G.r
     edges = G.edge_list
     # T coefficients: indicator that every edge has a zero endpoint

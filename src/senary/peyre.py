@@ -352,8 +352,8 @@ def archimedean_density(
     outer grid points.  ``region='unit-cell'`` restricts to the cell where the
     max in the denominator equals 1 (used by consistency tests).
     """
-    if tolerance < 1e-3:
-        raise ValueError("tolerance below 1e-3 is not supported by the fixed schedule")
+    if not (math.isfinite(tolerance) and tolerance >= 1e-3):
+        raise ValueError(f"tolerance must be finite and >= 1e-3 (fixed schedule), got {tolerance}")
     level = _outer_level if region == "full" else _outer_level_unit_cell
     if region not in ("full", "unit-cell"):
         raise ValueError("region must be 'full' or 'unit-cell'")

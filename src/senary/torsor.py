@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senary.arith import integer_cube_root
+from senary.arith import integer_cube_root, is_prime
 from senary.cubic import (
     CountReport,
     SolutionSextuple,
@@ -382,17 +382,13 @@ def verify_bijection(P: int, drop_w_coprimality: bool = False) -> bool:
 # finite-field point counts
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
-
-
 def count_O_Fp(p: int) -> int:
     """Brute-force count of F_p points of the ten-coordinate descent scheme:
     (u, v, u_j, w_j) with u1 v1 + u2 v2 + u3 v3 = 0, some monomial
     u_i u_k w_j w_k nonzero, and (u, v) != 0.  The (u, v) block is counted by
     the kernel dimension of the linear form v -> u . v, reducing the loop to
     the six (u_j, w_j) variables."""
-    if not _is_prime(p) or p > 31:
+    if not is_prime(p) or p > 31:
         raise ValueError("p must be a prime <= 31")
     rng = np.arange(p, dtype=np.int64)
     total = 0
@@ -421,7 +417,7 @@ def count_X_Fp(p: int) -> int:
     """Brute-force count of F_p points of the resolved variety in
     P^5 x P^2 x P^2, enumerating projective representatives and testing the
     three defining equation families."""
-    if not _is_prime(p) or p > 7:
+    if not is_prime(p) or p > 7:
         raise ValueError("p must be a prime <= 7")
     P2 = list(_projective_reps(3, p))
     P5 = list(_projective_reps(6, p))

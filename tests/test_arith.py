@@ -11,6 +11,7 @@ from senary.arith import (
     factorize,
     gcd_many,
     integer_cube_root,
+    is_prime,
     moebius,
     primes_up_to,
 )
@@ -20,6 +21,10 @@ def test_primes_up_to_examples():
     assert primes_up_to(10).primes == (2, 3, 5, 7)
     assert primes_up_to(2).primes == (2,)
     assert primes_up_to(30).primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def test_is_prime_agrees_with_the_sieve():
+    assert [n for n in range(-3, 200) if is_prime(n)] == list(primes_up_to(199).primes)
 
 
 def test_primes_up_to_rejects_tiny_limit():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import exhaustive_V
 from senary.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -99,6 +100,28 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
     assert code == EXIT_USAGE and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("constants", "mu-infinity", "--tolerance", "nan", "--budget", "10"),
+        ("constants", "mu-infinity", "--tolerance", "inf", "--budget", "10"),
+        ("graph", "euler", "--p", "0"),
+        ("graph", "euler", "--p", "4"),
+        ("graph", "euler", "--s", "1,1"),
+        ("graph", "euler", "--s", "1.5,1,1,1,1,1,1"),
+        ("graph", "xi", "--prime-limit", "0"),
+        ("verify", "theorem3", "--prime-limit", "0"),
+        ("verify", "tg-series", "--degree", "-1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("senary: ") and captured.err.count("\n") == 1
+
+
 def test_verify_bijection(capsys):
     code, out = run(capsys, "verify", "bijection", "--pmax", "3")
     assert code == EXIT_OK
@@ -137,8 +160,9 @@ def test_verify_fp_counts(capsys):
 
 
 def test_verify_lift(capsys):
-    code, _ = run(capsys, "verify", "lift", "--pmax", "3")
+    code, out = run(capsys, "verify", "lift", "--pmax", "3")
     assert code == EXIT_OK
+    assert json.loads(out) == {"check": "lift", "ok": True, "points": exhaustive_V(3)}
 
 
 def test_constants_alpha(capsys):

@@ -9,6 +9,7 @@ from oracles import (
     exhaustive_degenerate_pairs,
     exhaustive_primitive_pairs,
     exhaustive_V,
+    solutions_via_x3,
 )
 from senary.cubic import (
     CountReport,
@@ -17,6 +18,7 @@ from senary.cubic import (
     count_N,
     group_compose,
     is_solution,
+    iter_box_solutions,
     mobius_check,
     naive_count_V,
     slice_count,
@@ -94,6 +96,13 @@ def test_permutation_symmetry_of_box_solutions():
             for t in sols
         }
         assert permuted == sols
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 4])
+def test_iter_box_solutions_matches_x3_oracle(P):
+    sols = list(iter_box_solutions(P))
+    assert len(sols) == len(set(sols)) == naive_count_V(P).count
+    assert set(sols) == set(solutions_via_x3(P))
 
 
 def test_sign_symmetry_divisibility_by_8():

@@ -198,6 +198,24 @@ def test_truncated_dg_empty_graph_factorizes():
     assert value == pytest.approx(partial**2, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: euler_factor(SENARY_GRAPH, 4, (1.0,) * 6),
+        lambda: euler_factor(SENARY_GRAPH, 2, (1.0,) * 7),
+        lambda: euler_factor_exact(SENARY_GRAPH, 0, [1] * 6),
+        lambda: xi(EMPTY2, (2.0, 2.0), 1),
+        lambda: zeta_truncated(2.0, 0),
+        lambda: tg_series_check(SINGLE_EDGE, -1),
+    ],
+    ids=["composite-p", "extra-exponent", "zero-p", "xi-limit-1", "zeta-limit-0",
+         "negative-degree"],
+)
+def test_bad_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 @pytest.mark.parametrize("N", [0, -3])
 def test_truncated_dg_rejects_non_positive_truncation(N):
     with pytest.raises(ValueError, match="N must be >= 1"):
