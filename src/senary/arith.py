@@ -50,9 +50,37 @@ def gcd_many(values) -> int:
     return math.gcd(*values)
 
 
+# The first 13 primes; the strong probable-prime test to all of them is exact
+# below the smallest strong pseudoprime to every one of them (Sorenson and
+# Webster, Math. Comp. 86 (2017)).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial division; exact."""
-    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin over the first 13 prime bases; exact for
+    n < 3.3e24, and a ValueError above that rather than an inexact answer."""
+    if n < 2:
+        return False
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise ValueError(f"primality test is exact only below {_MILLER_RABIN_EXACT_BELOW}, got {n}")
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

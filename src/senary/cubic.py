@@ -153,7 +153,9 @@ def iter_box_solutions(P: int):
 
 def _run_partitioned(worker, P: int, args: tuple, threads: int) -> int:
     """Split the outermost loop range 1..P (y1 here, u1 in the torsor
-    counters) into disjoint chunks; deterministic sum."""
+    counters) into equal disjoint chunks; deterministic sum.  The torsor
+    counters' orbit representatives have u1 <= isqrt(P), so every torsor
+    chunk but the first is empty or nearly so."""
     if threads <= 1 or P < 2 * threads:
         return worker(P, *args, 1, P + 1)
     bounds = np.linspace(1, P + 1, threads + 1, dtype=int)

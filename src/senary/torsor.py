@@ -234,37 +234,48 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 
 
 def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
-    """All (n, u1, u2, u3, w1, w2, w3) with u1 in [u1_lo, u1_hi), positive
-    entries, u pairwise coprime, (u_j; w_j) = 1 and w pairwise coprime (these
-    w conditions only when w_coprime), and the u = 1 y-box constraints
-    u2*u3*w1 <= P, u1*u3*w2 <= P, u1*u2*w3 <= P.
+    """One representative (n, m, u1, u2, u3, w1, w2, w3) per orbit of the
+    tuples with positive entries, u pairwise coprime, (u_j; w_j) = 1 and w
+    pairwise coprime (these w conditions only when w_coprime), and the u = 1
+    y-box constraints u2*u3*w1 <= P, u1*u3*w2 <= P, u1*u2*w3 <= P, under
+    simultaneous permutations of the pairs (u_j, w_j).
+
+    The cubic is symmetric under permuting the indices 1, 2, 3, and so are
+    these constraints, the x-box and the lattice count.  The representative
+    is the ordered one, (u1, w1) <= (u2, w2) <= (u3, w3) lexicographically,
+    with u1 in [u1_lo, u1_hi); u1 <= u2 <= u3 and u2*u3 <= P give
+    u1 <= u2 <= isqrt(P).  m = 6, 3 or 1 is the orbit size, the number of
+    distinct permutations of the three pairs.
 
     u enters neither the x-box nor the coprimality system, so it is summed
     out: n = P // max(u2*u3*w1, u1*u3*w2, u1*u2*w3) is the number of u >= 1
     whose y-box admits the tuple."""
     for u1 in range(u1_lo, u1_hi):
-        for u2 in range(1, P // u1 + 1):
+        for u2 in range(u1, math.isqrt(P) + 1):
             if math.gcd(u1, u2) != 1:
                 continue
-            for u3 in range(1, min(P // u1, P // u2) + 1):
+            for u3 in range(u2, P // u2 + 1):
                 if math.gcd(u1, u3) != 1 or math.gcd(u2, u3) != 1:
                     continue
                 for w1 in range(1, P // (u2 * u3) + 1):
                     if w_coprime and math.gcd(w1, u1) != 1:
                         continue
                     y1 = u2 * u3 * w1
-                    for w2 in range(1, P // (u1 * u3) + 1):
+                    for w2 in range(w1 if u2 == u1 else 1, P // (u1 * u3) + 1):
                         if w_coprime and (math.gcd(w2, u2) != 1 or math.gcd(w2, w1) != 1):
                             continue
                         y12 = max(y1, u1 * u3 * w2)
-                        for w3 in range(1, P // (u1 * u2) + 1):
+                        same12 = u2 == u1 and w2 == w1
+                        for w3 in range(w2 if u3 == u2 else 1, P // (u1 * u2) + 1):
                             if w_coprime and (
                                 math.gcd(w3, u3) != 1
                                 or math.gcd(w3, w1) != 1
                                 or math.gcd(w3, w2) != 1
                             ):
                                 continue
-                            yield P // max(y12, u1 * u2 * w3), u1, u2, u3, w1, w2, w3
+                            same23 = u3 == u2 and w3 == w2
+                            m = 1 if same12 and same23 else 3 if same12 or same23 else 6
+                            yield P // max(y12, u1 * u2 * w3), m, u1, u2, u3, w1, w2, w3
 
 
 def _r_pair_count(P, u1, u2, u3, q1, q2, q3) -> int:
@@ -304,17 +315,17 @@ def _r_pair_count(P, u1, u2, u3, q1, q2, q3) -> int:
 
 def _torsor_V_chunk(P: int, u1_lo: int, u1_hi: int) -> int:
     total = 0
-    for n, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, u1_lo, u1_hi):
-        total += n * _r_pair_count(P, u1, u2, u3, P // w1, P // w2, P // w3)
+    for n, m, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, u1_lo, u1_hi):
+        total += n * m * _r_pair_count(P, u1, u2, u3, P // w1, P // w2, P // w3)
     return total
 
 
 def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     """Exact V(P) through the descent parametrization: enumerate positive
-    (u1, u2, u3, w1, w2, w3) under the y-box and coprimality constraints,
-    count lattice parameters (r1, r2, r3) meeting the x-box constraints, times
-    the number of admissible u in closed form, and multiply by 8 for the
-    w-sign orbits."""
+    (u1, u2, u3, w1, w2, w3) under the y-box and coprimality constraints, one
+    per orbit of index permutations, count lattice parameters (r1, r2, r3)
+    meeting the x-box constraints, times the number of admissible u in closed
+    form and the orbit size, and multiply by 8 for the w-sign orbits."""
     _check_box_bound(P)
     t0 = time.perf_counter()
     total = 8 * _run_partitioned(_torsor_V_chunk, P, (), threads)
@@ -348,9 +359,13 @@ def verify_bijection(P: int, drop_w_coprimality: bool = False) -> bool:
 
     images: dict[tuple, int] = {}
     n_tuples = 0
-    for n, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, 1, P + 1, not drop_w_coprimality):
-        q1, q2, q3 = P // w1, P // w2, P // w3
-        for u, s1, s2, s3 in itertools.product(range(1, n + 1), (1, -1), (1, -1), (1, -1)):
+    for n, _, *uw in _uw_tuples(P, 1, P + 1, not drop_w_coprimality):
+        # every distinct permutation of the representative's pairs (u_j, w_j)
+        orbit = dict.fromkeys(itertools.permutations(zip(uw[:3], uw[3:])))
+        for ((u1, w1), (u2, w2), (u3, w3)), u, s1, s2, s3 in itertools.product(
+            orbit, range(1, n + 1), (1, -1), (1, -1), (1, -1)
+        ):
+            q1, q2, q3 = P // w1, P // w2, P // w3
             a1, a2, a3 = s1 * w1, s2 * w2, s3 * w3
             y = (u * u2 * u3 * a1, u * u1 * u3 * a2, u * u1 * u2 * a3)
             for r1 in range(1, u1 + 1):

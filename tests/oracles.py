@@ -69,3 +69,23 @@ def solutions_via_x3(P):
                 if abs(x3) <= P:
                     out.append((x1, x2, x3, y1, y2, y3))
     return out
+
+
+def descent_uw_tuples(P, w_coprime=True):
+    """Every positive (u1, u2, u3, w1, w2, w3) in the u = 1 y-box
+    (u2*u3*w1, u1*u3*w2, u1*u2*w3 all <= P) with u pairwise coprime and, when
+    w_coprime, also (u_j; w_j) = 1 and w pairwise coprime; each tuple once."""
+    out = []
+    for u1 in range(1, P + 1):
+        for u2 in range(1, P // u1 + 1):
+            for u3 in range(1, P // max(u1, u2) + 1):
+                for w1 in range(1, P // (u2 * u3) + 1):
+                    for w2 in range(1, P // (u1 * u3) + 1):
+                        for w3 in range(1, P // (u1 * u2) + 1):
+                            pairs = [(u1, u2), (u2, u3), (u3, u1)]
+                            if w_coprime:
+                                pairs += [(u1, w1), (u2, w2), (u3, w3)]
+                                pairs += [(w1, w2), (w2, w3), (w3, w1)]
+                            if all(math.gcd(a, b) == 1 for a, b in pairs):
+                                out.append((u1, u2, u3, w1, w2, w3))
+    return out

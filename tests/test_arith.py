@@ -27,6 +27,28 @@ def test_is_prime_agrees_with_the_sieve():
     assert [n for n in range(-3, 200) if is_prime(n)] == list(primes_up_to(199).primes)
 
 
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (561, False),  # Carmichael numbers
+        (41041, False),
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+        (10**14 + 31, True),
+        (2**61 - 1, True),
+        ((2**31 - 1) ** 2, False),  # square of a prime: no small factor
+    ],
+)
+def test_is_prime_on_pseudoprimes_and_large_primes(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_values_beyond_its_exact_range():
+    # the smallest strong pseudoprime to all 13 bases 2..41
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
+
+
 def test_primes_up_to_rejects_tiny_limit():
     with pytest.raises(ValueError):
         primes_up_to(1)

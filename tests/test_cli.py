@@ -107,6 +107,8 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
         ("constants", "mu-infinity", "--tolerance", "inf", "--budget", "10"),
         ("graph", "euler", "--p", "0"),
         ("graph", "euler", "--p", "4"),
+        ("graph", "euler", "--p", str((2**31 - 1) ** 2)),
+        ("graph", "euler", "--p", "3317044064679887385961981"),
         ("graph", "euler", "--s", "1,1"),
         ("graph", "euler", "--s", "1.5,1,1,1,1,1,1"),
         ("graph", "xi", "--prime-limit", "0"),

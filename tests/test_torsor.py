@@ -1,17 +1,20 @@
 import functools
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import solutions_via_x3
+from oracles import descent_uw_tuples, solutions_via_x3
 from senary.cubic import SolutionSextuple, count_N, is_solution, naive_count_V, slice_count
 from senary.torsor import (
     PrimitiveTorsorTuple,
     TorsorTupleA,
     TorsorTupleB,
     TriProjectivePoint,
+    _torsor_V_chunk,
     _uw_tuples,
     count_O_Fp,
     count_X_Fp,
@@ -179,14 +182,50 @@ def test_bijection_negative_control():
 
 def test_descent_tuple_multiplicities_cover_every_y_triple():
     # each positive y-triple in the box has exactly one descent tuple, so the
-    # multiplicities n (the admissible u per tuple) sum to P^3
+    # multiplicities n (the admissible u per tuple) times the orbit sizes m
+    # (the tuples each representative stands for) sum to P^3
     for P in range(1, 31):
-        assert sum(n for n, *_ in _uw_tuples(P, 1, P + 1)) == P**3
+        assert sum(n * m for n, m, *_ in _uw_tuples(P, 1, P + 1)) == P**3
+
+
+@pytest.mark.parametrize("w_coprime", [True, False])
+def test_orbit_representatives_expand_to_every_descent_tuple(w_coprime):
+    # the distinct permutations of the pairs (u_j, w_j) of every representative
+    # give each tuple of the brute-force list once, and their number is m
+    for P in range(1, 21):
+        expanded = Counter()
+        for _, m, *uw in _uw_tuples(P, 1, P + 1, w_coprime):
+            orbit = set(itertools.permutations(zip(uw[:3], uw[3:])))
+            assert len(orbit) == m
+            expanded.update(tuple(u for u, _ in o) + tuple(w for _, w in o) for o in orbit)
+        oracle = Counter(descent_uw_tuples(P, w_coprime))
+        assert expanded == oracle
+        assert set(expanded.values()) == {1}
 
 
 @pytest.mark.parametrize("P", [1, 2, 3, 5, 8, 12, 30])
 def test_torsor_count_matches_naive(P):
     assert torsor_count_V(P).count == naive_count_V(P).count
+
+
+@pytest.mark.parametrize(
+    "P, expected",
+    [
+        (60, 302570112),  # naive_count_V(60), ROADMAP Baseline
+        (100, 1866628352),  # naive_count_V(100), bench/expected.json
+    ],
+)
+def test_torsor_count_matches_pinned_naive_counts(P, expected):
+    assert torsor_count_V(P).count == expected
+
+
+def test_torsor_V_chunks_add_up_at_every_split_point():
+    # the u1 split of the process partitioner, at every point; representatives
+    # have u1 <= isqrt(P), so most splits leave one side empty
+    P = 30
+    whole = _torsor_V_chunk(P, 1, P + 1)
+    for k in range(1, P + 2):
+        assert _torsor_V_chunk(P, 1, k) + _torsor_V_chunk(P, k, P + 1) == whole
 
 
 @pytest.mark.parametrize("B", [1, 7, 8, 26, 27, 64, 100, 1000, 12345, 15625])
