@@ -155,161 +155,164 @@ def alpha_invariant() -> Rational:
 # a piecewise combination of three explicitly integrable branches.  The
 # breakpoints are the pairwise crossings of the branches; every piece is
 # integrated in closed form (the |alpha + eps*s| branch through the stable
-# substitution y = s / (alpha +- s)).
+# substitution y = s / (alpha +- s)).  ``_inner_t5`` evaluates this entrywise
+# over arrays: each row's candidate breakpoints are padded with +inf and
+# sorted, the pieces between consecutive finite breakpoints are summed in
+# order with the branch picked by mask at the piece's geometric midpoint, and
+# the last piece's log-series tail is summed only where it is short.
 #
 # The remaining three variables are compactified by t -> log t (equivalently:
 # inversion t -> 1/t onto the unit cube plus a logarithmic capture of the
 # integrable 1/t singularity) and integrated on a deterministic midpoint grid
 # over [-L, L]^3, with a two-level Richardson step and a heuristic error
-# estimate from the level difference.
+# estimate from the level difference.  ``_outer_level`` evaluates one level a
+# t1 slice at a time, each slice one array call on the whole (t2, t4) plane,
+# so memory stays at a few n^2-entry arrays.
 
 
-def _tail_plus(alpha: float, s: float) -> float:
+def _log_series(z: np.ndarray) -> np.ndarray:
+    """sum_{k>=3} z^k/k = -ln(1-z) - z - z^2/2 for |z| < 1/2; an entry stops
+    at its first term below 1e-18 of its sum, the loop once every entry has."""
+    acc = np.zeros_like(z)
+    live = np.arange(len(z))
+    t = z * z * z
+    k = 3
+    while len(live) and k <= 200:
+        term = t / k
+        acc[live] += term
+        going = np.abs(term) > 1e-18 * np.abs(acc[live])
+        live = live[going]
+        t = t[going] * z[live]
+        k += 1
+    return acc
+
+
+def _tail_plus(alpha: np.ndarray, s: np.ndarray) -> np.ndarray:
     # sum_{k>=3} z^k/k at z = alpha/(alpha+s); equals -ln(1-z) - z - z^2/2
     z = alpha / (alpha + s)
-    if z < 0.5:
-        acc = 0.0
-        t = z * z * z
-        k = 3
-        while True:
-            term = t / k
-            acc += term
-            if term < 1e-18 * acc or k > 200:
-                return acc
-            t *= z
-            k += 1
-    return math.log1p(alpha / s) - z - 0.5 * z * z
+    out = np.log1p(alpha / s) - z - 0.5 * z * z
+    short = np.nonzero(z < 0.5)[0]
+    out[short] = _log_series(z[short])
+    return out
 
 
-def _tail_minus(w: float) -> float:
-    # ln(1+w) - w + w^2/2 for w >= 0
-    if w < 0.5:
-        acc = 0.0
-        t = w * w * w
-        k = 3
-        sgn = 1.0
-        while True:
-            term = sgn * t / k
-            acc += term
-            if abs(term) < 1e-18 * abs(acc) or k > 200:
-                return acc
-            t *= w
-            k += 1
-            sgn = -sgn
-    return math.log1p(w) - w + 0.5 * w * w
+def _tail_minus(w: np.ndarray) -> np.ndarray:
+    # ln(1+w) - w + w^2/2 for w >= 0, i.e. minus the series at z = -w
+    out = np.log1p(w) - w + 0.5 * w * w
+    short = np.nonzero(w < 0.5)[0]
+    out[short] = -_log_series(-w[short])
+    return out
 
 
-def _inner_t5(t1: float, t2: float, t4: float, eps: float) -> float:
-    """Closed-form integral over s in (0, inf) of ds / (s * g(s)^3)."""
-    K = t1 if t1 > t2 else t2
-    if t4 > K:
-        K = t4
-    if K < 1.0:
-        K = 1.0
+def _phi_piece(prev: np.ndarray, b: np.ndarray, alpha: np.ndarray, eps: float) -> np.ndarray:
+    """alpha^3 * int_prev^b ds / (s (alpha + eps*s)^3), through the stable
+    substitution y = s / (alpha + eps*s), for b <= alpha when eps < 0.
+
+    That is the only side on which the coupling branch can be the largest
+    between breakpoints: past alpha (eps < 0) every breakpoint is at most
+    alpha + K, and s - alpha <= K up to there."""
+    c = alpha + eps * prev
+    e = alpha + eps * b
+    ya = prev / c
+    yb = b / e
+    d = alpha * (b - prev) / (c * e)
+    return np.log1p(d / ya) - 2.0 * eps * d + 0.5 * d * (ya + yb)
+
+
+def _flat(*arrays) -> tuple[np.ndarray, ...]:
+    """The arguments as float64 arrays, broadcast together and flattened."""
+    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in arrays))
+    return tuple(np.ravel(a) for a in arrays)
+
+
+def _inner_t5(t1, t2, t4, eps: float) -> np.ndarray:
+    """Closed-form integral over s in (0, inf) of ds / (s * g(s)^3), entrywise
+    over the broadcast and flattened t1, t2, t4; ``eps`` is +1 or -1."""
+    t1, t2, t4 = _flat(t1, t2, t4)
+    K = np.maximum(np.maximum(t1, t2), np.maximum(t4, 1.0))
     alpha = t1 / t4
     beta = t2
-    sq = math.sqrt(alpha * alpha + 4.0 * beta)
-    bps = [beta / K]
+    sq = np.sqrt(alpha * alpha + 4.0 * beta)
+    # the candidate breakpoints, each positive, or +inf where a crossing is absent
+    absent = np.full_like(alpha, np.inf)
     if eps > 0:
-        if K > alpha:
-            bps.append(K - alpha)
-        bps.append(2.0 * beta / (alpha + sq))
+        cols = [beta / K, np.where(K > alpha, K - alpha, absent), 2.0 * beta / (alpha + sq)]
     else:
-        if alpha > K:
-            bps.append(alpha - K)
-        bps.append(alpha + K)
-        bps.append(alpha)
         disc = alpha * alpha - 4.0 * beta
-        if disc >= 0.0:
-            r2 = 0.5 * (alpha + math.sqrt(disc))
-            if r2 > 0.0:
-                bps.append(r2)
-                bps.append(beta / r2)
-        bps.append(0.5 * (alpha + sq))
-    bps = sorted(b for b in bps if b > 0.0)
-    s_first = bps[0]
-    total = s_first**3 / (3.0 * beta**3)  # leading branch g = beta/s
-    prev = s_first
+        real = disc >= 0.0
+        r2 = np.where(real, 0.5 * (alpha + np.sqrt(np.maximum(disc, 0.0))), absent)
+        cols = [
+            beta / K,
+            np.where(alpha > K, alpha - K, absent),
+            alpha + K,
+            alpha,
+            r2,
+            np.where(real, beta / r2, absent),
+            0.5 * (alpha + sq),
+        ]
+    bps = np.sort(np.stack(cols), axis=0)  # one row per rank
+    last = np.max(np.where(bps < np.inf, bps, 0.0), axis=0)
+    bps = np.where(bps < np.inf, bps, last)  # padding becomes empty pieces [last, last]
+    total = bps[0] ** 3 / (3.0 * beta**3)  # leading branch g = beta/s
     a3 = alpha**3
-    for b in bps[1:]:
-        if b <= prev:
-            continue
-        sm = math.sqrt(prev) * math.sqrt(b)
-        g_const = K
-        g_beta = beta / sm
-        g_phi = abs(alpha + eps * sm)
-        if g_const >= g_beta and g_const >= g_phi:
-            total += math.log(b / prev) / (K * K * K)
-        elif g_beta >= g_phi:
-            total += (b * b * b - prev * prev * prev) / (3.0 * beta**3)
-        elif eps > 0:
-            ya = prev / (alpha + prev)
-            yb = b / (alpha + b)
-            d = alpha * (b - prev) / ((alpha + prev) * (alpha + b))
-            total += (math.log1p(d / ya) - 2.0 * d + 0.5 * d * (ya + yb)) / a3
-        elif b <= alpha:
-            ya = prev / (alpha - prev)
-            yb = b / (alpha - b)
-            d = alpha * (b - prev) / ((alpha - prev) * (alpha - b))
-            total += (math.log1p(d / ya) + 2.0 * d + 0.5 * d * (ya + yb)) / a3
-        else:
-            ya = prev / (prev - alpha)
-            yb = b / (b - alpha)
-            d = alpha * (b - prev) / ((prev - alpha) * (b - alpha))
-            total += (math.log1p(d / yb) - 2.0 * d + 0.5 * d * (ya + yb)) / a3
-        prev = b
+    K3 = K * K * K
+    with np.errstate(divide="ignore", invalid="ignore"):  # in branches not taken
+        for prev, b in zip(bps, bps[1:]):
+            # on [prev, b] g is the branch largest at the geometric midpoint
+            sm = np.sqrt(prev) * np.sqrt(b)
+            g_beta = beta / sm
+            g_phi = np.abs(alpha + eps * sm)
+            piece = np.where(
+                K >= np.maximum(g_beta, g_phi),
+                np.log(b / prev) / K3,
+                np.where(
+                    g_beta >= g_phi,
+                    (b * b * b - prev * prev * prev) / (3.0 * beta**3),
+                    _phi_piece(prev, b, alpha, eps) / a3,
+                ),
+            )
+            total += np.where(b > prev, piece, 0.0)
     if eps > 0:
-        total += _tail_plus(alpha, prev) / a3
+        total += _tail_plus(alpha, last) / a3
     else:
-        total += _tail_minus(alpha / (prev - alpha)) / a3
+        total += _tail_minus(alpha / (last - alpha)) / a3
     return total
 
 
-def _inner_t5_unit_cell(t1: float, t2: float, t4: float, eps: float) -> float:
+def _inner_t5_unit_cell(t1, t2, t4, eps: float) -> np.ndarray:
     """Same inner integral restricted to the cell where the max equals 1:
     requires t1, t2, t4 <= 1 (checked by the caller), t5 <= 1 and coupling
     |alpha + eps*s| <= 1; the integrand there is ds/s over an interval."""
+    t1, t2, t4 = _flat(t1, t2, t4)
     alpha = t1 / t4
     beta = t2  # s = beta/t5 >= beta on t5 <= 1
     if eps > 0:
-        hi = 1.0 - alpha
-        if hi <= beta:
-            return 0.0
-        return math.log(hi / beta)
-    lo = max(alpha - 1.0, beta)
-    hi = alpha + 1.0
-    if hi <= lo:
-        return 0.0
-    return math.log(hi / lo)
+        lo, hi = beta, 1.0 - alpha
+    else:
+        lo, hi = np.maximum(alpha - 1.0, beta), alpha + 1.0
+    return np.log(np.maximum(hi, lo) / lo)  # 0 where the interval is empty
 
 
 @lru_cache(maxsize=64)
-def _outer_level(n: int, L: float) -> float:
-    h = 2.0 * L / n
-    ts = [math.exp(-L + h * (i + 0.5)) for i in range(n)]
-    total = 0.0
-    for t1 in ts:
-        for t2 in ts:
-            w12 = t1 * t2
-            for t4 in ts:
-                total += w12 * (_inner_t5(t1, t2, t4, 1.0) + _inner_t5(t1, t2, t4, -1.0))
-    return 8.0 * total * h**3
+def _outer_level(n: int, L: float, unit_cell: bool = False) -> float:
+    """One midpoint level on the n^3 grid in log coordinates over [-L, L]^3
+    (over [-L, 0]^3, where t1, t2, t4 <= 1, for the unit cell).  The Jacobian
+    dt = t du weights each point by t1 t2 (t4 cancels the density's 1/t4);
+    one t1 slice at a time, the (t2, t4) plane is one array call per eps.
 
-
-@lru_cache(maxsize=64)
-def _outer_level_unit_cell(n: int, L: float) -> float:
-    # outer variables restricted to (0, 1]: grid over [-L, 0]^3
-    h = L / n
-    ts = [math.exp(-L + h * (i + 0.5)) for i in range(n)]
-    total = 0.0
+    The points are added one by one in (t1, t2, t4) order, as a plain triple
+    loop would: the level then moves only by the rounding of the inner
+    integral, not by a new summation order."""
+    inner = _inner_t5_unit_cell if unit_cell else _inner_t5
+    h = (L if unit_cell else 2.0 * L) / n
+    ts = np.array([math.exp(-L + h * (i + 0.5)) for i in range(n)])
+    t2 = np.repeat(ts, n)
+    t4 = np.tile(ts, n)
+    total = np.zeros(1)
     for t1 in ts:
-        for t2 in ts:
-            w12 = t1 * t2
-            for t4 in ts:
-                total += w12 * (
-                    _inner_t5_unit_cell(t1, t2, t4, 1.0) + _inner_t5_unit_cell(t1, t2, t4, -1.0)
-                )
-    return 8.0 * total * h**3
+        terms = (t1 * t2) * (inner(t1, t2, t4, 1.0) + inner(t1, t2, t4, -1.0))
+        total = np.add.accumulate(np.concatenate((total, terms)))[-1:]  # sequential
+    return 8.0 * float(total[0]) * h**3
 
 
 @dataclass
@@ -354,9 +357,9 @@ def archimedean_density(
     """
     if not (math.isfinite(tolerance) and tolerance >= 1e-3):
         raise ValueError(f"tolerance must be finite and >= 1e-3 (fixed schedule), got {tolerance}")
-    level = _outer_level if region == "full" else _outer_level_unit_cell
     if region not in ("full", "unit-cell"):
         raise ValueError("region must be 'full' or 'unit-cell'")
+    unit_cell = region == "unit-cell"
     spent = 0
     best = None
     best_err = math.inf
@@ -365,8 +368,8 @@ def archimedean_density(
         if spent + cost > budget:
             break
         spent += cost
-        coarse = level(n_lo, _QUAD_L)
-        fine = level(n_hi, _QUAD_L)
+        coarse = _outer_level(n_lo, _QUAD_L, unit_cell)
+        fine = _outer_level(n_hi, _QUAD_L, unit_cell)
         value = (4.0 * fine - coarse) / 3.0  # Richardson for the h^2 term
         err = _QUAD_SAFETY * abs(fine - coarse) / 3.0 + _QUAD_DOMAIN_MARGIN
         if err < best_err:

@@ -2,6 +2,8 @@
 
 Everything here iterates plain Python integers over full boxes with no
 symmetry tricks, so it stays trustworthy (and slow); use only for tiny bounds.
+The archimedean-density section keeps the scalar, one-point-at-a-time form of
+the inner integral that the array kernel in ``senary.peyre`` replaces.
 """
 
 import itertools
@@ -89,3 +91,140 @@ def descent_uw_tuples(P, w_coprime=True):
                             if all(math.gcd(a, b) == 1 for a, b in pairs):
                                 out.append((u1, u2, u3, w1, w2, w3))
     return out
+
+
+# --- archimedean density: the scalar inner integral ------------------------
+
+
+def tail_plus(alpha: float, s: float) -> float:
+    # sum_{k>=3} z^k/k at z = alpha/(alpha+s); equals -ln(1-z) - z - z^2/2
+    z = alpha / (alpha + s)
+    if z < 0.5:
+        acc = 0.0
+        t = z * z * z
+        k = 3
+        while True:
+            term = t / k
+            acc += term
+            if term < 1e-18 * acc or k > 200:
+                return acc
+            t *= z
+            k += 1
+    return math.log1p(alpha / s) - z - 0.5 * z * z
+
+
+def tail_minus(w: float) -> float:
+    # ln(1+w) - w + w^2/2 for w >= 0
+    if w < 0.5:
+        acc = 0.0
+        t = w * w * w
+        k = 3
+        sgn = 1.0
+        while True:
+            term = sgn * t / k
+            acc += term
+            if abs(term) < 1e-18 * abs(acc) or k > 200:
+                return acc
+            t *= w
+            k += 1
+            sgn = -sgn
+    return math.log1p(w) - w + 0.5 * w * w
+
+
+def inner_t5(t1: float, t2: float, t4: float, eps: float) -> float:
+    """Closed-form integral over s in (0, inf) of ds / (s * g(s)^3), one point
+    at a time (the reference for ``senary.peyre._inner_t5``)."""
+    K = t1 if t1 > t2 else t2
+    if t4 > K:
+        K = t4
+    if K < 1.0:
+        K = 1.0
+    alpha = t1 / t4
+    beta = t2
+    sq = math.sqrt(alpha * alpha + 4.0 * beta)
+    bps = [beta / K]
+    if eps > 0:
+        if K > alpha:
+            bps.append(K - alpha)
+        bps.append(2.0 * beta / (alpha + sq))
+    else:
+        if alpha > K:
+            bps.append(alpha - K)
+        bps.append(alpha + K)
+        bps.append(alpha)
+        disc = alpha * alpha - 4.0 * beta
+        if disc >= 0.0:
+            r2 = 0.5 * (alpha + math.sqrt(disc))
+            if r2 > 0.0:
+                bps.append(r2)
+                bps.append(beta / r2)
+        bps.append(0.5 * (alpha + sq))
+    bps = sorted(b for b in bps if b > 0.0)
+    s_first = bps[0]
+    total = s_first**3 / (3.0 * beta**3)  # leading branch g = beta/s
+    prev = s_first
+    a3 = alpha**3
+    for b in bps[1:]:
+        if b <= prev:
+            continue
+        sm = math.sqrt(prev) * math.sqrt(b)
+        g_const = K
+        g_beta = beta / sm
+        g_phi = abs(alpha + eps * sm)
+        if g_const >= g_beta and g_const >= g_phi:
+            total += math.log(b / prev) / (K * K * K)
+        elif g_beta >= g_phi:
+            total += (b * b * b - prev * prev * prev) / (3.0 * beta**3)
+        elif eps > 0:
+            ya = prev / (alpha + prev)
+            yb = b / (alpha + b)
+            d = alpha * (b - prev) / ((alpha + prev) * (alpha + b))
+            total += (math.log1p(d / ya) - 2.0 * d + 0.5 * d * (ya + yb)) / a3
+        elif b <= alpha:
+            ya = prev / (alpha - prev)
+            yb = b / (alpha - b)
+            d = alpha * (b - prev) / ((alpha - prev) * (alpha - b))
+            total += (math.log1p(d / ya) + 2.0 * d + 0.5 * d * (ya + yb)) / a3
+        else:
+            ya = prev / (prev - alpha)
+            yb = b / (b - alpha)
+            d = alpha * (b - prev) / ((prev - alpha) * (b - alpha))
+            total += (math.log1p(d / yb) - 2.0 * d + 0.5 * d * (ya + yb)) / a3
+        prev = b
+    if eps > 0:
+        total += tail_plus(alpha, prev) / a3
+    else:
+        total += tail_minus(alpha / (prev - alpha)) / a3
+    return total
+
+
+def inner_t5_unit_cell(t1: float, t2: float, t4: float, eps: float) -> float:
+    """Same inner integral restricted to the cell where the max equals 1:
+    requires t1, t2, t4 <= 1 (checked by the caller), t5 <= 1 and coupling
+    |alpha + eps*s| <= 1; the integrand there is ds/s over an interval."""
+    alpha = t1 / t4
+    beta = t2  # s = beta/t5 >= beta on t5 <= 1
+    if eps > 0:
+        hi = 1.0 - alpha
+        if hi <= beta:
+            return 0.0
+        return math.log(hi / beta)
+    lo = max(alpha - 1.0, beta)
+    hi = alpha + 1.0
+    if hi <= lo:
+        return 0.0
+    return math.log(hi / lo)
+
+
+def outer_level(n, L, unit_cell=False):
+    """The midpoint level as a plain triple loop over the n^3 log grid."""
+    h = (L if unit_cell else 2.0 * L) / n
+    inner = inner_t5_unit_cell if unit_cell else inner_t5
+    ts = [math.exp(-L + h * (i + 0.5)) for i in range(n)]
+    total = 0.0
+    for t1 in ts:
+        for t2 in ts:
+            w12 = t1 * t2
+            for t4 in ts:
+                total += w12 * (inner(t1, t2, t4, 1.0) + inner(t1, t2, t4, -1.0))
+    return 8.0 * total * h**3

@@ -113,6 +113,7 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
         ("graph", "euler", "--s", "1.5,1,1,1,1,1,1"),
         ("graph", "xi", "--prime-limit", "0"),
         ("verify", "theorem3", "--prime-limit", "0"),
+        ("verify", "theorem3", "--n", "10000"),
         ("verify", "tg-series", "--degree", "-1"),
     ],
     ids=lambda argv: " ".join(argv),

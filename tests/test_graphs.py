@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from senary import graphs
 from senary.graphs import (
     SENARY_GRAPH,
     BVector,
@@ -255,16 +256,46 @@ def test_truncated_dg_senary_against_direct_loop():
     assert value == pytest.approx(_dg_direct(SENARY_GRAPH, s, 6), rel=1e-12)
 
 
-@settings(max_examples=15)
-@given(st.integers(2, 4), st.data())
+@settings(max_examples=40)
+@given(st.integers(2, 6), st.data())
 def test_truncated_dg_property_against_direct_loop(r, data):
+    # r = 5, 6 reach prism-like and dense graphs (elimination width up to 5)
     all_edges = list(itertools.combinations(range(1, r + 1), 2))
     edges = data.draw(st.sets(st.sampled_from(all_edges), max_size=len(all_edges)))
     s = tuple(data.draw(st.floats(1.5, 3.0)) for _ in range(r))
-    N = data.draw(st.integers(2, 12))
+    N = data.draw(st.integers(2, 12 if r <= 4 else 5))
     G = CoprimalityGraph.from_edges(r, edges)
     value, _ = truncated_DG(G, s, N)
     assert value == pytest.approx(_dg_direct(G, s, N), rel=1e-10)
+
+
+def test_truncated_dg_complete_graph_against_direct_loop():
+    K6 = CoprimalityGraph.from_edges(6, itertools.combinations(range(1, 7), 2))
+    s = (1.5, 1.7, 2.0, 2.2, 2.5, 3.0)
+    value, _ = truncated_DG(K6, s, 5)
+    assert value == pytest.approx(_dg_direct(K6, s, 5), rel=1e-12)
+
+
+def test_truncated_dg_senary_pin_at_50():
+    # the value the depth-first search over radical tuples gave before the
+    # series was contracted by variable elimination
+    value, _ = truncated_DG(SENARY_GRAPH, (2.0,) * 6, 50)
+    assert value == pytest.approx(10.896829417701161, rel=1e-12)
+
+
+def test_truncated_dg_refuses_an_intractable_contraction():
+    # R = 6083 radicals up to 10^4 and width 3: a 2.3e11-entry factor
+    with pytest.raises(ValueError, match="intermediate"):
+        truncated_DG(SENARY_GRAPH, (2.0,) * 6, 10_000)
+
+
+def test_verify_theorem3_checks_prime_limit_before_truncating(monkeypatch):
+    def never(*args):
+        raise AssertionError("truncated_DG ran before prime_limit was checked")
+
+    monkeypatch.setattr(graphs, "truncated_DG", never)
+    with pytest.raises(ValueError, match="prime limit must be >= 2"):
+        verify_theorem3(SENARY_GRAPH, (2.0,) * 6, 50, prime_limit=0)
 
 
 def test_xi_matches_per_prime_factor_loop():

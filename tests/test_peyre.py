@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import oracles
 from senary.arith import primes_up_to
 from senary.graphs import SENARY_GRAPH, xi
 from senary.peyre import (
@@ -15,6 +17,9 @@ from senary.peyre import (
     HPolytope,
     QuadratureNonconvergence,
     UnboundedPolytopeError,
+    _inner_t5,
+    _inner_t5_unit_cell,
+    _outer_level,
     alpha_invariant,
     archimedean_density,
     consistency_V_to_N,
@@ -191,18 +196,48 @@ def test_archimedean_orthant_symmetry():
     # flipping every sign fixes the coupling sign, so opposite orthants give
     # identical integrals; the implementation integrates each coupling class
     # once, and the two classes differ
-    from senary.peyre import _inner_t5
-
     plus = _inner_t5(0.7, 1.3, 0.4, 1.0)
     minus = _inner_t5(0.7, 1.3, 0.4, -1.0)
-    assert plus != minus
-    assert _inner_t5(0.7, 1.3, 0.4, 1.0) == plus  # deterministic
+    assert plus.shape == minus.shape == (1,)
+    assert plus[0] != minus[0]
+    assert _inner_t5(0.7, 1.3, 0.4, 1.0)[0] == plus[0]  # deterministic
+
+
+_LOG_T = st.floats(-18.0, 18.0)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_LOG_T, _LOG_T, _LOG_T), min_size=1, max_size=8),
+       st.sampled_from([1.0, -1.0]))
+def test_inner_integral_array_kernel_against_scalar_oracle(logs, eps):
+    t1, t2, t4 = (np.exp(np.array(col)) for col in zip(*logs))
+    got = _inner_t5(t1, t2, t4, eps)
+    for j in range(len(logs)):
+        want = oracles.inner_t5(float(t1[j]), float(t2[j]), float(t4[j]), eps)
+        assert got[j] == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(*(st.floats(-18.0, 0.0),) * 3), min_size=1, max_size=8),
+       st.sampled_from([1.0, -1.0]))
+def test_unit_cell_array_kernel_against_scalar_oracle(logs, eps):
+    t1, t2, t4 = (np.exp(np.array(col)) for col in zip(*logs))
+    got = _inner_t5_unit_cell(t1, t2, t4, eps)
+    for j in range(len(logs)):
+        want = oracles.inner_t5_unit_cell(float(t1[j]), float(t2[j]), float(t4[j]), eps)
+        assert got[j] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "n, unit_cell", [(16, False), (32, False), (64, False), (16, True), (32, True)]
+)
+def test_outer_level_against_scalar_triple_loop(n, unit_cell):
+    got = _outer_level(n, 18.0, unit_cell)
+    assert got == pytest.approx(oracles.outer_level(n, 18.0, unit_cell), rel=1e-11)
 
 
 def test_inner_integral_against_adaptive_quadrature():
     import mpmath as mp
-
-    from senary.peyre import _inner_t5
 
     for (t1, t2, t4, eps) in [
         (0.5, 2.0, 1.5, 1.0),
@@ -225,7 +260,7 @@ def test_inner_integral_against_adaptive_quadrature():
         bps.add(0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 * beta)))
         grid = [mp.mpf(-70)] + sorted(mp.log(b) for b in bps if b > 0) + [mp.mpf(70)]
         ref = float(mp.quad(integrand, grid)) + float(mp.e ** mp.mpf(-70)) ** 3 / (3 * beta**3)
-        assert _inner_t5(t1, t2, t4, eps) == pytest.approx(ref, rel=1e-9)
+        assert _inner_t5(t1, t2, t4, eps)[0] == pytest.approx(ref, rel=1e-9)
 
 
 # --- constant assembly -----------------------------------------------------------
