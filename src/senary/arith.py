@@ -7,6 +7,7 @@ factors never wrap around; the numpy-accelerated counting loops in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +32,18 @@ class PrimeTable:
 
 
 def primes_up_to(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes; exact."""
+    """Sieve of Eratosthenes; exact.  Calls in a row at one limit share the
+    same (immutable) table."""
     if limit < 2:
         raise ValueError(f"prime limit must be >= 2, got {limit}")
+    return _sieve(limit)
+
+
+# One table kept: callers ask for one limit many times in a row (graphs.xi
+# and each zeta_truncated of verify_theorem3), and a table to 10^6 is 78,498
+# ints that should not outlive the next limit asked for.
+@functools.lru_cache(maxsize=1)
+def _sieve(limit: int) -> PrimeTable:
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(limit) + 1):

@@ -142,13 +142,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         _verify_line(out, "bijection-negative-control", control)
         ok = ok and control
     elif suite == "mobius":
-        bmax = cfg.extra.get("bmax", 27000)
-        from senary.arith import integer_cube_root
-
-        rmax = integer_cube_root(bmax)
-        for R in range(1, rmax + 1):
-            good, diff = cubic.mobius_check(R**3, threads=cfg.threads)
-            _verify_line(out, "mobius", good, B=R**3, discrepancy=diff)
+        for B, good, diff in cubic.mobius_check(cfg.extra.get("bmax", 27000), threads=cfg.threads):
+            _verify_line(out, "mobius", good, B=B, discrepancy=diff)
             ok = ok and good
     elif suite == "theorem3":
         G = graphs.CoprimalityGraph.parse(cfg.extra.get("graph", "senary"))

@@ -3,9 +3,10 @@
 One kernel, ``_octant_solutions``, iterates y over the positive octant (sign
 symmetry gives a factor 8), runs x1, x2 over the full box with numpy, and
 solves for x3 with an exact divisibility test; the box, primitive and slice
-counters and ``iter_box_solutions`` all consume it.  It is deliberately the
-simplest correct method and serves as the oracle that the descent-based
-counter in :mod:`senary.torsor` must reproduce exactly.
+counters, the Moebius ladder of ``mobius_check`` and ``iter_box_solutions``
+all consume it.  It is deliberately the simplest correct method and serves as
+the oracle that the descent-based counter in :mod:`senary.torsor` must
+reproduce exactly.
 """
 
 from __future__ import annotations
@@ -120,9 +121,10 @@ def _octant_solutions(P: int, y1_lo: int, y1_hi: int):
                 yield (y1, y2, y3), X1[i], X2[i], q[i]
 
 
-def _count_chunk(P: int, count, y1_lo: int, y1_hi: int) -> int:
+def _count_chunk(P: int, count, y1_lo: int, y1_hi: int):
     """Sum of count(y, x1, x2, x3) over the octant solutions with y1 in
-    [y1_lo, y1_hi); count is module-level so the pool can pickle it."""
+    [y1_lo, y1_hi), an int or an array summed elementwise; count is
+    module-level so the pool can pickle it."""
     return sum(count(*sol) for sol in _octant_solutions(P, y1_lo, y1_hi))
 
 
@@ -130,9 +132,22 @@ def _count_all(y, x1, x2, x3) -> int:
     return len(x3)
 
 
+def _is_primitive(y, x1, x2, x3) -> np.ndarray:
+    """Mask of the solutions whose six coordinates have gcd 1 (np.gcd ignores
+    signs)."""
+    return np.gcd(np.gcd(np.gcd(x1, x2), x3), math.gcd(*y)) == 1
+
+
 def _count_primitive(y, x1, x2, x3) -> int:
-    """Solutions whose six coordinates have gcd 1 (np.gcd ignores signs)."""
-    return int((np.gcd(np.gcd(np.gcd(x1, x2), x3), math.gcd(*y)) == 1).sum())
+    return int(_is_primitive(y, x1, x2, x3).sum())
+
+
+def _count_by_height(R: int, y, x1, x2, x3) -> np.ndarray:
+    """Solutions binned by height h = max(y1, y2, y3, |x1|, |x2|, |x3|) in
+    0..R: row 0 counts all of them, row 1 the primitive ones."""
+    h = np.maximum(np.maximum(np.abs(x1), np.abs(x2)), np.maximum(np.abs(x3), max(y)))
+    primitive = _is_primitive(y, x1, x2, x3)
+    return np.stack([np.bincount(h, minlength=R + 1), np.bincount(h[primitive], minlength=R + 1)])
 
 
 def _count_in_slice(Z: frozenset, y, x1, x2, x3) -> int:
@@ -151,7 +166,7 @@ def iter_box_solutions(P: int):
                 yield (s1 * x1, s2 * x2, s3 * x3, s1 * y1, s2 * y2, s3 * y3)
 
 
-def _run_partitioned(worker, P: int, args: tuple, threads: int) -> int:
+def _run_partitioned(worker, P: int, args: tuple, threads: int):
     """Split the outermost loop range 1..P (y1 here, u1 in the torsor
     counters) into equal disjoint chunks; deterministic sum.  The torsor
     counters' orbit representatives have u1 <= isqrt(P), so every torsor
@@ -187,15 +202,26 @@ def count_N(B: int, threads: int = 1) -> CountReport:
     return CountReport(B, "naive-primitive", total, time.perf_counter() - t0)
 
 
-def mobius_check(B: int, threads: int = 1) -> tuple[bool, int]:
-    """Check 2*N(B) = sum_{d <= R} mu(d) * V(floor(R/d)) with R = floor(B^(1/3)).
+def mobius_check(B: int, threads: int = 1) -> list[tuple[int, bool, int]]:
+    """Check 2*N(r^3) = sum_{d <= r} mu(d) * V(floor(r/d)) for every cube
+    r^3 <= B, the Moebius inversion from box counts to primitive points.
 
-    Returns (equal, 2*N - sum), evaluated with exact integers.
+    One naive pass over the box of radius R = floor(B^(1/3)) bins every
+    solution by its height max|coordinate|, all and primitive ones apart; the
+    cumulative bins up to r give V(r) and 2*N(r^3) for every r <= R at once.
+    Returns one (r^3, equal, 2*N - sum) per r = 1..R, in exact integers.
     """
+    if B < 1:
+        raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)
-    lhs = 2 * count_N(B, threads=threads).count
-    rhs = _primitive_count_by_moebius(R, lambda m: naive_count_V(m, threads=threads).count)
-    return lhs == rhs, lhs - rhs
+    _check_box_bound(R)
+    bins = _run_partitioned(_count_chunk, R, (partial(_count_by_height, R),), threads)
+    V, N2 = (8 * np.cumsum(bins, axis=1)).tolist()
+    ladder = []
+    for r in range(1, R + 1):
+        rhs = _primitive_count_by_moebius(r, lambda m: V[m])
+        ladder.append((r**3, N2[r] == rhs, N2[r] - rhs))
+    return ladder
 
 
 def group_compose(p: SolutionSextuple, q: SolutionSextuple) -> SolutionSextuple:

@@ -73,13 +73,17 @@ def test_criterion_03_primitive_counts_and_mobius():
     pairs = [(count_N(B).count, torsor_count_N(B).count) for B in heights]
     counts_ok = all(a == b for a, b in pairs) and pairs[0][0] == 28
     # both sides of the inversion identity depend on B only through
-    # R = floor(B^(1/3)), so checking every R <= 30 covers all B <= 27000;
-    # spot-check that floor dependence on non-cube heights
+    # R = floor(B^(1/3)), so checking every cube R^3 <= 27000 covers all
+    # B <= 27000; spot-check that floor dependence on non-cube heights
     from senary.cubic import mobius_check
 
-    mobius_ok = all(mobius_check(R**3)[0] for R in range(1, integer_cube_root(27000) + 1))
+    ladder = mobius_check(27000)
+    mobius_ok = [B for B, _, _ in ladder] == [R**3 for R in range(1, 31)] and all(
+        ok and diff == 0 for _, ok, diff in ladder
+    )
     floor_ok = all(
-        mobius_check(B)[0] and integer_cube_root(B) == integer_cube_root(B)
+        mobius_check(B) == mobius_check(integer_cube_root(B) ** 3)
+        and count_N(B).count == count_N(integer_cube_root(B) ** 3).count
         for B in (7, 100, 12345)
     )
     _report(

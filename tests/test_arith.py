@@ -54,6 +54,16 @@ def test_primes_up_to_rejects_tiny_limit():
         primes_up_to(1)
 
 
+def test_primes_up_to_shares_the_table_of_the_last_limit():
+    table = primes_up_to(1000)
+    assert primes_up_to(1000) is table
+    for limit in (1, 0, -5):
+        with pytest.raises(ValueError):
+            primes_up_to(limit)
+    assert primes_up_to(10).primes == (2, 3, 5, 7)
+    assert primes_up_to(1000).primes == table.primes
+
+
 def test_prime_table_must_be_ascending():
     with pytest.raises(ValueError):
         PrimeTable(10, (3, 2))

@@ -136,7 +136,9 @@ def test_verify_bijection(capsys):
 def test_verify_mobius(capsys):
     code, out = run(capsys, "verify", "mobius", "--bmax", "64")
     assert code == EXIT_OK
-    assert all(json.loads(l)["discrepancy"] == 0 for l in out.splitlines())
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert [l["B"] for l in lines] == [1, 8, 27, 64]
+    assert all(l["ok"] and l["discrepancy"] == 0 for l in lines)
 
 
 def test_verify_factor_identity(capsys):

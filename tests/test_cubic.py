@@ -1,5 +1,7 @@
 import itertools
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,9 @@ from oracles import (
     solutions_via_x3,
 )
 from senary.cubic import (
+    _count_by_height,
+    _count_chunk,
+    _primitive_count_by_moebius,
     CountReport,
     SolutionSextuple,
     count_degenerate,
@@ -83,9 +88,34 @@ def test_count_N_small_heights():
 
 
 def test_mobius_check_small():
-    for B in (1, 27, 1000):
-        ok, diff = mobius_check(B)
-        assert ok and diff == 0
+    for B, R in ((1, 1), (27, 3), (1000, 10), (1330, 10)):
+        ladder = mobius_check(B)
+        assert [b for b, _, _ in ladder] == [r**3 for r in range(1, R + 1)]
+        assert all(ok is True and diff == 0 for _, ok, diff in ladder)
+
+
+def test_height_bins_match_the_oracles():
+    R = 12
+    bins = _count_chunk(R, partial(_count_by_height, R), 1, R + 1)
+    V, N2 = (8 * np.cumsum(bins, axis=1)).tolist()
+    for r in range(1, R + 1):
+        assert V[r] == naive_count_V(r).count
+        assert N2[r] == 2 * count_N(r**3).count
+
+
+def test_mobius_ladder_matches_the_per_radius_check():
+    ladder = mobius_check(12**3)
+    for r, entry in enumerate(ladder, start=1):
+        lhs = 2 * count_N(r**3).count
+        rhs = _primitive_count_by_moebius(r, lambda m: naive_count_V(m).count)
+        assert entry == (r**3, lhs == rhs, lhs - rhs)
+
+
+def test_mobius_check_rejects_bad_bounds():
+    with pytest.raises(ValueError, match="^height bound must be >= 1$"):
+        mobius_check(0)
+    with pytest.raises(OverflowError):
+        mobius_check(2_000_000**3)
 
 
 def test_permutation_symmetry_of_box_solutions():

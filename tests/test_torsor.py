@@ -8,7 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import descent_uw_tuples, solutions_via_x3
-from senary.cubic import SolutionSextuple, count_N, is_solution, naive_count_V, slice_count
+from senary.cubic import (
+    CountReport,
+    SolutionSextuple,
+    count_N,
+    is_solution,
+    mobius_check,
+    naive_count_V,
+    slice_count,
+)
 from senary.torsor import (
     PrimitiveTorsorTuple,
     TorsorTupleA,
@@ -242,6 +250,7 @@ _PARTITIONED = [
     ("slice_count", functools.partial(slice_count, Z={2}), 3, 6),
     ("torsor_count_V", torsor_count_V, 3, 8),
     ("torsor_count_N", torsor_count_N, 27, 216),
+    ("mobius_check", mobius_check, 27, 1000),
 ]
 
 
@@ -254,7 +263,12 @@ _PARTITIONED = [
     ],
 )
 def test_thread_partitioning_is_count_neutral(counter, bound):
-    assert counter(bound, threads=2).count == counter(bound, threads=1).count
+    def result(threads):
+        # the counters return a CountReport, mobius_check its whole ladder
+        out = counter(bound, threads=threads)
+        return out.count if isinstance(out, CountReport) else out
+
+    assert result(2) == result(1)
 
 
 # --- lifts ------------------------------------------------------------------
