@@ -13,9 +13,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from senary import cubic, graphs, peyre, torsor
+from senary.arith import integer_cube_root
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -86,22 +87,24 @@ def _emit_report(out: _Output, report, fmt: str, stable: bool):
 
 
 def _count_reports(cfg: RunConfig, method: str) -> list:
+    """(kind, report) per requested bound, kind "box" or "height"; every
+    report carries the bound the user gave."""
     reports = []
     if cfg.box_bound is not None:
         if cfg.primitive:
             raise ValueError("--primitive applies to height counts; use --height")
         counter = cubic.naive_count_V if method == "naive" else torsor.torsor_count_V
-        reports.append(counter(cfg.box_bound, threads=cfg.threads))
+        reports.append(("box", counter(cfg.box_bound, threads=cfg.threads)))
     if cfg.height_bound is not None:
         if cfg.primitive:
             counter = cubic.count_N if method == "naive" else torsor.torsor_count_N
-            reports.append(counter(cfg.height_bound, threads=cfg.threads))
+            report = counter(cfg.height_bound, threads=cfg.threads)
         else:
-            from senary.arith import integer_cube_root
-
-            box = integer_cube_root(cfg.height_bound)
+            # V of the box of radius floor(B^(1/3)), reported at the height B
             counter = cubic.naive_count_V if method == "naive" else torsor.torsor_count_V
-            reports.append(counter(box, threads=cfg.threads))
+            report = counter(integer_cube_root(cfg.height_bound), threads=cfg.threads)
+            report = replace(report, bound=cfg.height_bound)
+        reports.append(("height", report))
     return reports
 
 
@@ -110,13 +113,13 @@ def _cmd_count(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         out.emit("bound,method,count,seconds")
     methods = ("naive", "torsor") if cfg.method == "both" else (cfg.method,)
-    per_bound: dict[int, set[int]] = {}
+    per_bound: dict[tuple[str, int], set[int]] = {}
     for method in methods:
-        for report in _count_reports(cfg, method):
-            per_bound.setdefault(report.bound, set()).add(report.count)
+        for kind, report in _count_reports(cfg, method):
+            per_bound.setdefault((kind, report.bound), set()).add(report.count)
             _emit_report(out, report, cfg.format, cfg.stable_output)
     out.flush()
-    # with --method both the two routes must agree exactly
+    # with --method both the two routes must agree exactly, bound by bound
     if any(len(v) != 1 for v in per_bound.values()):
         return EXIT_VERIFY_FAILED
     return EXIT_OK

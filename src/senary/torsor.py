@@ -7,6 +7,13 @@ forces w_j | x_j and the quotients v_j satisfy the bilinear relation
 u1*v1 + u2*v2 + u3*v3 = 0.  Replacing v by the lattice parameters (r1, r2, r3)
 turns the whole solution set into a transparently enumerable family, which is
 what the fast exact counter iterates over.
+
+The counter ``torsor_count_V`` loops over the coprime (u1, u2) in Python.
+Below them everything is int64 arrays: the (u3, w1, w2, w3) of the orbit
+representatives are laid out level by level in chunks of about
+``_PLANE_CAP`` tuples (``_w_chunks``), and one array kernel counts the lattice
+parameters of a whole chunk (``_lattice_counts``).  The scalar generator
+``_uw_tuples`` is the reference enumeration and serves ``verify_bijection``.
 """
 
 from __future__ import annotations
@@ -232,6 +239,28 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # ---------------------------------------------------------------------------
 # enumeration helpers
 
+# int64 safety of the array path.  A chunk sums n*m*K over distinct orbit
+# representatives.  K counts v in Z^3 with u.v = 0 and |v_j| <= q_j <= P, and
+# v1 is fixed by (v2, v3), so K <= (2P+1)^2; sum n*m over all representatives
+# is P^3 (one descent tuple per positive y-triple).  So every chunk sum, and
+# every running sum of lattice counts inside the kernel, is at most
+# P^3 (2P+1)^2, which stays below 2^63 up to P = 4704.  The other
+# intermediates are far smaller: in the kernel |r2|, |r3| <= 2P, so
+# |a*t| + q1 <= 2P^2 + P and the corner values are at most 4P^2.
+_MAX_TORSOR_BOUND = 4000
+
+# Elements laid out at once, by one level of the tuple build or by one slice
+# of the kernel: large enough that the numpy calls per slice are amortised,
+# small enough that the arrays alive at once stay near a MiB (V(100) raises
+# the peak RSS by about 1.1 MiB with this cap, and by 2.6 MiB with twice it).
+_PLANE_CAP = 1 << 13
+
+
+def _check_torsor_bound(P: int):
+    _check_box_bound(P)
+    if P > _MAX_TORSOR_BOUND:
+        raise OverflowError(f"box bound {P} exceeds the int64-checked torsor range")
+
 
 def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
     """One representative (n, m, u1, u2, u3, w1, w2, w3) per orbit of the
@@ -249,7 +278,11 @@ def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
 
     u enters neither the x-box nor the coprimality system, so it is summed
     out: n = P // max(u2*u3*w1, u1*u3*w2, u1*u2*w3) is the number of u >= 1
-    whose y-box admits the tuple."""
+    whose y-box admits the tuple.
+
+    This scalar generator is the reference enumeration: ``verify_bijection``
+    maps its tuples forward, and the tests check the array build
+    ``_w_chunks`` against it."""
     for u1 in range(u1_lo, u1_hi):
         for u2 in range(u1, math.isqrt(P) + 1):
             if math.gcd(u1, u2) != 1:
@@ -278,45 +311,152 @@ def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
                             yield P // max(y12, u1 * u2 * w3), m, u1, u2, u3, w1, w2, w3
 
 
-def _r_pair_count(P, u1, u2, u3, q1, q2, q3) -> int:
-    """Count (r1 in {1..u1}, r2, r3) with |u1 r2 - u2 r1| <= q3,
-    |u3 r1 - u1 r3| <= q2 and |u2 r3 - u3 r2| <= q1, iterating the shorter of
-    the two decoupled intervals and intersecting the coupled one."""
-    total = 0
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges range(s, s + l) over the pairs (s, l), concatenated into
+    one int64 array; every length must be >= 0."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Cut consecutive rows into slices [a, b) whose lengths sum to about
+    ``_PLANE_CAP``: a slice ends at the row that reaches the next multiple of
+    the cap, so it holds at most the cap plus one row."""
+    if not len(lengths):
+        return []
+    running = np.cumsum(lengths)
+    cuts = np.searchsorted(running, np.arange(_PLANE_CAP, running[-1], _PLANE_CAP)) + 1
+    edges = [0, *cuts.tolist(), len(lengths)]
+    return [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+
+
+def _coprime_table(P: int) -> np.ndarray:
+    """T[x, y] = (gcd(x, y) == 1) for 1 <= x, y <= P, in a (P+1)^2 bool
+    array whose row and column 0 go unused: every prime p <= P strikes out
+    the pairs it divides both of, and p is prime exactly when T[p, p] is
+    still set on reaching it."""
+    T = np.ones((P + 1, P + 1), dtype=bool)
+    for p in range(2, P + 1):
+        if T[p, p]:
+            T[::p, ::p] = False
+    return T
+
+
+def _w_chunks(P: int, u1: int, u2: int, T: np.ndarray):
+    """The (u3, w1, w2, w3) of every orbit representative with this (u1, u2)
+    (the tuples ``_uw_tuples`` yields for it, in the same order), as int64
+    arrays in chunks of at most about ``_PLANE_CAP`` candidates; T is
+    ``_coprime_table(P)``.
+
+    Each level is built from the last and masked by its coprimality
+    conditions: the u3, the (u3, w1) rows, the (u3, w1, w2) rows, each laid
+    out with ``_ranges``, and then the tuples, as a bool grid of the rows by
+    the w3 in 1..P // (u1*u2).  A row of one level is at most P candidates
+    for the next, so the last two levels, whose size grows like P^2 and P^3,
+    are built a slice of rows at a time (``_chunks``)."""
+    u3 = np.arange(u2, P // u2 + 1)
+    u3 = u3[T[u3, u1 * u2]]
+    W1 = P // (u2 * u3)
+    u3, w1 = np.repeat(u3, W1), _ranges(np.ones_like(W1), W1)
+    keep = T[w1, u1]
+    u3, w1 = u3[keep], w1[keep]
+    # the orbit ordering: w2 >= w1 when u2 == u1, w3 >= w2 when u3 == u2
+    s2 = w1 if u2 == u1 else np.ones_like(w1)
+    n2 = P // (u1 * u3) - s2 + 1
+    w3 = np.arange(1, P // (u1 * u2) + 1)
+    T3 = T[:, 1 : len(w3) + 1]  # the columns w3
+    for a, b in _chunks(n2):
+        rows = n2[a:b]
+        y3, z1, z2 = np.repeat(u3[a:b], rows), np.repeat(w1[a:b], rows), _ranges(s2[a:b], rows)
+        keep = T[z2, u2 * z1]
+        y3, z1, z2 = y3[keep], z1[keep], z2[keep]
+        s3 = np.where(y3 == u2, z2, 1)
+        for c, d in _chunks(len(w3) - s3 + 1):
+            grid = T3[y3[c:d]] & T3[z1[c:d]] & T3[z2[c:d]] & (w3 >= s3[c:d, None])
+            row, col = np.nonzero(grid)
+            row += c
+            yield y3[row], z1[row], z2[row], w3[col]
+
+
+def _run_counts(t_lo, L, q1, c_lo, c_hi, a, b) -> np.ndarray:
+    """Per entry, the sum over t in [t_lo, t_lo + L) of the length of
+    [ceil((a t - q1) / b), floor((a t + q1) / b)] intersected with
+    [c_lo, c_hi]: the runs of t are laid out with ``_ranges``, and the
+    lengths are summed back per entry by differences of one running sum."""
+    at = np.repeat(a, L) * _ranges(t_lo, L)
+    q, b = np.repeat(q1, L), np.repeat(b, L)
+    lo = np.maximum(-((q - at) // b), np.repeat(c_lo, L))
+    hi = np.minimum((at + q) // b, np.repeat(c_hi, L))
+    running = np.concatenate(([0], np.cumsum(np.maximum(hi - lo + 1, 0))))
+    ends = np.cumsum(L)
+    return running[ends] - running[ends - L]
+
+
+def _lattice_counts(u1: int, u2: int, u3, q1, q2, q3) -> np.ndarray:
+    """K per entry: the number of (r1 in {1..u1}, r2, r3) with
+    |u1 r2 - u2 r1| <= q3, |u3 r1 - u1 r3| <= q2 and |u2 r3 - u3 r2| <= q1,
+    for ints u1, u2 and int64 arrays u3 and q1, q2, q3 >= 0.
+
+    For each r1 the first two conditions give decoupled intervals for r2 and
+    r3.  Where the third condition holds at the corners of that box it holds
+    on all of it, and the box counts whole.  Elsewhere t runs over the
+    shorter interval, and the interval the third condition allows is
+    intersected with the longer one (``_run_counts``), a slice of at most
+    about ``_PLANE_CAP`` laid-out t at a time."""
+    K = np.zeros(len(q1), dtype=np.int64)
     for r1 in range(1, u1 + 1):
         r2lo = -((q3 - u2 * r1) // u1)
         r2hi = (u2 * r1 + q3) // u1
         r3lo = -((q2 - u3 * r1) // u1)
         r3hi = (u3 * r1 + q2) // u1
-        if r2hi < r2lo or r3hi < r3lo:
-            continue
-        if r2hi - r2lo <= r3hi - r3lo:
-            for r2 in range(r2lo, r2hi + 1):
-                lo = -((q1 - u3 * r2) // u2)
-                hi = (u3 * r2 + q1) // u2
-                if lo < r3lo:
-                    lo = r3lo
-                if hi > r3hi:
-                    hi = r3hi
-                if hi >= lo:
-                    total += hi - lo + 1
-        else:
-            for r3 in range(r3lo, r3hi + 1):
-                lo = -((q1 - u2 * r3) // u3)
-                hi = (u2 * r3 + q1) // u3
-                if lo < r2lo:
-                    lo = r2lo
-                if hi > r2hi:
-                    hi = r2hi
-                if hi >= lo:
-                    total += hi - lo + 1
-    return total
+        n2 = r2hi - r2lo + 1
+        n3 = r3hi - r3lo + 1
+        slack = np.maximum(
+            np.abs(u2 * r3hi - u3 * r2lo), np.abs(u2 * r3lo - u3 * r2hi)
+        ) <= q1
+        K += np.where(slack, n2 * n3, 0)
+        by_r2 = n2 <= n3
+        L = np.where(slack, 0, np.where(by_r2, n2, n3))
+        # r2 runs and bounds r3 (a = u3, b = u2), or the reverse
+        runs = (
+            np.where(by_r2, r2lo, r3lo),
+            L,
+            q1,
+            np.where(by_r2, r3lo, r2lo),
+            np.where(by_r2, r3hi, r2hi),
+            np.where(by_r2, u3, u2),
+            np.where(by_r2, u2, u3),
+        )
+        for a, b in _chunks(L):
+            K[a:b] += _run_counts(*(x[a:b] for x in runs))
+    return K
 
 
 def _torsor_V_chunk(P: int, u1_lo: int, u1_hi: int) -> int:
+    """Sum of n*m*K over the orbit representatives with u1 in
+    [u1_lo, u1_hi), V(P) / 8 over the whole range.  The coprime (u1, u2) run
+    in Python; for each, the tuples come as array chunks (``_w_chunks``).
+    Each tuple is weighted by its orbit size m and its number n of
+    admissible u, and the lattice counts K of a whole chunk come from one
+    call of the array kernel ``_lattice_counts``."""
     total = 0
-    for n, m, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, u1_lo, u1_hi):
-        total += n * m * _r_pair_count(P, u1, u2, u3, P // w1, P // w2, P // w3)
+    T = _coprime_table(P)
+    for u1 in range(u1_lo, min(u1_hi, math.isqrt(P) + 1)):
+        for u2 in range(u1, math.isqrt(P) + 1):
+            if math.gcd(u1, u2) != 1:
+                continue
+            for u3, w1, w2, w3 in _w_chunks(P, u1, u2, T):
+                q1, q2, q3 = P // w1, P // w2, P // w3
+                # P // max(a, b, c) = min(P // a, P // b, P // c) and
+                # P // (u * w) = (P // w) // u
+                n = np.minimum(np.minimum(q1 // (u2 * u3), q2 // (u1 * u3)), q3 // (u1 * u2))
+                if u2 == u1:  # u3 == u2 only when u = (1, 1, 1)
+                    ties = np.add(w2 == w1, (u3 == u2) & (w3 == w2), dtype=np.int64)
+                    n *= np.array([6, 3, 1])[ties]
+                else:
+                    n *= 6
+                total += int(np.dot(n, _lattice_counts(u1, u2, u3, q1, q2, q3)))
     return total
 
 
@@ -325,8 +465,15 @@ def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     (u1, u2, u3, w1, w2, w3) under the y-box and coprimality constraints, one
     per orbit of index permutations, count lattice parameters (r1, r2, r3)
     meeting the x-box constraints, times the number of admissible u in closed
-    form and the orbit size, and multiply by 8 for the w-sign orbits."""
-    _check_box_bound(P)
+    form and the orbit size, and multiply by 8 for the w-sign orbits.
+
+    The coprime (u1, u2) run in Python; for each, the (u3, w1, w2, w3) are
+    built as int64 arrays in chunks of about ``_PLANE_CAP`` tuples, and an
+    array kernel (``_lattice_counts``) counts the lattice parameters of a
+    chunk a slice at a time (``_torsor_V_chunk``).  Bounds above
+    ``_MAX_TORSOR_BOUND`` raise OverflowError before any work, since the
+    int64 sums could wrap there."""
+    _check_torsor_bound(P)
     t0 = time.perf_counter()
     total = 8 * _run_partitioned(_torsor_V_chunk, P, (), threads)
     return CountReport(P, "torsor", total, time.perf_counter() - t0)
@@ -341,7 +488,7 @@ def torsor_count_N(B: int, threads: int = 1) -> CountReport:
     if B < 1:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)
-    _check_box_bound(R)
+    _check_torsor_bound(R)
     t0 = time.perf_counter()
     total = _primitive_count_by_moebius(R, lambda m: torsor_count_V(m, threads=threads).count)
     return CountReport(B, "torsor-primitive", total // 2, time.perf_counter() - t0)

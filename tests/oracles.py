@@ -2,8 +2,9 @@
 
 Everything here iterates plain Python integers over full boxes with no
 symmetry tricks, so it stays trustworthy (and slow); use only for tiny bounds.
-The archimedean-density section keeps the scalar, one-point-at-a-time form of
-the inner integral that the array kernel in ``senary.peyre`` replaces.
+Two sections keep the scalar form of a kernel that the package now runs over
+arrays: the descent counter's lattice count (``senary.torsor``) and the
+archimedean density's inner integral (``senary.peyre``).
 """
 
 import itertools
@@ -91,6 +92,49 @@ def descent_uw_tuples(P, w_coprime=True):
                             if all(math.gcd(a, b) == 1 for a, b in pairs):
                                 out.append((u1, u2, u3, w1, w2, w3))
     return out
+
+
+# --- descent counter: the scalar lattice kernel ------------------------------
+# The one-tuple-at-a-time form of the torsor V counter that the array kernel
+# in ``senary.torsor`` replaces.  It walks the package's scalar ``_uw_tuples``,
+# which ``descent_uw_tuples`` above checks by brute force.
+
+
+def r_pair_count(u1, u2, u3, q1, q2, q3):
+    """Count (r1 in {1..u1}, r2, r3) with |u1 r2 - u2 r1| <= q3,
+    |u3 r1 - u1 r3| <= q2 and |u2 r3 - u3 r2| <= q1, iterating the shorter of
+    the two decoupled intervals and intersecting the coupled one."""
+    total = 0
+    for r1 in range(1, u1 + 1):
+        r2lo = -((q3 - u2 * r1) // u1)
+        r2hi = (u2 * r1 + q3) // u1
+        r3lo = -((q2 - u3 * r1) // u1)
+        r3hi = (u3 * r1 + q2) // u1
+        if r2hi < r2lo or r3hi < r3lo:
+            continue
+        if r2hi - r2lo <= r3hi - r3lo:
+            for r2 in range(r2lo, r2hi + 1):
+                lo = max(-((q1 - u3 * r2) // u2), r3lo)
+                hi = min((u3 * r2 + q1) // u2, r3hi)
+                total += max(hi - lo + 1, 0)
+        else:
+            for r3 in range(r3lo, r3hi + 1):
+                lo = max(-((q1 - u2 * r3) // u3), r2lo)
+                hi = min((u2 * r3 + q1) // u3, r2hi)
+                total += max(hi - lo + 1, 0)
+    return total
+
+
+def torsor_V_chunk(P, u1_lo, u1_hi):
+    """Sum of n*m*K over the orbit representatives with u1 in [u1_lo, u1_hi),
+    one scalar kernel call per representative; V(P) = 8 * torsor_V_chunk(P,
+    1, P + 1)."""
+    from senary.torsor import _uw_tuples
+
+    total = 0
+    for n, m, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, u1_lo, u1_hi):
+        total += n * m * r_pair_count(u1, u2, u3, P // w1, P // w2, P // w3)
+    return total
 
 
 # --- archimedean density: the scalar inner integral ------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import exhaustive_V
 from senary.cli import EXIT_OK, EXIT_USAGE, main
+from senary.torsor import _MAX_TORSOR_BOUND
 
 
 def run(capsys, *argv):
@@ -42,6 +43,33 @@ def test_count_both_methods_primitive(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert {r[1] for r in rows} == {"naive-primitive", "torsor-primitive"}
     assert rows[0][2] == rows[1][2] == "6148"
+
+
+def test_count_height_reports_the_height_in_the_bound_column(capsys):
+    # V of the box of radius floor(1000^(1/3)) = 10, reported at the height
+    for method in ("naive", "torsor"):
+        code, out = run(capsys, "count", "--height", "1000", "--method", method, "--stable-output")
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == f"1000,{method},421088,0.000"
+
+
+def test_count_both_methods_key_the_agreement_on_box_or_height(capsys):
+    # the box 8 and the height 8 (box 2) share the bound column, not a count
+    code, out = run(
+        capsys, "count", "--box", "8", "--height", "8", "--method", "both", "--stable-output"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [
+        "8,naive,173248,0.000",
+        "8,naive,928,0.000",
+        "8,torsor,173248,0.000",
+        "8,torsor,928,0.000",
+    ]
+
+
+def test_count_torsor_above_the_int64_bound_is_usage_error(capsys):
+    code, _ = run(capsys, "count", "--box", str(_MAX_TORSOR_BOUND + 1), "--method", "torsor")
+    assert code == EXIT_USAGE
 
 
 def test_count_zero_bound_is_usage_error(capsys):

@@ -3,11 +3,13 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import descent_uw_tuples, solutions_via_x3
+from oracles import descent_uw_tuples, r_pair_count, solutions_via_x3, torsor_V_chunk
+from senary import torsor
 from senary.cubic import (
     CountReport,
     SolutionSextuple,
@@ -22,8 +24,11 @@ from senary.torsor import (
     TorsorTupleA,
     TorsorTupleB,
     TriProjectivePoint,
+    _coprime_table,
+    _lattice_counts,
     _torsor_V_chunk,
     _uw_tuples,
+    _w_chunks,
     count_O_Fp,
     count_X_Fp,
     lift_to_X,
@@ -221,10 +226,97 @@ def test_torsor_count_matches_naive(P):
     [
         (60, 302570112),  # naive_count_V(60), ROADMAP Baseline
         (100, 1866628352),  # naive_count_V(100), bench/expected.json
+        (101, 1889121304),  # naive_count_V(101), bench/expected.json
     ],
 )
 def test_torsor_count_matches_pinned_naive_counts(P, expected):
     assert torsor_count_V(P).count == expected
+
+
+def test_torsor_count_matches_the_scalar_oracle():
+    # the array build and kernel against one scalar kernel call per
+    # representative, at every box up to 40
+    for P in range(1, 41):
+        assert torsor_count_V(P).count == 8 * torsor_V_chunk(P, 1, P + 1)
+
+
+@pytest.mark.parametrize("cap", [1, 5, 64])
+def test_torsor_count_does_not_depend_on_the_chunk_size(monkeypatch, cap):
+    # a cap of 1 makes every row its own slice, at every level
+    expected = {P: torsor_count_V(P).count for P in (1, 7, 24)}
+    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+    assert {P: torsor_count_V(P).count for P in expected} == expected
+
+
+def test_coprime_table_matches_gcd():
+    for P in (1, 2, 30, 97):
+        w = np.arange(1, P + 1)
+        assert np.array_equal(_coprime_table(P)[1:, 1:], np.gcd.outer(w, w) == 1)
+
+
+@pytest.mark.parametrize("cap", [3, 1 << 13])
+def test_w_chunks_lay_out_the_scalar_representatives_in_order(monkeypatch, cap):
+    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+    for P in (1, 2, 9, 25):
+        for u1 in range(1, math.isqrt(P) + 1):
+            for u2 in range(u1, math.isqrt(P) + 1):
+                if math.gcd(u1, u2) != 1:
+                    continue
+                built = [
+                    tuple(t)
+                    for chunk in _w_chunks(P, u1, u2, _coprime_table(P))
+                    for t in zip(*(x.tolist() for x in chunk))
+                ]
+                scalar = [
+                    (u3, w1, w2, w3)
+                    for _, _, v1, v2, u3, w1, w2, w3 in _uw_tuples(P, u1, u1 + 1)
+                    if v2 == u2
+                ]
+                assert built == scalar
+
+
+# q_j = P // w_j: zero, small, and up to far apart in size
+_q = st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 4000))
+
+
+@st.composite
+def lattice_keys(draw):
+    """Pairwise coprime u (u1 > 1 included) and q >= 0, one (u1, u2) with a
+    list of (u3, q1, q2, q3), as the kernel takes them."""
+    u1 = draw(st.integers(1, 12))
+    u2 = draw(st.integers(1, 40).filter(lambda u: math.gcd(u1, u) == 1))
+    u3 = st.integers(1, 200).filter(lambda u: math.gcd(u1 * u2, u) == 1)
+    return u1, u2, draw(st.lists(st.tuples(u3, _q, _q, _q), min_size=1, max_size=12))
+
+
+@settings(max_examples=150)
+@given(lattice_keys())
+# u = (1, 1, 1), q2 = q3 = 1: the corners of the r2-r3 box reach |r3 - r2| = 2,
+# so q1 = 2 is the first q1 at which the whole box counts
+@example((1, 1, [(1, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1)]))
+@example((2, 3, [(5, 7, 3, 4), (7, 0, 9, 0), (11, 40, 2, 2)]))
+def test_lattice_kernel_matches_the_scalar_kernel(key):
+    u1, u2, keys = key
+    u3, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
+    K = _lattice_counts(u1, u2, u3, q1, q2, q3).tolist()
+    assert K == [r_pair_count(u1, u2, *key) for key in keys]
+
+
+def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
+    # the bound sits below the largest P with P^3 (2P+1)^2 < 2^63, the
+    # proven ceiling of every chunk sum
+    P = torsor._MAX_TORSOR_BOUND
+    assert P**3 * (2 * P + 1) ** 2 < 2**63
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above the int64 bound")
+
+    monkeypatch.setattr(torsor, "_run_partitioned", no_work)
+    monkeypatch.setattr(torsor, "_primitive_count_by_moebius", no_work)
+    with pytest.raises(OverflowError):
+        torsor_count_V(P + 1)
+    with pytest.raises(OverflowError):
+        torsor_count_N((P + 1) ** 3)
 
 
 def test_torsor_V_chunks_add_up_at_every_split_point():
