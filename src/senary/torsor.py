@@ -11,7 +11,7 @@ what the fast exact counter iterates over.
 The counter ``torsor_count_V`` loops over the coprime (u1, u2) in Python.
 Below them everything is int64 arrays: the (u3, w1, w2, w3) of the orbit
 representatives are laid out level by level in chunks of about
-``_PLANE_CAP`` tuples (``_w_chunks``), and one array kernel counts the lattice
+``_PLANE_CAP`` candidates (``_w_chunks``), and one array kernel counts the lattice
 parameters of a whole chunk (``_lattice_counts``).  The scalar generator
 ``_uw_tuples`` is the reference enumeration and serves ``verify_bijection``.
 """
@@ -335,7 +335,8 @@ def _coprime_table(P: int) -> np.ndarray:
     """T[x, y] = (gcd(x, y) == 1) for 1 <= x, y <= P, in a (P+1)^2 bool
     array whose row and column 0 go unused: every prime p <= P strikes out
     the pairs it divides both of, and p is prime exactly when T[p, p] is
-    still set on reaching it."""
+    still set on reaching it.  It takes 1 MB at P = 1000 and 16 MB at
+    ``_MAX_TORSOR_BOUND``."""
     T = np.ones((P + 1, P + 1), dtype=bool)
     for p in range(2, P + 1):
         if T[p, p]:

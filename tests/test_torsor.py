@@ -267,11 +267,7 @@ def test_w_chunks_lay_out_the_scalar_representatives_in_order(monkeypatch, cap):
                     for chunk in _w_chunks(P, u1, u2, _coprime_table(P))
                     for t in zip(*(x.tolist() for x in chunk))
                 ]
-                scalar = [
-                    (u3, w1, w2, w3)
-                    for _, _, v1, v2, u3, w1, w2, w3 in _uw_tuples(P, u1, u1 + 1)
-                    if v2 == u2
-                ]
+                scalar = [t[4:] for t in _uw_tuples(P, u1, u1 + 1) if t[3] == u2]
                 assert built == scalar
 
 
@@ -295,8 +291,8 @@ def lattice_keys(draw):
 # so q1 = 2 is the first q1 at which the whole box counts
 @example((1, 1, [(1, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1)]))
 @example((2, 3, [(5, 7, 3, 4), (7, 0, 9, 0), (11, 40, 2, 2)]))
-def test_lattice_kernel_matches_the_scalar_kernel(key):
-    u1, u2, keys = key
+def test_lattice_kernel_matches_the_scalar_kernel(drawn):
+    u1, u2, keys = drawn
     u3, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
     K = _lattice_counts(u1, u2, u3, q1, q2, q3).tolist()
     assert K == [r_pair_count(u1, u2, *key) for key in keys]
