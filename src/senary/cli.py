@@ -13,40 +13,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from senary import cubic, graphs, peyre, torsor
-from senary.arith import integer_cube_root
+from senary.arith import integer_cube_root, primes_up_to
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGENT = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    box_bound: int | None = None
-    height_bound: int | None = None
-    method: str = "naive"
-    primitive: bool = False
-    prime_limit: int = 100_000
-    tolerance: float = 0.01
-    threads: int = 1
-    output_path: str | None = None
-    format: str = "csv"
-    stable_output: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        for bound in (self.box_bound, self.height_bound):
-            if bound is not None and bound < 1:
-                raise ValueError("bounds must be >= 1")
 
 
 class _Output:
@@ -60,15 +35,16 @@ class _Output:
     def flush(self):
         text = "\n".join(self.lines) + ("\n" if self.lines else "")
         if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(text)
+            try:
+                with open(self.path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {self.path}: {exc.strerror}") from exc
         else:
             sys.stdout.write(text)
 
 
 def _emit_report(out: _Output, report, fmt: str, stable: bool):
-    if report.count < 0:
-        raise ValueError("negative count")
     seconds = 0.0 if stable else report.elapsed
     if fmt == "csv":
         out.emit(f"{report.bound},{report.method},{report.count},{seconds:.3f}")
@@ -86,38 +62,42 @@ def _emit_report(out: _Output, report, fmt: str, stable: bool):
         )
 
 
-def _count_reports(cfg: RunConfig, method: str) -> list:
+def _count_reports(args: argparse.Namespace, method: str) -> list:
     """(kind, report) per requested bound, kind "box" or "height"; every
     report carries the bound the user gave."""
     reports = []
-    if cfg.box_bound is not None:
-        if cfg.primitive:
+    if args.box is not None:
+        if args.primitive:
             raise ValueError("--primitive applies to height counts; use --height")
         counter = cubic.naive_count_V if method == "naive" else torsor.torsor_count_V
-        reports.append(("box", counter(cfg.box_bound, threads=cfg.threads)))
-    if cfg.height_bound is not None:
-        if cfg.primitive:
+        reports.append(("box", counter(args.box, threads=args.threads)))
+    if args.height is not None:
+        if args.primitive:
             counter = cubic.count_N if method == "naive" else torsor.torsor_count_N
-            report = counter(cfg.height_bound, threads=cfg.threads)
+            report = counter(args.height, threads=args.threads)
         else:
             # V of the box of radius floor(B^(1/3)), reported at the height B
             counter = cubic.naive_count_V if method == "naive" else torsor.torsor_count_V
-            report = counter(integer_cube_root(cfg.height_bound), threads=cfg.threads)
-            report = replace(report, bound=cfg.height_bound)
+            report = counter(integer_cube_root(args.height), threads=args.threads)
+            report = replace(report, bound=args.height)
         reports.append(("height", report))
     return reports
 
 
-def _cmd_count(cfg: RunConfig) -> int:
-    out = _Output(cfg.output_path)
-    if cfg.format == "csv":
+def _cmd_count(args: argparse.Namespace) -> int:
+    if args.box is None and args.height is None:
+        raise ValueError("count needs --box or --height")
+    if any(bound is not None and bound < 1 for bound in (args.box, args.height)):
+        raise ValueError("bounds must be >= 1")
+    out = _Output(args.output)
+    if args.format == "csv":
         out.emit("bound,method,count,seconds")
-    methods = ("naive", "torsor") if cfg.method == "both" else (cfg.method,)
+    methods = ("naive", "torsor") if args.method == "both" else (args.method,)
     per_bound: dict[tuple[str, int], set[int]] = {}
     for method in methods:
-        for kind, report in _count_reports(cfg, method):
+        for kind, report in _count_reports(args, method):
             per_bound.setdefault((kind, report.bound), set()).add(report.count)
-            _emit_report(out, report, cfg.format, cfg.stable_output)
+            _emit_report(out, report, args.format, args.stable_output)
     out.flush()
     # with --method both the two routes must agree exactly, bound by bound
     if any(len(v) != 1 for v in per_bound.values()):
@@ -131,12 +111,14 @@ def _verify_line(out: _Output, name: str, ok: bool, **details):
     out.emit(json.dumps(obj, sort_keys=True))
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    out = _Output(cfg.output_path)
-    suite = cfg.extra["suite"]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    # --pmax, --bmax and --n are >= 1 when given, so `or` only fills in
+    # the suite's default for an absent flag
+    out = _Output(args.output)
+    suite = args.suite
     ok = True
     if suite == "bijection":
-        pmax = cfg.extra.get("pmax", 10)
+        pmax = args.pmax or 10
         for P in range(1, pmax + 1):
             good = torsor.verify_bijection(P)
             _verify_line(out, "bijection", good, P=P)
@@ -145,36 +127,32 @@ def _cmd_verify(cfg: RunConfig) -> int:
         _verify_line(out, "bijection-negative-control", control)
         ok = ok and control
     elif suite == "mobius":
-        for B, good, diff in cubic.mobius_check(cfg.extra.get("bmax", 27000), threads=cfg.threads):
+        for B, good, diff in cubic.mobius_check(args.bmax or 27000, threads=args.threads):
             _verify_line(out, "mobius", good, B=B, discrepancy=diff)
             ok = ok and good
     elif suite == "theorem3":
-        G = graphs.CoprimalityGraph.parse(cfg.extra.get("graph", "senary"))
-        s = cfg.extra.get("s") or (2.0,) * G.r
-        N = cfg.extra.get("N", 50)
-        good, residual, allowance = graphs.verify_theorem3(G, s, N, cfg.prime_limit)
+        G = graphs.CoprimalityGraph.parse(args.graph)
+        s = _parse_s(args.s) or (2.0,) * G.r
+        good, residual, allowance = graphs.verify_theorem3(G, s, args.n or 50, args.prime_limit)
         _verify_line(out, "theorem3", good, residual=residual, allowance=allowance)
         ok = good
     elif suite == "tg-series":
-        G = graphs.CoprimalityGraph.parse(cfg.extra.get("graph", "senary"))
-        cap = cfg.extra.get("degree", 4)
+        G = graphs.CoprimalityGraph.parse(args.graph)
+        cap = 4 if args.degree is None else args.degree
         good = graphs.tg_series_check(G, cap)
         _verify_line(out, "tg-series", good, degree=cap)
         ok = good
     elif suite == "factor-identity":
-        pmax = cfg.extra.get("pmax", 10_000)
-        from senary.arith import primes_up_to
-
+        pmax = args.pmax or 10_000
         for p in primes_up_to(pmax).primes:
             if not peyre.factor_identity_check(p):
                 _verify_line(out, "factor-identity", False, p=p)
                 ok = False
         _verify_line(out, "factor-identity", ok, pmax=pmax)
     elif suite == "lift":
-        pmax = cfg.extra.get("pmax", 5)
         count = 0
         good = True
-        for coords in cubic.iter_box_solutions(pmax):
+        for coords in cubic.iter_box_solutions(args.pmax or 5):
             s = cubic.SolutionSextuple(*coords)
             try:
                 torsor.lift_to_X(s)  # validates the equations on construction
@@ -184,10 +162,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         _verify_line(out, "lift", good, points=count)
         ok = good
     elif suite == "fp-counts":
-        pmax = cfg.extra.get("pmax", 11)
-        from senary.arith import primes_up_to
-
-        for p in primes_up_to(max(pmax, 2)).primes:
+        for p in primes_up_to(max(args.pmax or 11, 2)).primes:
             formula = (p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1)
             good = torsor.count_O_Fp(p) == formula
             _verify_line(out, "fp-descent-scheme", good, p=p)
@@ -202,9 +177,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_constants(cfg: RunConfig) -> int:
-    out = _Output(cfg.output_path)
-    name = cfg.extra["name"]
+def _cmd_constants(args: argparse.Namespace) -> int:
+    if args.tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    out = _Output(args.output)
+    name = args.name
     code = EXIT_OK
     try:
         if name == "alpha":
@@ -215,22 +192,21 @@ def _cmd_constants(cfg: RunConfig) -> int:
                 ).to_json()
             )
         elif name == "mu-infinity":
-            budget = cfg.extra.get("budget")
-            if budget is not None:
-                out.emit(peyre.archimedean_density(cfg.tolerance, budget=budget).to_json())
+            if args.budget is not None:
+                out.emit(peyre.archimedean_density(args.tolerance, budget=args.budget).to_json())
             else:
-                out.emit(peyre.archimedean_density(cfg.tolerance).to_json())
+                out.emit(peyre.archimedean_density(args.tolerance).to_json())
         elif name == "euler":
-            value, tail = peyre._euler_product_local(cfg.prime_limit)
+            value, tail = peyre._euler_product_local(args.prime_limit)
             out.emit(
                 peyre.ConstantReport(
-                    "euler_product", value, None, tail, {"prime_limit": cfg.prime_limit}
+                    "euler_product", value, None, tail, {"prime_limit": args.prime_limit}
                 ).to_json()
             )
         elif name == "theta":
-            out.emit(peyre.peyre_theta(cfg.prime_limit, cfg.tolerance).to_json())
+            out.emit(peyre.peyre_theta(args.prime_limit, args.tolerance).to_json())
         elif name == "leading-v":
-            out.emit(peyre.leading_coeff_V(cfg.prime_limit).to_json())
+            out.emit(peyre.leading_coeff_V(args.prime_limit).to_json())
         else:
             raise ValueError(f"unknown constant {name!r}")
     except peyre.QuadratureNonconvergence as exc:
@@ -253,32 +229,31 @@ def _cmd_constants(cfg: RunConfig) -> int:
     return code
 
 
-def _cmd_graph(cfg: RunConfig) -> int:
-    out = _Output(cfg.output_path)
-    G = graphs.CoprimalityGraph.parse(cfg.extra.get("graph", "senary"))
-    action = cfg.extra["action"]
+def _cmd_graph(args: argparse.Namespace) -> int:
+    out = _Output(args.output)
+    G = graphs.CoprimalityGraph.parse(args.graph)
+    action = args.action
     if action == "b-vector":
-        out.emit(json.dumps({"graph": cfg.extra.get("graph", "senary"), "b": list(graphs.b_coefficients(G).b)}))
+        out.emit(json.dumps({"graph": args.graph, "b": list(graphs.b_coefficients(G).b)}))
     elif action == "euler":
-        p = cfg.extra.get("p", 2)
-        s = cfg.extra.get("s") or (1.0,) * G.r
-        value = graphs.euler_factor(G, p, s)
-        obj = {"graph": cfg.extra.get("graph", "senary"), "p": p, "s": list(s), "factor": value}
+        s = _parse_s(args.s) or (1.0,) * G.r
+        value = graphs.euler_factor(G, args.p, s)
+        obj = {"graph": args.graph, "p": args.p, "s": list(s), "factor": value}
         if all(float(x).is_integer() for x in s):
-            exact = graphs.euler_factor_exact(G, p, [int(x) for x in s])
+            exact = graphs.euler_factor_exact(G, args.p, [int(x) for x in s])
             obj["exact"] = f"{exact.numerator}/{exact.denominator}"
         out.emit(json.dumps(obj, sort_keys=True))
     elif action == "xi":
-        s = cfg.extra.get("s") or (1.0,) * G.r
-        value, tail = graphs.xi(G, s, cfg.prime_limit)
+        s = _parse_s(args.s) or (1.0,) * G.r
+        value, tail = graphs.xi(G, s, args.prime_limit)
         out.emit(
             json.dumps(
                 {
-                    "graph": cfg.extra.get("graph", "senary"),
+                    "graph": args.graph,
                     "s": list(s),
                     "value": value,
                     "tail_bound": tail,
-                    "prime_limit": cfg.prime_limit,
+                    "prime_limit": args.prime_limit,
                 },
                 sort_keys=True,
             )
@@ -369,72 +344,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        threads = args.threads
-        if threads is None:
-            threads = int(os.environ.get("SENARY_THREADS") or 1)
-        if args.command == "count":
-            if args.box is None and args.height is None:
-                raise ValueError("count needs --box or --height")
-            cfg = RunConfig(
-                command="count",
-                box_bound=args.box,
-                height_bound=args.height,
-                method=args.method,
-                primitive=args.primitive,
-                threads=threads,
-                output_path=args.output,
-                format=args.format,
-                stable_output=args.stable_output,
-            )
-            return _cmd_count(cfg)
-        if args.command == "verify":
-            extra = {"suite": args.suite, "graph": args.graph}
-            if args.pmax is not None:
-                extra["pmax"] = args.pmax
-            if args.bmax is not None:
-                extra["bmax"] = args.bmax
-            if args.s:
-                extra["s"] = _parse_s(args.s)
-            if args.n is not None:
-                extra["N"] = args.n
-            if args.degree is not None:
-                extra["degree"] = args.degree
-            cfg = RunConfig(
-                command="verify",
-                prime_limit=args.prime_limit,
-                threads=threads,
-                output_path=args.output,
-                format=args.format,
-                stable_output=args.stable_output,
-                extra=extra,
-            )
-            return _cmd_verify(cfg)
-        if args.command == "constants":
-            cfg = RunConfig(
-                command="constants",
-                prime_limit=args.prime_limit,
-                tolerance=args.tolerance,
-                threads=threads,
-                output_path=args.output,
-                format="json",
-                extra={"name": args.name, "budget": args.budget},
-            )
-            return _cmd_constants(cfg)
-        if args.command == "graph":
-            cfg = RunConfig(
-                command="graph",
-                prime_limit=args.prime_limit,
-                threads=threads,
-                output_path=args.output,
-                format="json",
-                extra={"action": args.action, "graph": args.graph, "p": args.p, "s": _parse_s(args.s)},
-            )
-            return _cmd_graph(cfg)
+        if args.threads is None:
+            args.threads = int(os.environ.get("SENARY_THREADS") or 1)
+        if args.threads < 1:
+            raise ValueError("threads must be >= 1")
+        command = {
+            "count": _cmd_count,
+            "verify": _cmd_verify,
+            "constants": _cmd_constants,
+            "graph": _cmd_graph,
+        }[args.command]
+        return command(args)
     except (ValueError, OverflowError) as exc:
         print(f"senary: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -141,30 +141,12 @@ class BVector:
             raise ValueError("b_1 must be 0")
 
 
-@dataclass(frozen=True)
-class EvaluationPoint:
-    """One real exponent per vertex.
-
-    Euler products need every s_j > 1/2 with all edge sums > 1; direct series
-    truncation needs every s_j > 1.  The stricter checks are applied by the
-    operations themselves.
-    """
-
-    s: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.s:
-            raise ValueError("need at least one coordinate")
-
-    @classmethod
-    def ones(cls, r: int) -> "EvaluationPoint":
-        return cls((1.0,) * r)
-
-
 def _exponents(G: CoprimalityGraph, s) -> tuple[float, ...]:
-    s = s.s if isinstance(s, EvaluationPoint) else tuple(float(v) for v in s)
+    s = tuple(float(v) for v in s)
     if len(s) != G.r:
         raise ValueError(f"need one exponent per vertex ({G.r}), got {len(s)}")
+    if not all(math.isfinite(v) for v in s):
+        raise ValueError(f"exponents must be finite, got {s}")
     return s
 
 

@@ -143,6 +143,10 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
         ("verify", "theorem3", "--prime-limit", "0"),
         ("verify", "theorem3", "--n", "10000"),
         ("verify", "tg-series", "--degree", "-1"),
+        ("graph", "euler", "--s", "nan,1,1,1,1,1"),
+        ("graph", "euler", "--s", "inf,1,1,1,1,1"),
+        ("graph", "xi", "--s", "nan,2,2,2,2,2"),
+        ("verify", "theorem3", "--s", "nan,2,2,2,2,2", "--n", "5"),
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -151,6 +155,62 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err.startswith("senary: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suite, expected",
+    [
+        ("tg-series", [{"check": "tg-series", "degree": 4, "ok": True}]),
+        ("lift", [{"check": "lift", "ok": True, "points": 26200}]),
+        (
+            "fp-counts",
+            [
+                {"check": check, "ok": True, "p": p}
+                for p in (2, 3, 5, 7, 11)
+                for check in ("fp-descent-scheme", "fp-resolved-variety")
+                if check == "fp-descent-scheme" or p <= 5
+            ],
+        ),
+        ("factor-identity", [{"check": "factor-identity", "ok": True, "pmax": 10000}]),
+        (
+            # s = (2, ..., 2) and N = 50
+            "theorem3",
+            [
+                {
+                    "allowance": pytest.approx(1.4471847261965107, rel=1e-9),
+                    "check": "theorem3",
+                    "ok": True,
+                    "residual": pytest.approx(-0.6477409761602768, rel=1e-9),
+                }
+            ],
+        ),
+    ],
+)
+def test_verify_suites_default_sizes(capsys, suite, expected):
+    code, out = run(capsys, "verify", suite)
+    assert code == EXIT_OK
+    assert [json.loads(line) for line in out.splitlines()] == expected
+
+
+USAGE_MESSAGES = [
+    (("count",), "count needs --box or --height"),
+    (("count", "--box", "0"), "bounds must be >= 1"),
+    (("count", "--height", "-5"), "bounds must be >= 1"),
+    (("count", "--box", "3", "--threads", "0"), "threads must be >= 1"),
+    (("count", "--box", "3", "--primitive"), "--primitive applies to height counts; use --height"),
+    (("constants", "euler", "--tolerance", "-1"), "tolerance must be positive"),
+    (("constants", "alpha", "--tolerance", "0"), "tolerance must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_MESSAGES, ids=[" ".join(argv) for argv, _ in USAGE_MESSAGES]
+)
+def test_usage_errors_name_the_check_that_failed(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"senary: {message}\n"
 
 
 def test_verify_bijection(capsys):
@@ -260,3 +320,12 @@ def test_output_file(tmp_path, capsys):
     code, out = run(capsys, "--output", str(path), "count", "--box", "1", "--stable-output")
     assert code == EXIT_OK and out == ""
     assert path.read_text().splitlines()[1] == "1,naive,56,0.000"
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "rows.csv"
+    code = main(["--output", str(path), "count", "--box", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("senary: ") and captured.err.count("\n") == 1
+    assert not path.exists()

@@ -12,7 +12,6 @@ from senary.graphs import (
     SENARY_GRAPH,
     BVector,
     CoprimalityGraph,
-    EvaluationPoint,
     b_coefficients,
     euler_factor,
     euler_factor_exact,
@@ -188,11 +187,6 @@ def test_xi_rejects_nonconvergent_exponents():
         xi(SINGLE_EDGE, (0.5, 0.5), 1000)
 
 
-def test_evaluation_point_wrapper():
-    ep = EvaluationPoint.ones(6)
-    assert xi(SENARY_GRAPH, ep, 1000) == xi(SENARY_GRAPH, (1.0,) * 6, 1000)
-
-
 def test_truncated_dg_empty_graph_factorizes():
     value, _ = truncated_DG(EMPTY2, (2.0, 2.0), 100)
     partial = sum(n**-2.0 for n in range(1, 101))
@@ -208,9 +202,10 @@ def test_truncated_dg_empty_graph_factorizes():
         lambda: xi(EMPTY2, (2.0, 2.0), 1),
         lambda: zeta_truncated(2.0, 0),
         lambda: tg_series_check(SINGLE_EDGE, -1),
+        lambda: euler_factor(SENARY_GRAPH, 2, (math.nan,) + (1.0,) * 5),
     ],
     ids=["composite-p", "extra-exponent", "zero-p", "xi-limit-1", "zeta-limit-0",
-         "negative-degree"],
+         "negative-degree", "nan-exponent"],
 )
 def test_bad_arguments_raise_value_error(call):
     with pytest.raises(ValueError):
