@@ -359,5 +359,6 @@ def main(argv=None) -> int:
         print(f"senary: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+
 if __name__ == "__main__":
     sys.exit(main())

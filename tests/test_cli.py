@@ -327,5 +327,5 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     code = main(["--output", str(path), "count", "--box", "1"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
-    assert captured.err.startswith("senary: ") and captured.err.count("\n") == 1
-    assert not path.exists()
+    assert captured.err.startswith(f"senary: cannot write {path}: ")
+    assert captured.err.count("\n") == 1 and not path.exists()
