@@ -28,6 +28,17 @@ class _Output:
     def __init__(self, path: str | None):
         self.path = path
         self.lines: list[str] = []
+        if path:
+            # fail before the work, not after it: open for appending, which
+            # truncates nothing, and take away a file that was not there
+            existed = os.path.exists(path)
+            try:
+                with open(path, "a"):
+                    pass
+            except OSError as exc:
+                raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+            if not existed:
+                os.remove(path)
 
     def emit(self, line: str):
         self.lines.append(line)
@@ -180,6 +191,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_constants(args: argparse.Namespace) -> int:
     if args.tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(args.tolerance):
+        raise ValueError("tolerance must be finite")
     out = _Output(args.output)
     name = args.name
     code = EXIT_OK

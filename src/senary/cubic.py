@@ -166,18 +166,28 @@ def iter_box_solutions(P: int):
                 yield (s1 * x1, s2 * x2, s3 * x3, s1 * y1, s2 * y2, s3 * y3)
 
 
-def _run_partitioned(worker, P: int, args: tuple, threads: int):
-    """Split the outermost loop range 1..P (y1 here, u1 in the torsor
-    counters) into equal disjoint chunks; deterministic sum.  The torsor
-    counters' orbit representatives have u1 <= isqrt(P), so every torsor
-    chunk but the first is empty or nearly so."""
-    if threads <= 1 or P < 2 * threads:
-        return worker(P, *args, 1, P + 1)
-    bounds = np.linspace(1, P + 1, threads + 1, dtype=int)
-    jobs = [(int(a), int(b)) for a, b in zip(bounds, bounds[1:]) if a < b]
+def _run_partitioned(jobs: list, threads: int):
+    """Sum of fn(*args) over the jobs, a list of (fn, args) pairs whose fn is
+    module-level so the pool can pickle it.  One thread, or one job, runs in
+    this process; otherwise one pool of ``threads`` workers takes every job,
+    and the results are summed in submission order, so the sum does not
+    depend on which worker ran what."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if threads == 1 or len(jobs) < 2:
+        return sum(fn(*args) for fn, args in jobs)
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, P, *args, a, b) for a, b in jobs]
+        futures = [pool.submit(fn, *args) for fn, args in jobs]
         return sum(f.result() for f in futures)
+
+
+def _y1_jobs(P: int, count, threads: int) -> list:
+    """The naive kernel's jobs: y1 in 1..P cut into ``threads`` equal ranges,
+    or one range below P = 2 * threads, where a pool would not pay.  The work
+    per y1 is flat, so equal ranges balance."""
+    parts = threads if P >= 2 * threads else 1
+    bounds = np.linspace(1, P + 1, parts + 1, dtype=int).tolist()
+    return [(_count_chunk, (P, count, a, b)) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def naive_count_V(P: int, threads: int = 1) -> CountReport:
@@ -185,7 +195,7 @@ def naive_count_V(P: int, threads: int = 1) -> CountReport:
     with y1*y2*y3 != 0 (no coprimality, both signs)."""
     _check_box_bound(P)
     t0 = time.perf_counter()
-    total = 8 * _run_partitioned(_count_chunk, P, (_count_all,), threads)
+    total = 8 * _run_partitioned(_y1_jobs(P, _count_all, threads), threads)
     return CountReport(P, "naive", total, time.perf_counter() - t0)
 
 
@@ -198,7 +208,7 @@ def count_N(B: int, threads: int = 1) -> CountReport:
     R = integer_cube_root(B)
     _check_box_bound(R)
     t0 = time.perf_counter()
-    total = 4 * _run_partitioned(_count_chunk, R, (_count_primitive,), threads)
+    total = 4 * _run_partitioned(_y1_jobs(R, _count_primitive, threads), threads)
     return CountReport(B, "naive-primitive", total, time.perf_counter() - t0)
 
 
@@ -215,7 +225,7 @@ def mobius_check(B: int, threads: int = 1) -> list[tuple[int, bool, int]]:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)
     _check_box_bound(R)
-    bins = _run_partitioned(_count_chunk, R, (partial(_count_by_height, R),), threads)
+    bins = _run_partitioned(_y1_jobs(R, partial(_count_by_height, R), threads), threads)
     V, N2 = (8 * np.cumsum(bins, axis=1)).tolist()
     ladder = []
     for r in range(1, R + 1):
@@ -239,15 +249,22 @@ def group_compose(p: SolutionSextuple, q: SolutionSextuple) -> SolutionSextuple:
     )
 
 
-def _primitive_count_by_moebius(R: int, box_count) -> int:
-    """Primitive tuples in a box of radius R when the unrestricted count at
-    radius m is box_count(m): standard Moebius sieve over the scaling d."""
-    total = 0
+def _moebius_weights(R: int) -> dict[int, int]:
+    """m -> c_m, the sum of mu(d) over the d <= R with R // d = m, for the m
+    where it is nonzero, so that sum_{d <= R} mu(d) f(R // d) is
+    sum_m c_m f(m): R // d takes only about 2 sqrt(R) values."""
+    weights: dict[int, int] = {}
     for d in range(1, R + 1):
         mu = moebius(d)
         if mu:
-            total += mu * box_count(R // d)
-    return total
+            weights[R // d] = weights.get(R // d, 0) + mu
+    return {m: c for m, c in weights.items() if c}
+
+
+def _primitive_count_by_moebius(R: int, box_count) -> int:
+    """Primitive tuples in a box of radius R when the unrestricted count at
+    radius m is box_count(m): standard Moebius sieve over the scaling d."""
+    return sum(c * box_count(m) for m, c in _moebius_weights(R).items())
 
 
 def count_degenerate(B: int) -> CountReport:
@@ -274,5 +291,5 @@ def slice_count(P: int, Z, threads: int = 1) -> CountReport:
     if any(z < 1 or z > P for z in Z):
         raise ValueError("Z must be a subset of {1..P}")
     t0 = time.perf_counter()
-    total = 8 * _run_partitioned(_count_chunk, P, (partial(_count_in_slice, Z),), threads)
+    total = 8 * _run_partitioned(_y1_jobs(P, partial(_count_in_slice, Z), threads), threads)
     return CountReport(P, "slice", total, time.perf_counter() - t0)

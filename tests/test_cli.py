@@ -3,6 +3,7 @@ import json
 import pytest
 
 from oracles import exhaustive_V
+from senary import cubic
 from senary.cli import EXIT_OK, EXIT_USAGE, main
 from senary.torsor import _MAX_TORSOR_BOUND
 
@@ -133,6 +134,8 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
     [
         ("constants", "mu-infinity", "--tolerance", "nan", "--budget", "10"),
         ("constants", "mu-infinity", "--tolerance", "inf", "--budget", "10"),
+        ("constants", "alpha", "--tolerance", "nan"),
+        ("constants", "alpha", "--tolerance", "inf"),
         ("graph", "euler", "--p", "0"),
         ("graph", "euler", "--p", "4"),
         ("graph", "euler", "--p", str((2**31 - 1) ** 2)),
@@ -200,6 +203,8 @@ USAGE_MESSAGES = [
     (("count", "--box", "3", "--primitive"), "--primitive applies to height counts; use --height"),
     (("constants", "euler", "--tolerance", "-1"), "tolerance must be positive"),
     (("constants", "alpha", "--tolerance", "0"), "tolerance must be positive"),
+    (("constants", "alpha", "--tolerance=-inf"), "tolerance must be positive"),
+    (("constants", "alpha", "--tolerance", "nan"), "tolerance must be finite"),
 ]
 
 
@@ -329,3 +334,26 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err.startswith(f"senary: cannot write {path}: ")
     assert captured.err.count("\n") == 1 and not path.exists()
+
+
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("counted before checking the output path")
+
+    monkeypatch.setattr(cubic, "naive_count_V", no_work)
+    path = tmp_path / "missing" / "rows.csv"
+    code = main(["--output", str(path), "count", "--box", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith(f"senary: cannot write {path}: ")
+
+
+def test_output_check_leaves_no_file_and_keeps_an_old_one(tmp_path, capsys):
+    # a usage error after the check leaves no new file behind, and the check
+    # does not truncate an existing one
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for path in (fresh, old):
+        code = main(["--output", str(path), "count", "--box", "1", "--primitive"])
+        assert code == EXIT_USAGE
+    assert not fresh.exists() and old.read_text() == "kept\n"

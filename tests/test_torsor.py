@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import descent_uw_tuples, r_pair_count, solutions_via_x3, torsor_V_chunk
-from senary import torsor
+from senary import cubic, torsor
 from senary.cubic import (
     CountReport,
     SolutionSextuple,
@@ -308,20 +309,20 @@ def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
         raise AssertionError("work started above the int64 bound")
 
     monkeypatch.setattr(torsor, "_run_partitioned", no_work)
-    monkeypatch.setattr(torsor, "_primitive_count_by_moebius", no_work)
+    monkeypatch.setattr(torsor, "_moebius_weights", no_work)
     with pytest.raises(OverflowError):
         torsor_count_V(P + 1)
     with pytest.raises(OverflowError):
         torsor_count_N((P + 1) ** 3)
 
 
-def test_torsor_V_chunks_add_up_at_every_split_point():
-    # the u1 split of the process partitioner, at every point; representatives
-    # have u1 <= isqrt(P), so most splits leave one side empty
-    P = 30
-    whole = _torsor_V_chunk(P, 1, P + 1)
-    for k in range(1, P + 2):
-        assert _torsor_V_chunk(P, 1, k) + _torsor_V_chunk(P, k, P + 1) == whole
+def test_torsor_V_strided_shares_add_up():
+    # worker k of T takes the grid slices k, k + T, ...; at the small boxes
+    # some workers get no slice at all
+    for P in range(1, 41):
+        whole = _torsor_V_chunk(P, 0, 1)
+        for T in range(1, 5):
+            assert sum(_torsor_V_chunk(P, k, T) for k in range(T)) == whole
 
 
 @pytest.mark.parametrize("B", [1, 7, 8, 26, 27, 64, 100, 1000, 12345, 15625])
@@ -329,9 +330,13 @@ def test_torsor_primitive_count_matches_naive(B):
     assert torsor_count_N(B).count == count_N(B).count
 
 
-# Every counter that splits its outermost loop over worker processes, at a
-# bound below the serial cutoff (bound < 2 * threads) and at one above it;
-# the height counters partition the box of radius floor(B^(1/3)).
+# Every counter that splits its work over worker processes, at two bounds.
+# The naive counters split y1 into equal ranges, and only from bound = 2 *
+# threads on, so the lower bound runs serially at 2 and 3 threads and the
+# upper one is split at 2 threads.  The torsor counters deal out grid slices
+# by stride: V(3) and the V(m) of the height counter at 27 have one slice,
+# and V(8) two, so some workers get none.  The height counters work on the
+# box of radius floor(B^(1/3)).
 _PARTITIONED = [
     ("naive_count_V", naive_count_V, 3, 6),
     ("count_N", count_N, 27, 216),
@@ -340,6 +345,12 @@ _PARTITIONED = [
     ("torsor_count_N", torsor_count_N, 27, 216),
     ("mobius_check", mobius_check, 27, 1000),
 ]
+
+
+def _result(counter, bound, threads):
+    # the counters return a CountReport, mobius_check its whole ladder
+    out = counter(bound, threads=threads)
+    return out.count if isinstance(out, CountReport) else out
 
 
 @pytest.mark.parametrize(
@@ -351,12 +362,58 @@ _PARTITIONED = [
     ],
 )
 def test_thread_partitioning_is_count_neutral(counter, bound):
-    def result(threads):
-        # the counters return a CountReport, mobius_check its whole ladder
-        out = counter(bound, threads=threads)
-        return out.count if isinstance(out, CountReport) else out
+    serial = _result(counter, bound, 1)
+    assert _result(counter, bound, 2) == serial
+    assert _result(counter, bound, 3) == serial
 
-    assert result(2) == result(1)
+
+@pytest.mark.parametrize(
+    "counter, bound",
+    [pytest.param(counter, above, id=name) for name, counter, _, above in _PARTITIONED],
+)
+def test_no_workers_is_an_error(counter, bound):
+    # zero workers would otherwise deal out no jobs and count 0
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        counter(bound, threads=0)
+
+
+def test_some_stride_workers_get_no_slice():
+    # V(8) has two grid slices, one per (u1, u2) plane: a third worker idles
+    assert [_torsor_V_chunk(8, k, 3) > 0 for k in range(3)] == [True, True, False]
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """The pools the partitioner opens, counted at cubic.ProcessPoolExecutor."""
+    opened = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(cubic, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
+@pytest.mark.parametrize(
+    "counter, bound, expected",
+    [(torsor_count_N, 27000, 11217988), (torsor_count_V, 100, 1866628352)],
+)
+def test_a_counter_call_opens_one_pool(pools_opened, counter, bound, expected):
+    # N(27000) takes the jobs of all its eight Moebius terms in one pool; the
+    # counts are the naive pins of bench/expected.json
+    assert counter(bound, threads=2).count == expected
+    assert len(pools_opened) == 1
+
+
+@pytest.mark.parametrize(
+    "counter, bound",
+    [pytest.param(counter, above, id=name) for name, counter, _, above in _PARTITIONED],
+)
+def test_one_thread_opens_no_pool(pools_opened, counter, bound):
+    counter(bound, threads=1)
+    assert pools_opened == []
 
 
 # --- lifts ------------------------------------------------------------------
