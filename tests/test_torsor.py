@@ -259,13 +259,14 @@ def test_coprime_table_matches_gcd():
 def test_w_chunks_lay_out_the_scalar_representatives_in_order(monkeypatch, cap):
     monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
     for P in (1, 2, 9, 25):
+        every = itertools.repeat(True)  # every grid slice, as in one serial pass
         for u1 in range(1, math.isqrt(P) + 1):
             for u2 in range(u1, math.isqrt(P) + 1):
                 if math.gcd(u1, u2) != 1:
                     continue
                 built = [
                     tuple(t)
-                    for chunk in _w_chunks(P, u1, u2, _coprime_table(P))
+                    for chunk in _w_chunks(P, u1, u2, _coprime_table(P), every)
                     for t in zip(*(x.tolist() for x in chunk))
                 ]
                 scalar = [t[4:] for t in _uw_tuples(P, u1, u1 + 1) if t[3] == u2]
@@ -333,7 +334,7 @@ def test_torsor_primitive_count_matches_naive(B):
 # Every counter that splits its work over worker processes, at two bounds.
 # The naive counters split y1 into equal ranges, and only from bound = 2 *
 # threads on, so the lower bound runs serially at 2 and 3 threads and the
-# upper one is split at 2 threads.  The torsor counters deal out grid slices
+# upper one is split at both.  The torsor counters deal out grid slices
 # by stride: V(3) and the V(m) of the height counter at 27 have one slice,
 # and V(8) two, so some workers get none.  The height counters work on the
 # box of radius floor(B^(1/3)).
