@@ -8,7 +8,7 @@ function (polytope volume, archimedean density, local densities, Euler
 products), with cross-checks tying all of them together.
 """
 
-from senary.arith import Rational, PrimeTable, gcd_many, moebius, primes_up_to, integer_cube_root
+from senary.arith import Rational, gcd_many, moebius, primes_up_to, integer_cube_root
 from senary.cubic import (
     SolutionSextuple,
     CountReport,

@@ -9,31 +9,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 # Exact rational scalar.  fractions.Fraction already enforces the invariants
 # we need: positive denominator and eager gcd-normalization on every operation.
 Rational = Fraction
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes up to ``limit``, strictly ascending."""
-
-    limit: int
-    primes: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.limit < 2:
-            raise ValueError("limit must be >= 2")
-        if any(a >= b for a, b in zip(self.primes, self.primes[1:])):
-            raise ValueError("prime list must be strictly ascending")
-
-
-def primes_up_to(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes; exact.  Calls in a row at one limit share the
-    same (immutable) table."""
+def primes_up_to(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes; exact.  The primes come ascending in one
+    read-only int64 array, which calls in a row at one limit share."""
     if limit < 2:
         raise ValueError(f"prime limit must be >= 2, got {limit}")
     return _sieve(limit)
@@ -41,15 +28,17 @@ def primes_up_to(limit: int) -> PrimeTable:
 
 # One table kept: callers ask for one limit many times in a row (graphs.xi
 # and each zeta_truncated of verify_theorem3), and a table to 10^6 is 78,498
-# ints that should not outlive the next limit asked for.
+# primes that should not outlive the next limit asked for.
 @functools.lru_cache(maxsize=1)
-def _sieve(limit: int) -> PrimeTable:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
+def _sieve(limit: int) -> np.ndarray:
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return PrimeTable(limit, tuple(i for i, f in enumerate(sieve) if f))
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve)
+    primes.flags.writeable = False
+    return primes
 
 
 def gcd_many(values) -> int:

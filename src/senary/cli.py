@@ -60,17 +60,8 @@ def _emit_report(out: _Output, report, fmt: str, stable: bool):
     if fmt == "csv":
         out.emit(f"{report.bound},{report.method},{report.count},{seconds:.3f}")
     else:
-        out.emit(
-            json.dumps(
-                {
-                    "bound": report.bound,
-                    "method": report.method,
-                    "count": report.count,
-                    "seconds": round(seconds, 3),
-                },
-                sort_keys=True,
-            )
-        )
+        row = {"bound": report.bound, "method": report.method, "count": report.count}
+        out.emit(json.dumps({**row, "seconds": round(seconds, 3)}, sort_keys=True))
 
 
 def _count_reports(args: argparse.Namespace, method: str) -> list:
@@ -111,9 +102,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             _emit_report(out, report, args.format, args.stable_output)
     out.flush()
     # with --method both the two routes must agree exactly, bound by bound
-    if any(len(v) != 1 for v in per_bound.values()):
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return EXIT_VERIFY_FAILED if any(len(v) != 1 for v in per_bound.values()) else EXIT_OK
 
 
 def _verify_line(out: _Output, name: str, ok: bool, **details):
@@ -155,7 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok = good
     elif suite == "factor-identity":
         pmax = args.pmax or 10_000
-        for p in primes_up_to(pmax).primes:
+        for p in primes_up_to(pmax).tolist():
             if not peyre.factor_identity_check(p):
                 _verify_line(out, "factor-identity", False, p=p)
                 ok = False
@@ -173,7 +162,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _verify_line(out, "lift", good, points=count)
         ok = good
     elif suite == "fp-counts":
-        for p in primes_up_to(max(args.pmax or 11, 2)).primes:
+        for p in primes_up_to(max(args.pmax or 11, 2)).tolist():
             formula = (p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1)
             good = torsor.count_O_Fp(p) == formula
             _verify_line(out, "fp-descent-scheme", good, p=p)
@@ -290,26 +279,25 @@ def _parse_s(text: str | None):
     return tuple(float(v) for v in text.split(","))
 
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool):
-    # shared flags, accepted both before and after the subcommand; the
-    # subparser copies use SUPPRESS so absent flags keep the global values
-    d = {"default": argparse.SUPPRESS} if suppress else {}
-    parser.add_argument("--threads", type=int, help="worker processes (or SENARY_THREADS)",
-                        **(d or {"default": None}))
-    parser.add_argument("--output", help="write to file instead of stdout",
-                        **(d or {"default": None}))
-    parser.add_argument("--format", choices=("csv", "json"), **(d or {"default": "csv"}))
-    if suppress:
-        parser.add_argument("--stable-output", action="store_true", default=argparse.SUPPRESS,
-                            help="zero the timing column")
-    else:
-        parser.add_argument("--stable-output", action="store_true",
-                            help="zero the timing column")
+_COMMON = {
+    "--threads": {"type": int, "help": "worker processes (or SENARY_THREADS)"},
+    "--output": {"help": "write to file instead of stdout"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
+    "--stable-output": {"action": "store_true", "help": "zero the timing column"},
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, flags, suppress: bool):
+    # shared flags: every command takes them all before the subcommand, and after
+    # it the ones it reads; the copies there use SUPPRESS to keep the global values
+    for flag in flags:
+        spec = {**_COMMON[flag], "default": argparse.SUPPRESS} if suppress else _COMMON[flag]
+        parser.add_argument(flag, **spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="senary", description=__doc__, allow_abbrev=False)
-    _add_common(parser, suppress=False)
+    _add_common(parser, _COMMON, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="run a counter", allow_abbrev=False)
@@ -317,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--height", type=int, default=None, help="height bound B")
     c.add_argument("--method", choices=("naive", "torsor", "both"), default="naive")
     c.add_argument("--primitive", action="store_true")
-    _add_common(c, suppress=True)
+    _add_common(c, _COMMON, suppress=True)
 
     v = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     v.add_argument(
@@ -331,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=_positive_int, default=None, help="series truncation")
     v.add_argument("--degree", type=int, default=None)
     v.add_argument("--prime-limit", type=int, default=100_000)
-    _add_common(v, suppress=True)
+    _add_common(v, ("--threads", "--output"), suppress=True)
 
     k = sub.add_parser("constants", help="compute one constant", allow_abbrev=False)
     k.add_argument("name", choices=("alpha", "mu-infinity", "euler", "theta", "leading-v"))
     k.add_argument("--prime-limit", type=int, default=100_000)
     k.add_argument("--tolerance", type=float, default=0.01)
     k.add_argument("--budget", type=_positive_int, default=None, help="quadrature sample cap")
-    _add_common(k, suppress=True)
+    _add_common(k, ("--output",), suppress=True)
 
     g = sub.add_parser("graph", help="coprimality-graph computations", allow_abbrev=False)
     g.add_argument("action", choices=("b-vector", "euler", "xi"))
@@ -346,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=int, default=2)
     g.add_argument("--s", default=None)
     g.add_argument("--prime-limit", type=int, default=100_000)
-    _add_common(g, suppress=True)
+    _add_common(g, ("--output",), suppress=True)
     return parser
 
 

@@ -239,8 +239,8 @@ def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     s = _exponents(G, s)
     m = _check_euler_region(G, s)
     poly = sg_polynomial(G)
-    primes = np.array(primes_up_to(prime_limit).primes, dtype=np.float64)
-    product = np.ones_like(primes)
+    primes = primes_up_to(prime_limit)
+    product = np.ones(len(primes))
     for mask, coeff in poly.terms:
         if mask == 0:
             continue
@@ -372,8 +372,7 @@ def zeta_truncated(s: float, prime_limit: int) -> tuple[float, float]:
     the multiplicative error."""
     if s <= 1:
         raise ValueError("need s > 1")
-    primes = np.array(primes_up_to(prime_limit).primes, dtype=np.float64)
-    value = float(np.prod(1.0 / (1.0 - primes ** (-s))))
+    value = float(np.prod(1.0 / (1.0 - primes_up_to(prime_limit) ** (-s))))
     tail_log = 2.0 * prime_limit ** (1.0 - s) / ((s - 1.0) * math.log(2.0))
     return value, value * math.expm1(tail_log)
 

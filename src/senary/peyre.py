@@ -426,8 +426,7 @@ def _euler_product_local(prime_limit: int) -> tuple[float, float]:
     |factor - 1| <= 21/p^2 for p >= 2, so the omitted log-mass is at most
     sum_{p > L} 42/p^2 <= 42/L.
     """
-    primes = np.array(primes_up_to(prime_limit).primes, dtype=np.float64)
-    q = 1.0 / primes
+    q = 1.0 / primes_up_to(prime_limit)
     factors = (1 - q) ** 5 * (1 + 5 * q + 6 * q**2 + 5 * q**3 + q**4)
     value = float(np.prod(factors))
     tail = value * math.expm1(42.0 / prime_limit)
@@ -494,8 +493,7 @@ def consistency_V_to_N(prime_limit: int = 100_000) -> tuple[bool, float]:
     """Check that (1/162) zeta(3)^-1 x leading_V equals the closed-form theta,
     with zeta(3) truncated over the same primes so the per-prime identity is
     exact; returns (ok, relative residual)."""
-    primes = np.array(primes_up_to(prime_limit).primes, dtype=np.float64)
-    zeta3_inv = float(np.prod(1.0 - primes**-3))
+    zeta3_inv = float(np.prod(1.0 - primes_up_to(prime_limit) ** -3.0))  # int64 ** -3 raises
     lead_v = leading_coeff_V(prime_limit)
     lhs = lead_v.value * zeta3_inv / 162.0
     product, _ = _euler_product_local(prime_limit)

@@ -12,8 +12,8 @@ The counter ``torsor_count_V`` loops over the coprime (u1, u2) in Python.
 Below them everything is int64 arrays: the (u3, w1, w2, w3) of the orbit
 representatives are laid out level by level in chunks of about
 ``_PLANE_CAP`` candidates (``_w_chunks``), and one array kernel counts the lattice
-parameters of a whole chunk (``_lattice_counts``).  The scalar generator
-``_uw_tuples`` is the reference enumeration and serves ``verify_bijection``.
+parameters of a whole chunk (``_lattice_counts``).  ``verify_bijection``
+walks their scalar forms, the generators ``_uw_tuples`` and ``_lattice_runs``.
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
     whose y-box admits the tuple.
 
     This scalar generator is the reference enumeration: ``verify_bijection``
-    maps its tuples forward, and the tests check the array build
-    ``_w_chunks`` against it."""
+    walks its tuples and the lattice points ``_lattice_runs`` yields for
+    each, and the tests check the array build ``_w_chunks`` against it."""
     for u1 in range(u1_lo, u1_hi):
         for u2 in range(u1, math.isqrt(P) + 1):
             if math.gcd(u1, u2) != 1:
@@ -438,6 +438,25 @@ def _lattice_counts(u1: int, u2: int, u3, q1, q2, q3) -> np.ndarray:
     return K
 
 
+def _lattice_runs(u1: int, u2: int, u3: int, q1: int, q2: int, q3: int):
+    """The points (r1, r2, r3) that ``_lattice_counts`` counts, as runs
+    (r1, r2s, r3s) of ranges whose product holds the run's points: as in the
+    kernel, the shorter of the decoupled r2 and r3 intervals of each r1 is
+    walked, and the third condition cuts the longer one down to a range, so
+    one range of a run has length 1."""
+    for r1 in range(1, u1 + 1):
+        r2s = range(-((q3 - u2 * r1) // u1), (u2 * r1 + q3) // u1 + 1)
+        r3s = range(-((q2 - u3 * r1) // u1), (u3 * r1 + q2) // u1 + 1)
+        if len(r2s) <= len(r3s):
+            for r2 in r2s:
+                lo, hi = -((q1 - u3 * r2) // u2), (u3 * r2 + q1) // u2
+                yield r1, range(r2, r2 + 1), range(max(lo, r3s.start), min(hi + 1, r3s.stop))
+        else:
+            for r3 in r3s:
+                lo, hi = -((q1 - u2 * r3) // u3), (u2 * r3 + q1) // u3
+                yield r1, range(max(lo, r2s.start), min(hi + 1, r2s.stop)), range(r3, r3 + 1)
+
+
 def _torsor_V_chunk(P: int, k: int, T: int) -> int:
     """Worker k's share of V(P) / 8 when T workers split it: the sum of
     n*m*K over the tuples of the grid slices k, k + T, k + 2T, ... of the one
@@ -535,43 +554,28 @@ def torsor_count_N(B: int, threads: int = 1) -> CountReport:
 def verify_bijection(P: int, drop_w_coprimality: bool = False) -> bool:
     """Enumerate every lattice-parametrized tuple with image in the P-box,
     map forward, and compare the multiset of images with naive enumeration.
-    True iff the map is a bijection onto the box solutions."""
+    True iff the map is a bijection onto the box solutions.  It walks the
+    tuples of ``_uw_tuples`` and, for each, the points of ``_lattice_runs``."""
     from senary.cubic import naive_count_V
 
     images: dict[tuple, int] = {}
-    n_tuples = 0
     for n, _, *uw in _uw_tuples(P, 1, P + 1, not drop_w_coprimality):
         # every distinct permutation of the representative's pairs (u_j, w_j)
         orbit = dict.fromkeys(itertools.permutations(zip(uw[:3], uw[3:])))
         for ((u1, w1), (u2, w2), (u3, w3)), u, s1, s2, s3 in itertools.product(
             orbit, range(1, n + 1), (1, -1), (1, -1), (1, -1)
         ):
-            q1, q2, q3 = P // w1, P // w2, P // w3
             a1, a2, a3 = s1 * w1, s2 * w2, s3 * w3
             y = (u * u2 * u3 * a1, u * u1 * u3 * a2, u * u1 * u2 * a3)
-            for r1 in range(1, u1 + 1):
-                r2lo = -((q3 - u2 * r1) // u1)
-                r2hi = (u2 * r1 + q3) // u1
-                r3lo = -((q2 - u3 * r1) // u1)
-                r3hi = (u3 * r1 + q2) // u1
-                for r2 in range(r2lo, r2hi + 1):
-                    lo = max(-((q1 - u3 * r2) // u2), r3lo)
-                    hi = min((u3 * r2 + q1) // u2, r3hi)
-                    for r3 in range(lo, hi + 1):
-                        x = (
-                            a1 * (u2 * r3 - u3 * r2),
-                            a2 * (u3 * r1 - u1 * r3),
-                            a3 * (u1 * r2 - u2 * r1),
-                        )
-                        n_tuples += 1
-                        key = x + y
-                        images[key] = images.get(key, 0) + 1
+            for r1, r2s, r3s in _lattice_runs(u1, u2, u3, P // w1, P // w2, P // w3):
+                for r2, r3 in itertools.product(r2s, r3s):
+                    x = (a1 * (u2 * r3 - u3 * r2), a2 * (u3 * r1 - u1 * r3), a3 * (u1 * r2 - u2 * r1))
+                    key = x + y
+                    images[key] = images.get(key, 0) + 1
     # Images satisfy the cubic and the box constraints by construction, so it
     # suffices to check: no collisions, and the image count matches the naive
     # enumeration (a subset of equal finite size is the whole set).
-    expected = naive_count_V(P).count
-    no_collision = all(c == 1 for c in images.values())
-    return no_collision and len(images) == expected and n_tuples == expected
+    return set(images.values()) <= {1} and len(images) == naive_count_V(P).count
 
 
 # ---------------------------------------------------------------------------

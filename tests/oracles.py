@@ -3,8 +3,9 @@
 Everything here iterates plain Python integers over full boxes with no
 symmetry tricks, so it stays trustworthy (and slow); use only for tiny bounds.
 Two sections keep the scalar form of a kernel that the package now runs over
-arrays: the descent counter's lattice count (``senary.torsor``) and the
-archimedean density's inner integral (``senary.peyre``).
+arrays: the descent counter's lattice count (``senary.torsor``), which counts
+the runs of the package's own scalar enumerator, and the archimedean
+density's inner integral (``senary.peyre``).
 """
 
 import itertools
@@ -96,33 +97,17 @@ def descent_uw_tuples(P, w_coprime=True):
 
 # --- descent counter: the scalar lattice kernel ------------------------------
 # The one-tuple-at-a-time form of the torsor V counter that the array kernel
-# in ``senary.torsor`` replaces.  It walks the package's scalar ``_uw_tuples``,
-# which ``descent_uw_tuples`` above checks by brute force.
+# in ``senary.torsor`` replaces.  It walks the package's scalar ``_uw_tuples``
+# and counts the runs of its scalar ``_lattice_runs``; the tests check both
+# by brute force (``descent_uw_tuples`` above, and a box of r for the runs).
 
 
 def r_pair_count(u1, u2, u3, q1, q2, q3):
     """Count (r1 in {1..u1}, r2, r3) with |u1 r2 - u2 r1| <= q3,
-    |u3 r1 - u1 r3| <= q2 and |u2 r3 - u3 r2| <= q1, iterating the shorter of
-    the two decoupled intervals and intersecting the coupled one."""
-    total = 0
-    for r1 in range(1, u1 + 1):
-        r2lo = -((q3 - u2 * r1) // u1)
-        r2hi = (u2 * r1 + q3) // u1
-        r3lo = -((q2 - u3 * r1) // u1)
-        r3hi = (u3 * r1 + q2) // u1
-        if r2hi < r2lo or r3hi < r3lo:
-            continue
-        if r2hi - r2lo <= r3hi - r3lo:
-            for r2 in range(r2lo, r2hi + 1):
-                lo = max(-((q1 - u3 * r2) // u2), r3lo)
-                hi = min((u3 * r2 + q1) // u2, r3hi)
-                total += max(hi - lo + 1, 0)
-        else:
-            for r3 in range(r3lo, r3hi + 1):
-                lo = max(-((q1 - u2 * r3) // u3), r2lo)
-                hi = min((u2 * r3 + q1) // u3, r2hi)
-                total += max(hi - lo + 1, 0)
-    return total
+    |u3 r1 - u1 r3| <= q2 and |u2 r3 - u3 r2| <= q1, run by run."""
+    from senary.torsor import _lattice_runs
+
+    return sum(len(r2s) * len(r3s) for _, r2s, r3s in _lattice_runs(u1, u2, u3, q1, q2, q3))
 
 
 def torsor_V_chunk(P, u1_lo, u1_hi):

@@ -180,7 +180,7 @@ def test_criterion_09_finite_field_counts():
 
 
 def test_criterion_10_per_prime_factor_identities():
-    ok = all(factor_identity_check(p) for p in primes_up_to(10_000).primes)
+    ok = all(factor_identity_check(p) for p in primes_up_to(10_000).tolist())
     _report("10 per-prime factor identities p <= 10^4 (exact)", ok)
 
 

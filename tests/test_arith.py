@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from senary.arith import (
-    PrimeTable,
     Rational,
     factorize,
     gcd_many,
@@ -18,13 +18,14 @@ from senary.arith import (
 
 
 def test_primes_up_to_examples():
-    assert primes_up_to(10).primes == (2, 3, 5, 7)
-    assert primes_up_to(2).primes == (2,)
-    assert primes_up_to(30).primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert primes_up_to(10).tolist() == [2, 3, 5, 7]
+    assert primes_up_to(2).tolist() == [2]
+    assert primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert primes_up_to(30).dtype == np.int64
 
 
 def test_is_prime_agrees_with_the_sieve():
-    assert [n for n in range(-3, 200) if is_prime(n)] == list(primes_up_to(199).primes)
+    assert [n for n in range(-3, 200) if is_prime(n)] == primes_up_to(199).tolist()
 
 
 @pytest.mark.parametrize(
@@ -57,16 +58,12 @@ def test_primes_up_to_rejects_tiny_limit():
 def test_primes_up_to_shares_the_table_of_the_last_limit():
     table = primes_up_to(1000)
     assert primes_up_to(1000) is table
+    assert not table.flags.writeable  # shared, so read-only
     for limit in (1, 0, -5):
         with pytest.raises(ValueError):
             primes_up_to(limit)
-    assert primes_up_to(10).primes == (2, 3, 5, 7)
-    assert primes_up_to(1000).primes == table.primes
-
-
-def test_prime_table_must_be_ascending():
-    with pytest.raises(ValueError):
-        PrimeTable(10, (3, 2))
+    assert primes_up_to(10).tolist() == [2, 3, 5, 7]
+    assert np.array_equal(primes_up_to(1000), table)
 
 
 def test_gcd_many_examples():

@@ -227,11 +227,28 @@ def test_verify_bijection(capsys):
 
 
 def test_verify_mobius(capsys):
-    code, out = run(capsys, "verify", "mobius", "--bmax", "64")
-    assert code == EXIT_OK
-    lines = [json.loads(l) for l in out.splitlines()]
-    assert [l["B"] for l in lines] == [1, 8, 27, 64]
-    assert all(l["ok"] and l["discrepancy"] == 0 for l in lines)
+    for threads in ([], ["--threads", "2"]):
+        code, out = run(capsys, "verify", "mobius", "--bmax", "64", *threads)
+        assert code == EXIT_OK
+        lines = [json.loads(l) for l in out.splitlines()]
+        assert [l["B"] for l in lines] == [1, 8, 27, 64]
+        assert all(l["ok"] and l["discrepancy"] == 0 for l in lines)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ("constants alpha --format csv", EXIT_USAGE),
+        ("verify lift --pmax 2 --format csv", EXIT_USAGE),
+        ("verify lift --pmax 2 --stable-output", EXIT_USAGE),
+        ("graph b-vector --threads 2", EXIT_USAGE),
+        ("constants alpha --threads 2", EXIT_USAGE),
+        ("--format csv --stable-output --threads 2 constants alpha", EXIT_OK),
+    ],
+)
+def test_commands_take_after_them_only_the_shared_flags_they_read(capsys, argv, expected):
+    code, out = run(capsys, *argv.split())
+    assert code == expected and (out == "") == (expected == EXIT_USAGE)
 
 
 def test_verify_factor_identity(capsys):

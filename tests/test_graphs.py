@@ -155,7 +155,7 @@ def test_paper_factor_identity_per_prime():
     # (1 - 9/p^2 + 16/p^3 - 9/p^4 + 1/p^6) == (1 - 1/p)^4 (1 + 4/p + 1/p^2)
     from senary.arith import primes_up_to
 
-    for p in primes_up_to(500).primes:
+    for p in primes_up_to(500).tolist():
         q = Fraction(1, p)
         lhs = euler_factor_exact(SENARY_GRAPH, p, [1] * 6)
         assert lhs == 1 - 9 * q**2 + 16 * q**3 - 9 * q**4 + q**6
@@ -299,7 +299,7 @@ def test_xi_matches_per_prime_factor_loop():
     s = (1.3, 0.9, 1.1, 0.8, 1.2, 1.0)
     value, _ = xi(SENARY_GRAPH, s, 200)
     direct = 1.0
-    for p in primes_up_to(200).primes:
+    for p in primes_up_to(200).tolist():
         direct *= euler_factor(SENARY_GRAPH, p, s)
     assert value == pytest.approx(direct, rel=1e-12)
 

@@ -128,13 +128,13 @@ def test_local_density_matches_finite_field_count(p):
 
 
 def test_local_density_expanded_form():
-    for p in primes_up_to(100).primes:
+    for p in primes_up_to(100).tolist():
         q = Fraction(1, p)
         assert local_density(p) == (1 - q) ** 5 * (1 + 5 * q + 6 * q**2 + 5 * q**3 + q**4)
 
 
 def test_factor_identities():
-    for p in primes_up_to(1000).primes:
+    for p in primes_up_to(1000).tolist():
         assert factor_identity_check(p)
 
 
@@ -306,7 +306,7 @@ def test_consistency_V_to_N():
 def test_consistency_exact_per_prime():
     # with the zeta(3) factor truncated to the same primes, the identity is
     # exact factor by factor
-    for p in primes_up_to(50).primes:
+    for p in primes_up_to(50).tolist():
         q = Fraction(1, p)
         graph_factor = 1 - 9 * q**2 + 16 * q**3 - 9 * q**4 + q**6
         assert (1 - q**3) * graph_factor == local_density(p)

@@ -27,6 +27,7 @@ from senary.torsor import (
     TriProjectivePoint,
     _coprime_table,
     _lattice_counts,
+    _lattice_runs,
     _torsor_V_chunk,
     _uw_tuples,
     _w_chunks,
@@ -298,6 +299,26 @@ def test_lattice_kernel_matches_the_scalar_kernel(drawn):
     u3, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
     K = _lattice_counts(u1, u2, u3, q1, q2, q3).tolist()
     assert K == [r_pair_count(u1, u2, *key) for key in keys]
+
+
+@settings(max_examples=200)
+@given(
+    st.tuples(*[st.integers(1, 12)] * 3).filter(lambda u: math.lcm(*u) == math.prod(u)),
+    st.tuples(*[st.integers(0, 6)] * 3),
+)
+@example((1, 1, 1), (0, 0, 0))
+@example((12, 5, 7), (6, 0, 3))
+def test_lattice_runs_yield_every_lattice_point_once(u, q):
+    (u1, u2, u3), (q1, q2, q3) = u, q
+    # |r2| <= (q3 + u2 r1) / u1 <= q3 + u2 <= 18, and |r3| likewise
+    r1, r2, r3 = np.meshgrid(np.arange(1, u1 + 1), *[np.arange(-20, 21)] * 2, indexing="ij")
+    inside = (abs(u1 * r2 - u2 * r1) <= q3) & (abs(u3 * r1 - u1 * r3) <= q2)
+    inside &= abs(u2 * r3 - u3 * r2) <= q1
+    runs = list(_lattice_runs(u1, u2, u3, q1, q2, q3))
+    assert all(1 in (len(r2s), len(r3s)) for _, r2s, r3s in runs)
+    points = [(s, *p) for s, r2s, r3s in runs for p in itertools.product(r2s, r3s)]
+    assert len(set(points)) == len(points)
+    assert set(points) == set(zip(*(x[inside].tolist() for x in (r1, r2, r3))))
 
 
 def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
