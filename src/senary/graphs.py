@@ -372,7 +372,7 @@ def zeta_truncated(s: float, prime_limit: int) -> tuple[float, float]:
     the multiplicative error."""
     if s <= 1:
         raise ValueError("need s > 1")
-    value = float(np.prod(1.0 / (1.0 - primes_up_to(prime_limit) ** (-s))))
+    value = float(np.prod(1.0 / (1.0 - primes_up_to(prime_limit) ** -float(s))))
     tail_log = 2.0 * prime_limit ** (1.0 - s) / ((s - 1.0) * math.log(2.0))
     return value, value * math.expm1(tail_log)
 

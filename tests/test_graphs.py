@@ -329,6 +329,7 @@ def test_zeta_truncated_matches_scipy():
 
     value, tail = zeta_truncated(2.0, 100_000)
     assert abs(value - float(scipy_zeta(2.0))) <= tail
+    assert zeta_truncated(2, 100_000) == (value, tail)  # an int s on the int64 primes
 
 
 def test_tg_series_empty_and_single_edge():
