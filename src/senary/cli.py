@@ -194,10 +194,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
                 ).to_json()
             )
         elif name == "mu-infinity":
-            if args.budget is not None:
-                out.emit(peyre.archimedean_density(args.tolerance, budget=args.budget).to_json())
-            else:
-                out.emit(peyre.archimedean_density(args.tolerance).to_json())
+            out.emit(peyre.archimedean_density(args.tolerance).to_json())
         elif name == "euler":
             value, tail = peyre._euler_product_local(args.prime_limit)
             out.emit(
@@ -212,16 +209,13 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         else:
             raise ValueError(f"unknown constant {name!r}")
     except peyre.QuadratureNonconvergence as exc:
-        def finite(v):
-            return v if math.isfinite(v) else None
-
         out.emit(
             json.dumps(
                 {
                     "name": name,
                     "error": "nonconvergent",
-                    "best_value": finite(exc.best_value),
-                    "error_estimate": finite(exc.error_estimate),
+                    "best_value": exc.best_value,
+                    "error_estimate": exc.error_estimate,
                 },
                 sort_keys=True,
             )
@@ -280,24 +274,22 @@ def _parse_s(text: str | None):
 
 
 _COMMON = {
-    "--threads": {"type": int, "help": "worker processes (or SENARY_THREADS)"},
+    "--threads": {"type": int, "default": 1, "help": "worker processes"},
     "--output": {"help": "write to file instead of stdout"},
     "--format": {"choices": ("csv", "json"), "default": "csv"},
     "--stable-output": {"action": "store_true", "help": "zero the timing column"},
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, flags, suppress: bool):
-    # shared flags: every command takes them all before the subcommand, and after
-    # it the ones it reads; the copies there use SUPPRESS to keep the global values
+def _add_common(parser: argparse.ArgumentParser, flags):
+    # shared flags: each subcommand registers the ones it reads; the top-level
+    # parser registers none, so each flag has one place on the command line
     for flag in flags:
-        spec = {**_COMMON[flag], "default": argparse.SUPPRESS} if suppress else _COMMON[flag]
-        parser.add_argument(flag, **spec)
+        parser.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="senary", description=__doc__, allow_abbrev=False)
-    _add_common(parser, _COMMON, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="run a counter", allow_abbrev=False)
@@ -305,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--height", type=int, default=None, help="height bound B")
     c.add_argument("--method", choices=("naive", "torsor", "both"), default="naive")
     c.add_argument("--primitive", action="store_true")
-    _add_common(c, _COMMON, suppress=True)
+    _add_common(c, _COMMON)
 
     v = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     v.add_argument(
@@ -319,14 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=_positive_int, default=None, help="series truncation")
     v.add_argument("--degree", type=int, default=None)
     v.add_argument("--prime-limit", type=int, default=100_000)
-    _add_common(v, ("--threads", "--output"), suppress=True)
+    _add_common(v, ("--threads", "--output"))
 
     k = sub.add_parser("constants", help="compute one constant", allow_abbrev=False)
     k.add_argument("name", choices=("alpha", "mu-infinity", "euler", "theta", "leading-v"))
     k.add_argument("--prime-limit", type=int, default=100_000)
     k.add_argument("--tolerance", type=float, default=0.01)
-    k.add_argument("--budget", type=_positive_int, default=None, help="quadrature sample cap")
-    _add_common(k, ("--output",), suppress=True)
+    _add_common(k, ("--output",))
 
     g = sub.add_parser("graph", help="coprimality-graph computations", allow_abbrev=False)
     g.add_argument("action", choices=("b-vector", "euler", "xi"))
@@ -334,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p", type=int, default=2)
     g.add_argument("--s", default=None)
     g.add_argument("--prime-limit", type=int, default=100_000)
-    _add_common(g, ("--output",), suppress=True)
+    _add_common(g, ("--output",))
     return parser
 
 
@@ -345,9 +336,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.threads is None:
-            args.threads = int(os.environ.get("SENARY_THREADS") or 1)
-        if args.threads < 1:
+        if "threads" in args and args.threads < 1:
             raise ValueError("threads must be >= 1")
         command = {
             "count": _cmd_count,

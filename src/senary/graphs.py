@@ -202,20 +202,11 @@ def _check_euler_region(G: CoprimalityGraph, s) -> float:
     return m
 
 
-def euler_factor(G: CoprimalityGraph, p: int, s, weights=None) -> float:
-    """One Euler factor: S_G evaluated at x_j = alpha_j(p) * p^-s_j.
-
-    ``weights`` is an optional per-vertex completely multiplicative weight,
-    called as weights(j, p) with j in 1..r; default is the constant 1.
-    """
+def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
+    """One Euler factor: S_G evaluated at x_j = p^-s_j."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    s = _exponents(G, s)
-    vals = []
-    for j in range(1, G.r + 1):
-        a = 1.0 if weights is None else weights(j, p)
-        vals.append(a * p ** (-s[j - 1]))
-    return sg_polynomial(G).evaluate(vals)
+    return sg_polynomial(G).evaluate([p ** (-sj) for sj in _exponents(G, s)])
 
 
 def euler_factor_exact(G: CoprimalityGraph, p: int, s) -> Fraction:

@@ -29,7 +29,7 @@ TWO_PI_LOG_CONSTANT = math.pi**2 + 24.0 * math.log(2.0) - 3.0  # appears as 12*(
 
 
 class QuadratureNonconvergence(RuntimeError):
-    """Raised when the sample budget is exhausted before the tolerance is met;
+    """Raised when the level schedule runs out before the tolerance is met;
     carries the best estimate obtained so far."""
 
     def __init__(self, message: str, best_value: float, error_estimate: float):
@@ -345,29 +345,25 @@ _QUAD_DOMAIN_MARGIN = 0.05  # allowance for the [-L, L] truncation
 _QUAD_L = 18.0
 
 
-def archimedean_density(
-    tolerance: float = 0.01, budget: int = 60_000_000, region: str = "full"
-) -> ConstantReport:
+def archimedean_density(tolerance: float = 0.01, region: str = "full") -> ConstantReport:
     """Archimedean density by deterministic quadrature.
 
     ``tolerance`` is the requested relative accuracy (heuristic two-level
-    estimate, reported in the result); ``budget`` caps the total number of
-    outer grid points.  ``region='unit-cell'`` restricts to the cell where the
-    max in the denominator equals 1 (used by consistency tests).
+    estimate, reported in the result).  The level pairs of ``_QUAD_SCHEDULE``
+    run in turn until one meets it; the provenance names that pair and counts
+    the grid points of every level evaluated, each once.
+    ``region='unit-cell'`` restricts to the cell where the max in the
+    denominator equals 1 (used by consistency tests).
     """
     if not (math.isfinite(tolerance) and tolerance >= 1e-3):
         raise ValueError(f"tolerance must be finite and >= 1e-3 (fixed schedule), got {tolerance}")
     if region not in ("full", "unit-cell"):
         raise ValueError("region must be 'full' or 'unit-cell'")
     unit_cell = region == "unit-cell"
-    spent = 0
-    best = None
+    evaluated = set()
     best_err = math.inf
     for n_lo, n_hi in _QUAD_SCHEDULE:
-        cost = 2 * (n_lo**3 + n_hi**3)
-        if spent + cost > budget:
-            break
-        spent += cost
+        evaluated.update((n_lo, n_hi))
         coarse = _outer_level(n_lo, _QUAD_L, unit_cell)
         fine = _outer_level(n_hi, _QUAD_L, unit_cell)
         value = (4.0 * fine - coarse) / 3.0  # Richardson for the h^2 term
@@ -384,14 +380,12 @@ def archimedean_density(
                     "method": "orthant split + closed-form inner integral + log-grid midpoint",
                     "levels": [n_lo, n_hi],
                     "log_box_halfwidth": _QUAD_L,
-                    "samples": spent,
+                    "samples": 2 * sum(n**3 for n in evaluated),  # both values of eps
                     "error_estimate": "two-level Richardson difference (heuristic)",
                 },
             )
     raise QuadratureNonconvergence(
-        f"budget {budget} exhausted before reaching relative tolerance {tolerance}",
-        best if best is not None else math.nan,
-        best_err,
+        f"level schedule ended before reaching relative tolerance {tolerance}", best, best_err
     )
 
 
@@ -438,7 +432,7 @@ def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> Con
     (alpha x numeric archimedean density x exact local densities) and compared
     against the closed form (1/324)(pi^2 + 24 log 2 - 3) x Euler product.
 
-    Raises if the two paths disagree beyond the combined error budget.
+    Raises if the two paths disagree beyond their combined error bound.
     """
     if prime_limit < 1000:
         raise ValueError("prime_limit must be at least 1000")

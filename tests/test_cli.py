@@ -3,7 +3,7 @@ import json
 import pytest
 
 from oracles import exhaustive_V
-from senary import cubic
+from senary import cubic, peyre
 from senary.cli import EXIT_OK, EXIT_USAGE, main
 from senary.torsor import _MAX_TORSOR_BOUND
 
@@ -89,7 +89,7 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 
 def test_json_format(capsys):
-    code, out = run(capsys, "--format", "json", "--stable-output", "count", "--box", "2")
+    code, out = run(capsys, "count", "--box", "2", "--format", "json", "--stable-output")
     assert code == EXIT_OK
     obj = json.loads(out.splitlines()[0])
     assert obj["count"] == 928 and obj["method"] == "naive"
@@ -101,18 +101,10 @@ def test_output_is_byte_identical_across_runs(capsys):
     assert first == second
 
 
-def test_threads_do_not_change_counts(capsys, monkeypatch):
+def test_threads_do_not_change_counts(capsys):
     _, serial = run(capsys, "count", "--box", "6", "--stable-output")
-    monkeypatch.setenv("SENARY_THREADS", "2")
-    _, parallel = run(capsys, "count", "--box", "6", "--stable-output")
+    _, parallel = run(capsys, "count", "--box", "6", "--stable-output", "--threads", "2")
     assert serial == parallel
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_threads_env_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("SENARY_THREADS", value)
-    code, out = run(capsys, "count", "--box", "2")
-    assert code == EXIT_USAGE and out == ""
 
 
 @pytest.mark.parametrize(
@@ -121,7 +113,7 @@ def test_bad_threads_env_is_usage_error(capsys, monkeypatch, value):
         ("verify", "bijection", "--pmax", "0"),
         ("verify", "mobius", "--bmax", "0"),
         ("verify", "theorem3", "--n", "0"),
-        ("constants", "mu-infinity", "--budget", "-1"),
+        ("count", "--box", "2", "--threads", "abc"),
     ],
 )
 def test_non_positive_sizes_are_usage_errors(capsys, argv):
@@ -132,8 +124,8 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("constants", "mu-infinity", "--tolerance", "nan", "--budget", "10"),
-        ("constants", "mu-infinity", "--tolerance", "inf", "--budget", "10"),
+        ("constants", "mu-infinity", "--tolerance", "nan"),
+        ("constants", "mu-infinity", "--tolerance", "inf"),
         ("constants", "alpha", "--tolerance", "nan"),
         ("constants", "alpha", "--tolerance", "inf"),
         ("graph", "euler", "--p", "0"),
@@ -243,7 +235,10 @@ def test_verify_mobius(capsys):
         ("verify lift --pmax 2 --stable-output", EXIT_USAGE),
         ("graph b-vector --threads 2", EXIT_USAGE),
         ("constants alpha --threads 2", EXIT_USAGE),
-        ("--format csv --stable-output --threads 2 constants alpha", EXIT_OK),
+        ("--format csv --stable-output --threads 2 constants alpha", EXIT_USAGE),
+        ("--format json count --box 2", EXIT_USAGE),
+        ("--output F count --box 1", EXIT_USAGE),
+        ("constants mu-infinity --budget 10", EXIT_USAGE),
     ],
 )
 def test_commands_take_after_them_only_the_shared_flags_they_read(capsys, argv, expected):
@@ -294,20 +289,16 @@ def test_constants_euler(capsys):
     assert 0 < obj["value"] < 1
 
 
-def test_constants_nonconvergent_exit_code(capsys):
+def test_constants_nonconvergent_exit_code(capsys, monkeypatch):
     from senary.cli import EXIT_NONCONVERGENT
 
-    code, out = run(capsys, "constants", "mu-infinity", "--tolerance", "0.01", "--budget", "10")
-    assert code == EXIT_NONCONVERGENT
-    obj = json.loads(out)  # strict JSON: non-finite best estimates become null
-    assert obj["error"] == "nonconvergent" and obj["best_value"] is None
-    code, out = run(
-        capsys, "constants", "mu-infinity", "--tolerance", "0.01", "--budget", "200000"
-    )
+    monkeypatch.setattr(peyre, "_QUAD_SCHEDULE", ((16, 32),))
+    code, out = run(capsys, "constants", "mu-infinity", "--tolerance", "0.01")
     assert code == EXIT_NONCONVERGENT
     obj = json.loads(out)
-    # a coarse level fits this budget, so the best estimate is emitted and its
-    # error bar still brackets the target
+    # the schedule ran out, but its best estimate is emitted and its error bar
+    # still brackets the target
+    assert obj["error"] == "nonconvergent"
     assert abs(obj["best_value"] - 282.0616408143365) <= obj["error_estimate"]
 
 
@@ -339,14 +330,14 @@ def test_graph_xi(capsys):
 
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "rows.csv"
-    code, out = run(capsys, "--output", str(path), "count", "--box", "1", "--stable-output")
+    code, out = run(capsys, "count", "--box", "1", "--stable-output", "--output", str(path))
     assert code == EXIT_OK and out == ""
     assert path.read_text().splitlines()[1] == "1,naive,56,0.000"
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
     path = tmp_path / "missing" / "rows.csv"
-    code = main(["--output", str(path), "count", "--box", "1"])
+    code = main(["count", "--box", "1", "--output", str(path)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err.startswith(f"senary: cannot write {path}: ")
@@ -359,7 +350,7 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cubic, "naive_count_V", no_work)
     path = tmp_path / "missing" / "rows.csv"
-    code = main(["--output", str(path), "count", "--box", "1"])
+    code = main(["count", "--box", "1", "--output", str(path)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err.startswith(f"senary: cannot write {path}: ")
@@ -371,6 +362,6 @@ def test_output_check_leaves_no_file_and_keeps_an_old_one(tmp_path, capsys):
     fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
     old.write_text("kept\n")
     for path in (fresh, old):
-        code = main(["--output", str(path), "count", "--box", "1", "--primitive"])
+        code = main(["count", "--box", "1", "--primitive", "--output", str(path)])
         assert code == EXIT_USAGE
     assert not fresh.exists() and old.read_text() == "kept\n"

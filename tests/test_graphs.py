@@ -138,12 +138,6 @@ def test_euler_factor_examples():
     assert euler_factor(SINGLE_EDGE, 3, (2.0, 2.0)) == pytest.approx(1 - 3.0**-4, abs=1e-15)
 
 
-def test_euler_factor_weights_hook():
-    # completely multiplicative weight alpha_j(p) = p shifts the exponent by 1
-    weighted = euler_factor(SINGLE_EDGE, 5, (2.0, 2.0), weights=lambda j, p: float(p))
-    assert weighted == pytest.approx(euler_factor(SINGLE_EDGE, 5, (1.0, 1.0)), rel=1e-14)
-
-
 def test_euler_factor_via_b_vector():
     for p in (2, 3, 5, 7):
         b = b_coefficients(SENARY_GRAPH).b

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracles
+from senary import peyre
 from senary.arith import primes_up_to
 from senary.graphs import SENARY_GRAPH, xi
 from senary.peyre import (
@@ -147,18 +148,29 @@ def test_archimedean_density_hits_target_within_one_percent():
     assert abs(report.value - MU_TARGET) <= report.tolerance
 
 
-def test_archimedean_error_bound_contains_target_at_low_budget():
-    # minimal budget: only the coarsest level pair fits; ask only for the
-    # accuracy that level can certify and check the bound still brackets the
-    # target (no false convergence claims)
-    report = archimedean_density(0.12, budget=2 * (16**3 + 32**3) + 1)
+# (96, 192) and (128, 256), the last two scheduled pairs, cost too much here
+@pytest.mark.parametrize("n_lo, n_hi", [(16, 32), (32, 64), (64, 128)])
+def test_archimedean_error_bound_contains_target_at_each_level(monkeypatch, n_lo, n_hi):
+    # tolerance 1.0 accepts the one scheduled pair; its bound must still
+    # bracket the target (no false convergence claims)
+    monkeypatch.setattr(peyre, "_QUAD_SCHEDULE", ((n_lo, n_hi),))
+    report = archimedean_density(1.0)
+    assert report.provenance["levels"] == [n_lo, n_hi]
     assert abs(report.value - MU_TARGET) <= report.tolerance
 
 
-def test_archimedean_nonconvergence_carries_best_estimate():
-    with pytest.raises(QuadratureNonconvergence) as info:
-        archimedean_density(1e-3 + 1e-9, budget=10)
-    assert math.isnan(info.value.best_value) or info.value.best_value > 0
+def test_archimedean_samples_count_each_level_once():
+    # (16, 32) then (32, 64): the levels 16, 32 and 64, both values of eps
+    report = archimedean_density(0.03)
+    assert report.provenance["levels"] == [32, 64]
+    assert report.provenance["samples"] == 2 * (16**3 + 32**3 + 64**3) == 598016
+
+
+def test_archimedean_nonconvergence_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(peyre, "_QUAD_SCHEDULE", ((16, 32),))
+    with pytest.raises(QuadratureNonconvergence, match="schedule") as info:
+        archimedean_density(1e-3)
+    assert abs(info.value.best_value - MU_TARGET) <= info.value.error_estimate
 
 
 def _unit_cell_oracle():
