@@ -111,14 +111,33 @@ def _verify_line(out: _Output, name: str, ok: bool, **details):
     out.emit(json.dumps(obj, sort_keys=True))
 
 
+# the flags each verify suite reads, with the value an absent flag takes; all
+# read --output, and a flag the suite does not read is a usage error
+_VERIFY_SUITES = {
+    "bijection": {"pmax": 10},
+    "mobius": {"bmax": 27000, "threads": 1},
+    "theorem3": {"graph": "senary", "s": None, "n": 50, "prime_limit": 100_000},
+    "tg-series": {"graph": "senary", "degree": 4},
+    "factor-identity": {"pmax": 10_000},
+    "lift": {"pmax": 5},
+    "fp-counts": {"pmax": 11},
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # --pmax, --bmax and --n are >= 1 when given, so `or` only fills in
-    # the suite's default for an absent flag
-    out = _Output(args.output)
     suite = args.suite
+    reads = _VERIFY_SUITES[suite]
+    given = {k for k, v in vars(args).items() if v is not None} - {"command", "suite", "output"}
+    stray = sorted(given - reads.keys())
+    if stray:
+        raise ValueError(f"verify {suite} does not read --{stray[0].replace('_', '-')}")
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    out = _Output(args.output)
     ok = True
     if suite == "bijection":
-        pmax = args.pmax or 10
+        pmax = args.pmax
         for P in range(1, pmax + 1):
             good = torsor.verify_bijection(P)
             _verify_line(out, "bijection", good, P=P)
@@ -127,23 +146,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _verify_line(out, "bijection-negative-control", control)
         ok = ok and control
     elif suite == "mobius":
-        for B, good, diff in cubic.mobius_check(args.bmax or 27000, threads=args.threads):
+        for B, good, diff in cubic.mobius_check(args.bmax, threads=args.threads):
             _verify_line(out, "mobius", good, B=B, discrepancy=diff)
             ok = ok and good
     elif suite == "theorem3":
         G = graphs.CoprimalityGraph.parse(args.graph)
         s = _parse_s(args.s) or (2.0,) * G.r
-        good, residual, allowance = graphs.verify_theorem3(G, s, args.n or 50, args.prime_limit)
+        good, residual, allowance = graphs.verify_theorem3(G, s, args.n, args.prime_limit)
         _verify_line(out, "theorem3", good, residual=residual, allowance=allowance)
         ok = good
     elif suite == "tg-series":
         G = graphs.CoprimalityGraph.parse(args.graph)
-        cap = 4 if args.degree is None else args.degree
-        good = graphs.tg_series_check(G, cap)
-        _verify_line(out, "tg-series", good, degree=cap)
+        good = graphs.tg_series_check(G, args.degree)
+        _verify_line(out, "tg-series", good, degree=args.degree)
         ok = good
     elif suite == "factor-identity":
-        pmax = args.pmax or 10_000
+        pmax = args.pmax
         for p in primes_up_to(pmax).tolist():
             if not peyre.factor_identity_check(p):
                 _verify_line(out, "factor-identity", False, p=p)
@@ -152,7 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif suite == "lift":
         count = 0
         good = True
-        for coords in cubic.iter_box_solutions(args.pmax or 5):
+        for coords in cubic.iter_box_solutions(args.pmax):
             s = cubic.SolutionSextuple(*coords)
             try:
                 torsor.lift_to_X(s)  # validates the equations on construction
@@ -162,7 +180,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _verify_line(out, "lift", good, points=count)
         ok = good
     elif suite == "fp-counts":
-        for p in primes_up_to(max(args.pmax or 11, 2)).tolist():
+        for p in primes_up_to(max(args.pmax, 2)).tolist():
             formula = (p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1)
             good = torsor.count_O_Fp(p) == formula
             _verify_line(out, "fp-descent-scheme", good, p=p)
@@ -300,18 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(c, _COMMON)
 
     v = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
-    v.add_argument(
-        "suite",
-        choices=("bijection", "mobius", "theorem3", "tg-series", "factor-identity", "lift", "fp-counts"),
-    )
-    v.add_argument("--pmax", type=_positive_int, default=None)
-    v.add_argument("--bmax", type=_positive_int, default=None)
-    v.add_argument("--graph", default="senary")
-    v.add_argument("--s", default=None)
-    v.add_argument("--n", type=_positive_int, default=None, help="series truncation")
-    v.add_argument("--degree", type=int, default=None)
-    v.add_argument("--prime-limit", type=int, default=100_000)
-    _add_common(v, ("--threads", "--output"))
+    v.add_argument("suite", choices=tuple(_VERIFY_SUITES))
+    # no defaults here: _VERIFY_SUITES fills in the flags a suite reads
+    v.add_argument("--pmax", type=_positive_int)
+    v.add_argument("--bmax", type=_positive_int)
+    v.add_argument("--graph")
+    v.add_argument("--s")
+    v.add_argument("--n", type=_positive_int, help="series truncation")
+    v.add_argument("--degree", type=int)
+    v.add_argument("--prime-limit", type=int)
+    v.add_argument("--threads", type=int, help="worker processes")
+    _add_common(v, ("--output",))
 
     k = sub.add_parser("constants", help="compute one constant", allow_abbrev=False)
     k.add_argument("name", choices=("alpha", "mu-infinity", "euler", "theta", "leading-v"))
@@ -336,7 +353,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if "threads" in args and args.threads < 1:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ValueError("threads must be >= 1")
         command = {
             "count": _cmd_count,

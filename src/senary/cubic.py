@@ -1,12 +1,15 @@
 """Ground-truth enumeration of integer points on the senary cubic.
 
-One kernel, ``_octant_solutions``, iterates y over the positive octant (sign
-symmetry gives a factor 8), runs x1, x2 over the full box with numpy, and
-solves for x3 with an exact divisibility test; the box, primitive and slice
-counters, the Moebius ladder of ``mobius_check`` and ``iter_box_solutions``
-all consume it.  It is deliberately the simplest correct method and serves as
-the oracle that the descent-based counter in :mod:`senary.torsor` must
-reproduce exactly.
+One kernel, ``_octant_solutions``, takes one (y1, y2) plane of the positive
+octant at a time (sign symmetry gives a factor 8), with x1 and x2 free over
+the box as numpy arrays.  For each (x1, x2) the cubic is linear in (y3, x3),
+and its solutions are one arithmetic progression in y3 with step
+y1*y2 / gcd(x1*y2 + x2*y1, y1*y2); the kernel lays out only the terms inside
+the box.  The box, primitive and slice counters, the Moebius ladder of
+``mobius_check`` and ``iter_box_solutions`` all consume it.  It is
+deliberately plain box arithmetic, sharing no descent coordinates, coprimality
+tables or lattice counts with :mod:`senary.torsor`, and serves as the oracle
+that the descent-based counter must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ COUNT_METHODS = (
     "slice",
 )
 
-# int64 safety: the largest intermediate is 2*P^3 (the x3 numerator).
+# int64 safety: the naive kernel's largest intermediate is base = x1*y2 + x2*y1,
+# at most 2*P^2 (y3 = t*step and |x3| = t*|base/g| are at most P), so int64
+# holds far past this bound; one plane's (2P+1)^2 grid runs out of memory first.
 _MAX_NAIVE_BOUND = 1_600_000
 
 
@@ -103,55 +108,61 @@ def _check_box_bound(P: int):
         raise OverflowError(f"box bound {P} exceeds the int64-checked range")
 
 
-def _octant_solutions(P: int, y1_lo: int, y1_hi: int):
-    """The naive kernel: for each y in the positive octant with y1 in
-    [y1_lo, y1_hi), yield y and the int64 arrays (x1, x2, x3) of its box
-    solutions, with x1, x2 free and x3 found by exact division."""
+def _octant_solutions(P: int, y1s: range):
+    """The naive kernel: for each (y1, y2) in the positive quadrant with y1
+    in ``y1s``, yield y1, y2 and the int64 arrays (y3, x1, x2, x3) of every
+    box solution with y3 >= 1.  With base = x1*y2 + x2*y1 the cubic reads
+    y3*base + x3*y1*y2 = 0; for g = gcd(base, y1*y2) it holds exactly when
+    y3 = t * (y1*y2 // g) and x3 = -t * (base // g), so each (x1, x2) of the
+    box owns the t in 1..n that keep y3 and |x3| <= P, laid out directly."""
     xs = np.arange(-P, P + 1, dtype=np.int64)
     X1, X2 = (X.ravel() for X in np.meshgrid(xs, xs, indexing="ij"))
-    for y1 in range(y1_lo, y1_hi):
+    for y1 in y1s:
         for y2 in range(1, P + 1):
-            d = y1 * y2
             base = X1 * y2 + X2 * y1
-            for y3 in range(1, P + 1):
-                q, r = np.divmod(base * (-y3), d)
-                # few entries divide exactly, so test |x3| <= P on those only
-                i = np.flatnonzero(r == 0)
-                i = i[np.abs(q[i]) <= P]
-                yield (y1, y2, y3), X1[i], X2[i], q[i]
+            g = np.gcd(base, y1 * y2)
+            step, b = y1 * y2 // g, base // g
+            n = np.minimum(P // step, P // np.maximum(np.abs(b), 1))
+            # n[i] copies of each index i, numbered t = 1..n[i] (torsor._ranges)
+            i = np.repeat(np.arange(len(n)), n)
+            t = np.arange(1, len(i) + 1) - (np.cumsum(n) - n)[i]
+            yield y1, y2, t * step[i], X1[i], X2[i], -t * b[i]
 
 
-def _count_chunk(P: int, count, y1_lo: int, y1_hi: int):
-    """Sum of count(y, x1, x2, x3) over the octant solutions with y1 in
-    [y1_lo, y1_hi), an int or an array summed elementwise; count is
+def _count_chunk(P: int, count, k: int, T: int):
+    """Sum of count(y1, y2, y3, x1, x2, x3) over the octant solutions with
+    y1 = 1 + k (mod T), an int or an array summed elementwise; count is
     module-level so the pool can pickle it."""
-    return sum(count(*sol) for sol in _octant_solutions(P, y1_lo, y1_hi))
+    return sum(count(*sol) for sol in _octant_solutions(P, range(1 + k, P + 1, T)))
 
 
-def _count_all(y, x1, x2, x3) -> int:
+def _count_all(y1, y2, y3, x1, x2, x3) -> int:
     return len(x3)
 
 
-def _is_primitive(y, x1, x2, x3) -> np.ndarray:
+def _is_primitive(y1, y2, y3, x1, x2, x3) -> np.ndarray:
     """Mask of the solutions whose six coordinates have gcd 1 (np.gcd ignores
     signs)."""
-    return np.gcd(np.gcd(np.gcd(x1, x2), x3), math.gcd(*y)) == 1
+    return np.gcd(np.gcd(np.gcd(x1, x2), x3), np.gcd(y3, math.gcd(y1, y2))) == 1
 
 
-def _count_primitive(y, x1, x2, x3) -> int:
-    return int(_is_primitive(y, x1, x2, x3).sum())
+def _count_primitive(*sol) -> int:
+    return int(_is_primitive(*sol).sum())
 
 
-def _count_by_height(R: int, y, x1, x2, x3) -> np.ndarray:
+def _count_by_height(R: int, y1, y2, y3, x1, x2, x3) -> np.ndarray:
     """Solutions binned by height h = max(y1, y2, y3, |x1|, |x2|, |x3|) in
     0..R: row 0 counts all of them, row 1 the primitive ones."""
-    h = np.maximum(np.maximum(np.abs(x1), np.abs(x2)), np.maximum(np.abs(x3), max(y)))
-    primitive = _is_primitive(y, x1, x2, x3)
+    h = np.maximum(np.maximum(np.abs(x1), np.abs(x2)), np.maximum(np.abs(x3), y3))
+    h = np.maximum(h, max(y1, y2))
+    primitive = _is_primitive(y1, y2, y3, x1, x2, x3)
     return np.stack([np.bincount(h, minlength=R + 1), np.bincount(h[primitive], minlength=R + 1)])
 
 
-def _count_in_slice(Z: frozenset, y, x1, x2, x3) -> int:
-    return 0 if Z.isdisjoint(y) else len(x3)
+def _count_in_slice(Z: frozenset, y1, y2, y3, x1, x2, x3) -> int:
+    if y1 in Z or y2 in Z:
+        return len(x3)
+    return int(np.isin(y3, list(Z)).sum())
 
 
 def iter_box_solutions(P: int):
@@ -160,8 +171,8 @@ def iter_box_solutions(P: int):
     the positive-octant solutions."""
     _check_box_bound(P)
     signs = list(itertools.product((1, -1), repeat=3))
-    for (y1, y2, y3), x1s, x2s, x3s in _octant_solutions(P, 1, P + 1):
-        for x1, x2, x3 in zip(x1s.tolist(), x2s.tolist(), x3s.tolist()):
+    for y1, y2, y3s, x1s, x2s, x3s in _octant_solutions(P, range(1, P + 1)):
+        for y3, x1, x2, x3 in zip(y3s.tolist(), x1s.tolist(), x2s.tolist(), x3s.tolist()):
             for s1, s2, s3 in signs:
                 yield (s1 * x1, s2 * x2, s3 * x3, s1 * y1, s2 * y2, s3 * y3)
 
@@ -182,12 +193,13 @@ def _run_partitioned(jobs: list, threads: int):
 
 
 def _y1_jobs(P: int, count, threads: int) -> list:
-    """The naive kernel's jobs: y1 in 1..P cut into ``threads`` equal ranges,
-    or one range below P = 2 * threads, where a pool would not pay.  The work
-    per y1 is flat, so equal ranges balance."""
+    """The naive kernel's jobs: y1 in 1..P dealt out by stride to ``threads``
+    shares, or one share below P = 2 * threads, where a pool would not pay.
+    Small y1 own the most solutions (their y3 step y1*y2 // g is small), and
+    a stride spreads them over every share, where equal ranges would hand
+    them all to the first."""
     parts = threads if P >= 2 * threads else 1
-    bounds = np.linspace(1, P + 1, parts + 1, dtype=int).tolist()
-    return [(_count_chunk, (P, count, a, b)) for a, b in zip(bounds, bounds[1:]) if a < b]
+    return [(_count_chunk, (P, count, k, parts)) for k in range(parts)]
 
 
 def naive_count_V(P: int, threads: int = 1) -> CountReport:

@@ -246,6 +246,25 @@ def test_commands_take_after_them_only_the_shared_flags_they_read(capsys, argv, 
     assert code == expected and (out == "") == (expected == EXIT_USAGE)
 
 
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        ("bijection", "--bmax 5"),
+        ("mobius", "--pmax 5"),
+        ("theorem3", "--degree 1"),
+        ("tg-series", "--bmax 5"),
+        ("factor-identity", "--threads 2"),
+        ("lift", "--prime-limit 100"),
+        ("fp-counts", "--graph senary"),
+    ],
+)
+def test_verify_suites_refuse_the_flags_they_do_not_read(capsys, suite, flag):
+    code = main(["verify", suite, *flag.split()])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"senary: verify {suite} does not read {flag.split()[0]}\n"
+
+
 def test_verify_factor_identity(capsys):
     code, _ = run(capsys, "verify", "factor-identity", "--pmax", "1000")
     assert code == EXIT_OK

@@ -14,9 +14,12 @@ from oracles import (
     solutions_via_x3,
 )
 from senary.cubic import (
+    _count_all,
     _count_by_height,
     _count_chunk,
+    _count_primitive,
     _primitive_count_by_moebius,
+    _y1_jobs,
     CountReport,
     SolutionSextuple,
     count_degenerate,
@@ -96,11 +99,24 @@ def test_mobius_check_small():
 
 def test_height_bins_match_the_oracles():
     R = 12
-    bins = _count_chunk(R, partial(_count_by_height, R), 1, R + 1)
+    bins = _count_chunk(R, partial(_count_by_height, R), 0, 1)
     V, N2 = (8 * np.cumsum(bins, axis=1)).tolist()
     for r in range(1, R + 1):
         assert V[r] == naive_count_V(r).count
         assert N2[r] == 2 * count_N(r**3).count
+
+
+@pytest.mark.parametrize(
+    "count",
+    [_count_all, _count_primitive, partial(_count_by_height, 12)],
+    ids=["naive_count_V", "count_N", "mobius_check"],
+)
+def test_stride_shares_sum_to_the_serial_pass(count):
+    # the jobs of naive_count_V, count_N and mobius_check at threads = 3
+    R = 12
+    shares = [_count_chunk(*args) for _, args in _y1_jobs(R, count, 3)]
+    assert len(shares) == 3
+    assert np.array_equal(sum(shares), _count_chunk(R, count, 0, 1))
 
 
 def test_mobius_ladder_matches_the_per_radius_check():
@@ -128,7 +144,7 @@ def test_permutation_symmetry_of_box_solutions():
         assert permuted == sols
 
 
-@pytest.mark.parametrize("P", [1, 2, 3, 4])
+@pytest.mark.parametrize("P", range(1, 9))
 def test_iter_box_solutions_matches_x3_oracle(P):
     sols = list(iter_box_solutions(P))
     assert len(sols) == len(set(sols)) == naive_count_V(P).count

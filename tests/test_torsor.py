@@ -353,7 +353,7 @@ def test_torsor_primitive_count_matches_naive(B):
 
 
 # Every counter that splits its work over worker processes, at two bounds.
-# The naive counters split y1 into equal ranges, and only from bound = 2 *
+# The naive counters deal out y1 by stride, and only from bound = 2 *
 # threads on, so the lower bound runs serially at 2 and 3 threads and the
 # upper one is split at both.  The torsor counters deal out grid slices
 # by stride: V(3) and the V(m) of the height counter at 27 have one slice,
