@@ -124,16 +124,21 @@ _VERIFY_SUITES = {
 }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite
-    reads = _VERIFY_SUITES[suite]
+def _suite_flags(args: argparse.Namespace):
+    """Refuse a flag the verify suite does not read, and give the flags it
+    reads their defaults."""
+    reads = _VERIFY_SUITES[args.suite]
     given = {k for k, v in vars(args).items() if v is not None} - {"command", "suite", "output"}
     stray = sorted(given - reads.keys())
     if stray:
-        raise ValueError(f"verify {suite} does not read --{stray[0].replace('_', '-')}")
+        raise ValueError(f"verify {args.suite} does not read --{stray[0].replace('_', '-')}")
     for name, default in reads.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    suite = args.suite
     out = _Output(args.output)
     ok = True
     if suite == "bijection":
@@ -306,8 +311,16 @@ def _add_common(parser: argparse.ArgumentParser, flags):
         parser.add_argument(flag, **_COMMON[flag])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ValueErrors, so that they print
+    the one line every usage error prints; -h still prints help and exits."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="senary", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="senary", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("count", help="run a counter", allow_abbrev=False)
@@ -347,12 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
+        # which flags a suite reads comes before what their values are
+        if args.command == "verify":
+            _suite_flags(args)
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ValueError("threads must be >= 1")
         command = {
@@ -362,6 +374,8 @@ def main(argv=None) -> int:
             "graph": _cmd_graph,
         }[args.command]
         return command(args)
+    except SystemExit as exc:  # -h printed the help
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except (ValueError, OverflowError) as exc:
         print(f"senary: {exc}", file=sys.stderr)
         return EXIT_USAGE

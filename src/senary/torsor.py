@@ -11,9 +11,11 @@ what the fast exact counter iterates over.
 The counter ``torsor_count_V`` loops over the coprime (u1, u2) in Python.
 Below them everything is int64 arrays: the (u3, w1, w2, w3) of the orbit
 representatives are laid out level by level in chunks of about
-``_PLANE_CAP`` candidates (``_w_chunks``), and one array kernel counts the lattice
-parameters of a whole chunk (``_lattice_counts``).  ``verify_bijection``
-walks their scalar forms, the generators ``_uw_tuples`` and ``_lattice_runs``.
+``_PLANE_CAP`` candidates (``_w_chunks``), reduced to their distinct keys
+(u3, P // w1, P // w2, P // w3), and one array kernel counts the lattice
+parameters of each distinct key once (``_lattice_counts``).
+``verify_bijection`` walks their scalar forms, the generators ``_uw_tuples``
+and ``_lattice_runs``.
 """
 
 from __future__ import annotations
@@ -239,20 +241,25 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # ---------------------------------------------------------------------------
 # enumeration helpers
 
-# int64 safety of the array path.  A chunk sums n*m*K over distinct orbit
-# representatives.  K counts v in Z^3 with u.v = 0 and |v_j| <= q_j <= P, and
-# v1 is fixed by (v2, v3), so K <= (2P+1)^2; sum n*m over all representatives
-# is P^3 (one descent tuple per positive y-triple).  So every chunk sum, and
-# every running sum of lattice counts inside the kernel, is at most
-# P^3 (2P+1)^2, which stays below 2^63 up to P = 4704.  The other
+# int64 safety of the array path.  A plane's sum adds n*M*K over its distinct
+# keys (u3, q1, q2, q3), M the sum of the orbit sizes m of the tuples with the
+# key.  K counts v in Z^3 with u.v = 0 and |v_j| <= q_j <= P, and v1 is fixed
+# by (v2, v3), so K <= (2P+1)^2; the n*M over all keys add up to the n*m over
+# all representatives, which is P^3 (one descent tuple per positive
+# y-triple).  So every n*M is at most P^3, and every n*M*K, every partial sum
+# of them, and every running sum of lattice counts inside the kernel is at
+# most P^3 (2P+1)^2, which stays below 2^63 up to P = 4704.  The packed key,
+# four digits base P + 1, is below (P+1)^4 < 2^48 at P = 4000.  The other
 # intermediates are far smaller: in the kernel |r2|, |r3| <= 2P, so
 # |a*t| + q1 <= 2P^2 + P and the corner values are at most 4P^2.
 _MAX_TORSOR_BOUND = 4000
 
 # Elements laid out at once, by one level of the tuple build or by one slice
-# of the kernel: large enough that the numpy calls per slice are amortised,
-# small enough that the arrays alive at once stay near a MiB (V(100) raises
-# the peak RSS by about 1.1 MiB with this cap, and by 2.6 MiB with twice it).
+# of the kernel, and the keys of one kernel call: large enough that the numpy
+# calls per slice are amortised, small enough that the arrays alive at once
+# stay near a few MiB (above the import, V(100) raises the peak RSS by about
+# 2.6 MiB with this cap, 3.9 MiB with twice it and 1.2 MiB with half; V(300)
+# by 3.8, 6.8 and 2.4 MiB).
 _PLANE_CAP = 1 << 13
 
 
@@ -457,6 +464,34 @@ def _lattice_runs(u1: int, u2: int, u3: int, q1: int, q2: int, q3: int):
                 yield r1, range(max(lo, r2s.start), min(hi + 1, r2s.stop)), range(r3, r3 + 1)
 
 
+def _distinct_keys(keys: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order, each with the int64 sum of its
+    m.  numpy's stable sort of int64 is a merge sort (timsort) that finds
+    the sorted runs the keys of a chunk come in."""
+    order = np.argsort(keys, kind="stable")
+    keys, m = keys[order], m[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(m, starts)
+
+
+def _keyed_sum(P: int, u1: int, u2: int, keys: np.ndarray, M: np.ndarray) -> int:
+    """The sum of n*M*K over the plane (u1, u2)'s packed keys
+    ((u3*(P+1) + P-q1)*(P+1) + P-q2)*(P+1) + P-q3, ``_PLANE_CAP`` keys per
+    ``_lattice_counts`` call."""
+    base = P + 1
+    total = 0
+    for a in range(0, len(keys), _PLANE_CAP):
+        key, d3 = np.divmod(keys[a : a + _PLANE_CAP], base)
+        key, d2 = np.divmod(key, base)
+        u3, d1 = np.divmod(key, base)
+        q1, q2, q3 = P - d1, P - d2, P - d3
+        # P // max(a, b, c) = min(P // a, P // b, P // c) and
+        # P // (u * w) = (P // w) // u
+        n = np.minimum(np.minimum(q1 // (u2 * u3), q2 // (u1 * u3)), q3 // (u1 * u2))
+        total += int(np.dot(n * M[a : a + _PLANE_CAP], _lattice_counts(u1, u2, u3, q1, q2, q3)))
+    return total
+
+
 def _torsor_V_chunk(P: int, k: int, T: int) -> int:
     """Worker k's share of V(P) / 8 when T workers split it: the sum of
     n*m*K over the tuples of the grid slices k, k + T, k + 2T, ... of the one
@@ -464,33 +499,61 @@ def _torsor_V_chunk(P: int, k: int, T: int) -> int:
     k = 0 gives all of V(P) / 8.
 
     The coprime (u1, u2) run in Python; for each, the tuples come as array
-    chunks (``_w_chunks``).  Each tuple is weighted by its orbit size m and
-    its number n of admissible u, and the lattice counts K of a whole chunk
-    come from one call of the array kernel ``_lattice_counts``.
+    chunks (``_w_chunks``).  A tuple's orbit size m depends on its ties, but
+    its number n of admissible u and its lattice count K depend only on its
+    key (u3, q1, q2, q3), q_j = P // w_j.  So the chunks are reduced to their
+    distinct keys, each with the sum M of the orbit sizes m of its tuples,
+    and the array kernel ``_lattice_counts`` runs once per distinct key of
+    the plane, ``_PLANE_CAP`` keys a call (``_keyed_sum``).  At P = 300 the
+    3.8M tuples have 0.3M distinct keys.
+
+    The keys are packed as digits base P + 1 in the order u3, P - q1, P - q2,
+    P - q3, so they rise with (u3, w1, w2, w3), the order of the tuples.
+    Only the keys of the last tuple's (u3, q1) can come again in a later
+    chunk, and they number at most the distinct (P // w2, P // w3), about
+    4P.  The keys below them are final, and they go to the kernel as soon as
+    a call's worth of them has gathered.
 
     A grid slice holds about ``_PLANE_CAP`` cells, so the stride deals out
     thousands of like-sized pieces at P = 300, and the shares come out within
-    a few percent of each other.  Every worker lays out the (u3, w1, w2) rows
-    of every plane, so at P = 300 the shares add up to about 6% more work
-    than one serial pass."""
+    a few percent of each other.  Each worker aggregates the keys of its own
+    slices only.  Every worker lays out the (u3, w1, w2) rows of every plane,
+    so at P = 300 the shares add up to about 6% more work than one serial
+    pass."""
     total = 0
+    base = P + 1
+    digit = P - P // np.arange(1, P + 1)  # digit[w - 1] = P - P // w
     coprime = _coprime_table(P)
     mine = itertools.cycle([j == k for j in range(T)])
+    weights = np.array([6, 3, 1])
     for u1 in range(1, math.isqrt(P) + 1):
         for u2 in range(u1, math.isqrt(P) + 1):
             if math.gcd(u1, u2) != 1:
                 continue
+            # the keys still open, and the final ones not yet counted
+            keys, M = np.zeros(0, np.int64), np.zeros(0, np.int64)
+            final_keys, final_M, final = [], [], 0
             for u3, w1, w2, w3 in _w_chunks(P, u1, u2, coprime, mine):
-                q1, q2, q3 = P // w1, P // w2, P // w3
-                # P // max(a, b, c) = min(P // a, P // b, P // c) and
-                # P // (u * w) = (P // w) // u
-                n = np.minimum(np.minimum(q1 // (u2 * u3), q2 // (u1 * u3)), q3 // (u1 * u2))
+                if not len(u3):
+                    continue
                 if u2 == u1:  # u3 == u2 only when u = (1, 1, 1)
-                    ties = np.add(w2 == w1, (u3 == u2) & (w3 == w2), dtype=np.int64)
-                    n *= np.array([6, 3, 1])[ties]
+                    m = weights[np.add(w2 == w1, (u3 == u2) & (w3 == w2), dtype=np.int64)]
                 else:
-                    n *= 6
-                total += int(np.dot(n, _lattice_counts(u1, u2, u3, q1, q2, q3)))
+                    m = np.full_like(u3, 6)
+                group = u3 * base + digit[w1 - 1]
+                chunk = (group * base + digit[w2 - 1]) * base + digit[w3 - 1]
+                keys, M = _distinct_keys(np.concatenate((keys, chunk)), np.concatenate((M, m)))
+                cut = np.searchsorted(keys, group[-1] * base * base)
+                final_keys.append(keys[:cut])
+                final_M.append(M[:cut])
+                final += cut
+                keys, M = keys[cut:], M[cut:]
+                if final >= _PLANE_CAP:
+                    total += _keyed_sum(P, u1, u2, np.concatenate(final_keys), np.concatenate(final_M))
+                    final_keys, final_M, final = [], [], 0
+            total += _keyed_sum(
+                P, u1, u2, np.concatenate([*final_keys, keys]), np.concatenate([*final_M, M])
+            )
     return total
 
 
@@ -508,10 +571,13 @@ def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     form and the orbit size, and multiply by 8 for the w-sign orbits.
 
     The coprime (u1, u2) run in Python; for each, the (u3, w1, w2, w3) are
-    built as int64 arrays in chunks of about ``_PLANE_CAP`` tuples, and an
-    array kernel (``_lattice_counts``) counts the lattice parameters of a
-    chunk a slice at a time (``_torsor_V_chunk``).  With threads = T > 1,
-    one pool of T workers takes the grid slices by stride.  Bounds above
+    built as int64 arrays in chunks of about ``_PLANE_CAP`` tuples and
+    reduced to their distinct keys (u3, P // w1, P // w2, P // w3), each
+    with the summed orbit sizes of its tuples, and an array kernel
+    (``_lattice_counts``) counts the lattice parameters of each distinct key
+    once, ``_PLANE_CAP`` keys a call (``_torsor_V_chunk``).  With
+    threads = T > 1, one pool of T workers takes the grid slices by stride,
+    and each worker reduces the keys of its own slices.  Bounds above
     ``_MAX_TORSOR_BOUND`` raise OverflowError before any work, since the
     int64 sums could wrap there."""
     _check_torsor_bound(P)

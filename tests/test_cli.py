@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def test_the_cli_runs_without_scipy():
+    # scipy is a test dependency only: importing senary and counting load none of it
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import senary.cli; "
+        "assert senary.cli.main(['count', '--box', '10']) == 0; "
+        "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+    )
+    subprocess.run([sys.executable, "-c", code, src], check=True, capture_output=True)
 
 
 def test_count_box_naive(capsys):
@@ -192,6 +206,12 @@ USAGE_MESSAGES = [
     (("count", "--box", "0"), "bounds must be >= 1"),
     (("count", "--height", "-5"), "bounds must be >= 1"),
     (("count", "--box", "3", "--threads", "0"), "threads must be >= 1"),
+    # a flag the suite does not read is refused whatever its value
+    (("verify", "tg-series", "--threads", "0"), "verify tg-series does not read --threads"),
+    (("verify", "mobius", "--threads", "0"), "threads must be >= 1"),
+    # errors argparse finds print the same one line
+    (("count", "--box", "2", "--threads", "abc"), "argument --threads: invalid int value: 'abc'"),
+    (("count", "--box", "2", "--bogus"), "unrecognized arguments: --bogus"),
     (("count", "--box", "3", "--primitive"), "--primitive applies to height counts; use --height"),
     (("constants", "euler", "--tolerance", "-1"), "tolerance must be positive"),
     (("constants", "alpha", "--tolerance", "0"), "tolerance must be positive"),
@@ -208,6 +228,13 @@ def test_usage_errors_name_the_check_that_failed(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err == f"senary: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("count", "-h"), ("verify", "mobius", "--help")])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and captured.out.startswith("usage: senary") and captured.err == ""
 
 
 def test_verify_bijection(capsys):

@@ -3,8 +3,9 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from senary import graphs
@@ -324,6 +325,42 @@ def test_zeta_truncated_matches_scipy():
     value, tail = zeta_truncated(2.0, 100_000)
     assert abs(value - float(scipy_zeta(2.0))) <= tail
     assert zeta_truncated(2, 100_000) == (value, tail)  # an int s on the int64 primes
+
+
+@settings(max_examples=300)
+@given(st.floats(min_value=1, max_value=500, exclude_min=True))
+@example(1 + 1e-9)
+@example(1.001)
+@example(1.5)
+@example(1.6)
+@example(2.0)
+@example(3.0)
+@example(10.0)
+@example(60.0)
+@example(500.0)
+def test_zeta_matches_mpmath(s):
+    with mpmath.workdps(50):
+        exact = mpmath.zeta(s)
+        assert abs((graphs._zeta(s) - exact) / exact) <= 1e-15
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, 0.0, -2.0, float("nan"), float("inf"), float("-inf")])
+def test_zeta_refuses_s_outside_its_domain(s):
+    with pytest.raises(ValueError):
+        graphs._zeta(s)
+
+
+@pytest.mark.parametrize(
+    "G, s",
+    [(SENARY_GRAPH, (2.0,) * 6), (TRIANGLE, (1.6, 1.7, 1.8)), (SINGLE_EDGE, (1.001, 40.0))],
+)
+def test_dg_tail_matches_the_scipy_zeta(G, s):
+    from scipy.special import zeta as scipy_zeta
+
+    for N in (1, 50, 2000):
+        rest = [math.prod(float(scipy_zeta(x)) for x in s[:j] + s[j + 1 :]) for j in range(G.r)]
+        expected = sum(N ** (1.0 - s[j]) / (s[j] - 1.0) * rest[j] for j in range(G.r))
+        assert graphs._dg_tail(G, s, N) == pytest.approx(expected, rel=1e-14)
 
 
 def test_tg_series_empty_and_single_edge():

@@ -399,6 +399,50 @@ def test_no_workers_is_an_error(counter, bound):
         counter(bound, threads=0)
 
 
+@pytest.mark.parametrize("P", [1, 2, 3, 7, 12, 24, 37, 49, 60])
+def test_aggregated_shares_match_the_scalar_oracle(P):
+    # one scalar kernel call per representative, against the kernel run
+    # once per distinct key, serially and in stride shares
+    expected = torsor_V_chunk(P, 1, P + 1)
+    for T in (1, 2, 3):
+        assert sum(_torsor_V_chunk(P, k, T) for k in range(T)) == expected
+
+
+@pytest.mark.parametrize("cap", [1, 5, 64])
+def test_aggregated_shares_do_not_depend_on_the_cap(monkeypatch, cap):
+    # small caps flush the final keys after almost every chunk, while the
+    # open (u3, q1) group carries over
+    expected = {P: torsor_V_chunk(P, 1, P + 1) for P in (1, 7, 24)}
+    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+    for P, value in expected.items():
+        for T in (1, 2, 3):
+            assert sum(_torsor_V_chunk(P, k, T) for k in range(T)) == value
+
+
+@pytest.mark.parametrize("cap", [5, 1 << 13])
+def test_the_kernel_sees_each_distinct_key_once(monkeypatch, cap):
+    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+    seen = Counter()
+    kernel = torsor._lattice_counts
+
+    def recording(u1, u2, u3, q1, q2, q3):
+        seen.update((u1, u2, *key) for key in zip(*(x.tolist() for x in (u3, q1, q2, q3))))
+        return kernel(u1, u2, u3, q1, q2, q3)
+
+    monkeypatch.setattr(torsor, "_lattice_counts", recording)
+    P = 45
+    _torsor_V_chunk(P, 0, 1)
+    keys = {
+        (u1, u2, u3, P // w1, P // w2, P // w3)
+        for _, _, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, 1, P + 1)
+    }
+    assert set(seen) == keys and set(seen.values()) == {1}
+
+
+def test_torsor_count_V_300_is_pinned():
+    assert torsor_count_V(300).count == 88_832_063_040
+
+
 def test_some_stride_workers_get_no_slice():
     # V(8) has two grid slices, one per (u1, u2) plane: a third worker idles
     assert [_torsor_V_chunk(8, k, 3) > 0 for k in range(3)] == [True, True, False]
