@@ -346,16 +346,19 @@ def truncated_DG(G: CoprimalityGraph, s, N: int) -> tuple[float, float]:
 
 
 # B_2, B_4, ..., B_20
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798, -174611 / 330)
+_BERNOULLI = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798,
+    -174611 / 330,
+)
 
 
 def _zeta(s: float) -> float:
-    """The Riemann zeta function at finite real s > 1, by Euler-Maclaurin: the terms
-    n^-s for n < 10, then the integral, half the n = 10 term and the
-    Bernoulli corrections through B_20 at 10.  The first omitted correction
-    is below 1e-19 of zeta(s) for every s > 1, so the result is good to a
-    few units in the last place (within 2.5e-16 relative of 50-digit values
-    over s in (1, 500])."""
+    """The Riemann zeta function at finite real s > 1, by Euler-Maclaurin:
+    the terms n^-s for n < 10, then the integral, half the n = 10 term and
+    the Bernoulli corrections through B_20 at 10.  The first omitted
+    correction is below 6e-20 of zeta(s) for every s > 1, so the result is
+    good to a few units in the last place (within 3.7e-16 relative of
+    50-digit values at 3,000 points of (1, 500])."""
     if not 1 < s < math.inf:  # also NaN
         raise ValueError(f"zeta needs finite s > 1, got {s}")
     N = 10

@@ -534,7 +534,7 @@ def _torsor_V_chunk(P: int, k: int, T: int) -> int:
             keys, M = np.zeros(0, np.int64), np.zeros(0, np.int64)
             final_keys, final_M, final = [], [], 0
             for u3, w1, w2, w3 in _w_chunks(P, u1, u2, coprime, mine):
-                if not len(u3):
+                if not len(u3):  # a slice of rows can hold no admissible w3
                     continue
                 if u2 == u1:  # u3 == u2 only when u = (1, 1, 1)
                     m = weights[np.add(w2 == w1, (u3 == u2) & (w3 == w2), dtype=np.int64)]
