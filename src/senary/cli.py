@@ -67,20 +67,19 @@ def _emit_report(out: _Output, report, fmt: str, stable: bool):
 def _count_reports(args: argparse.Namespace, method: str) -> list:
     """(kind, report) per requested bound, kind "box" or "height"; every
     report carries the bound the user gave."""
+    count_V = cubic.naive_count_V if method == "naive" else torsor.torsor_count_V
     reports = []
     if args.box is not None:
         if args.primitive:
             raise ValueError("--primitive applies to height counts; use --height")
-        counter = cubic.naive_count_V if method == "naive" else torsor.torsor_count_V
-        reports.append(("box", counter(args.box, threads=args.threads)))
+        reports.append(("box", count_V(args.box, threads=args.threads)))
     if args.height is not None:
         if args.primitive:
             counter = cubic.count_N if method == "naive" else torsor.torsor_count_N
             report = counter(args.height, threads=args.threads)
         else:
             # V of the box of radius floor(B^(1/3)), reported at the height B
-            counter = cubic.naive_count_V if method == "naive" else torsor.torsor_count_V
-            report = counter(integer_cube_root(args.height), threads=args.threads)
+            report = count_V(integer_cube_root(args.height), threads=args.threads)
             report = replace(report, bound=args.height)
         reports.append(("height", report))
     return reports
@@ -194,8 +193,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 goodx = torsor.count_X_Fp(p) == (p * p + p + 1) * (p * p + 4 * p + 1)
                 _verify_line(out, "fp-resolved-variety", goodx, p=p)
                 ok = ok and goodx
-    else:
-        raise ValueError(f"unknown verify suite {suite!r}")
     out.flush()
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -229,8 +226,6 @@ def _cmd_constants(args: argparse.Namespace) -> int:
             out.emit(peyre.peyre_theta(args.prime_limit, args.tolerance).to_json())
         elif name == "leading-v":
             out.emit(peyre.leading_coeff_V(args.prime_limit).to_json())
-        else:
-            raise ValueError(f"unknown constant {name!r}")
     except peyre.QuadratureNonconvergence as exc:
         out.emit(
             json.dumps(
@@ -277,8 +272,6 @@ def _cmd_graph(args: argparse.Namespace) -> int:
                 sort_keys=True,
             )
         )
-    else:
-        raise ValueError(f"unknown graph action {action!r}")
     out.flush()
     return EXIT_OK
 

@@ -34,10 +34,16 @@ COUNT_METHODS = (
     "slice",
 )
 
-# int64 safety: the naive kernel's largest intermediate is base = x1*y2 + x2*y1,
-# at most 2*P^2 (y3 = t*step and |x3| = t*|base/g| are at most P), so int64
-# holds far past this bound; one plane's (2P+1)^2 grid runs out of memory first.
-_MAX_NAIVE_BOUND = 1_600_000
+# Memory, not int64, bounds the naive kernel: its largest intermediate is
+# base = x1*y2 + x2*y1, at most 2*P^2 (y3 = t*step and |x3| = t*|base/g| are
+# at most P).  One (y1, y2) plane of ``_octant_solutions`` holds seven int64
+# arrays over the (2P+1)^2 grid (X1, X2, base, g, step, b, n) and six over the
+# plane's solutions (i, t and the four it yields).  The plane y1 = y2 = 1 has
+# the most solutions, 4.9, 5.6 and 6.3 per grid cell at P = 100, 200 and 400,
+# and by tracemalloc it peaks at 41, 46 and 51 int64 per grid cell there,
+# about 5 more per doubling of P.  At P = 1000 that is about 57 * 8 * 2001^2
+# bytes, 1.7 GiB; twice the bound would take about 7.4 GiB.
+_MAX_NAIVE_BOUND = 1000
 
 
 def cubic_form(x1: int, x2: int, x3: int, y1: int, y2: int, y3: int) -> int:
@@ -105,7 +111,9 @@ def _check_box_bound(P: int):
     if P < 1:
         raise ValueError("box bound must be >= 1")
     if P > _MAX_NAIVE_BOUND:
-        raise OverflowError(f"box bound {P} exceeds the int64-checked range")
+        raise OverflowError(
+            f"box bound {P} exceeds {_MAX_NAIVE_BOUND}, the largest box the naive kernel holds in memory"
+        )
 
 
 def _octant_solutions(P: int, y1s: range):

@@ -149,12 +149,15 @@ def _exponents(G: CoprimalityGraph, s) -> tuple[float, ...]:
     return s
 
 
-def _subset_masks(G: CoprimalityGraph):
+def sg_polynomial(G: CoprimalityGraph) -> SubsetPolynomial:
+    """S_G = sum over edge subsets U of (-1)^|U| * prod of x_j over the
+    vertices touched by U, by direct 2^|E| enumeration."""
     edges = G.edge_list
     if len(edges) > _MAX_EDGES:
         raise ValueError(f"too many edges ({len(edges)} > {_MAX_EDGES})")
     # vertex bitmask of each edge
     emasks = [(1 << (k - 1)) | (1 << (l - 1)) for k, l in edges]
+    coeffs: dict[int, int] = {}
     for bits in range(1 << len(edges)):
         vmask = 0
         m = bits
@@ -166,39 +169,18 @@ def _subset_masks(G: CoprimalityGraph):
                 sign = -sign
             m >>= 1
             i += 1
-        yield vmask, sign
-
-
-def sg_polynomial(G: CoprimalityGraph) -> SubsetPolynomial:
-    """S_G = sum over edge subsets U of (-1)^|U| * prod of x_j over the
-    vertices touched by U, by direct 2^|E| enumeration."""
-    coeffs: dict[int, int] = {}
-    for vmask, sign in _subset_masks(G):
         coeffs[vmask] = coeffs.get(vmask, 0) + sign
     terms = tuple(sorted((m, c) for m, c in coeffs.items() if c != 0))
     return SubsetPolynomial(G.r, terms)
 
 
 def b_coefficients(G: CoprimalityGraph) -> BVector:
-    """b_k = sum over edge subsets touching exactly k vertices of (-1)^|U|."""
+    """b_k = sum over edge subsets touching exactly k vertices of (-1)^|U|:
+    the coefficients of S_G summed by the degree of their monomials."""
     b = [0] * (G.r + 1)
-    for vmask, sign in _subset_masks(G):
-        b[bin(vmask).count("1")] += sign
+    for mask, coeff in sg_polynomial(G).terms:
+        b[bin(mask).count("1")] += coeff
     return BVector(tuple(b))
-
-
-def _check_euler_region(G: CoprimalityGraph, s) -> float:
-    """Validate the absolute-convergence region; return the minimal exponent
-    sum m over (single-edge) vertex sets."""
-    s = _exponents(G, s)
-    if any(sj <= 0.5 for sj in s):
-        raise ValueError("each exponent must exceed 1/2")
-    if not G.edges:
-        return math.inf
-    m = min(s[k - 1] + s[l - 1] for k, l in G.edges)
-    if m <= 1:
-        raise ValueError("every edge's exponent sum must exceed 1")
-    return m
 
 
 def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
@@ -227,7 +209,12 @@ def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     by the integral of t^-m scaled by 1/log 2.
     """
     s = _exponents(G, s)
-    m = _check_euler_region(G, s)
+    # the region of absolute convergence
+    if any(sj <= 0.5 for sj in s):
+        raise ValueError("each exponent must exceed 1/2")
+    m = min((s[k - 1] + s[l - 1] for k, l in G.edges), default=math.inf)
+    if m <= 1:
+        raise ValueError("every edge's exponent sum must exceed 1")
     poly = sg_polynomial(G)
     primes = primes_up_to(prime_limit)
     product = np.ones(len(primes))
@@ -242,21 +229,29 @@ def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     C = 2 ** len(G.edges)
     if C * prime_limit ** (-m) > 0.5:
         raise ValueError("prime_limit too small for a rigorous tail bound")
+    return value, abs(value) * _euler_tail(C, m, prime_limit)
+
+
+def _euler_tail(C: int, m: float, prime_limit: int) -> float:
+    """expm1 of 2 C L^(1-m) / ((m-1) ln 2), L = prime_limit: the relative
+    tail bound of ``xi`` and ``zeta_truncated``.  A bound too large for a
+    float is refused."""
     tail_log = 2.0 * C * prime_limit ** (1.0 - m) / ((m - 1.0) * math.log(2.0))
-    tail = abs(value) * math.expm1(tail_log)
-    return value, tail
+    try:
+        return math.expm1(tail_log)
+    except OverflowError:
+        raise ValueError(
+            f"the Euler tail bound at prime limit {prime_limit} and exponent sum {m} "
+            "is not finite; raise the prime limit or the exponents"
+        ) from None
 
 
 def _radical_table(N: int) -> tuple[np.ndarray, list[int]]:
     """Map each n in 1..N to the index of its radical; return also the list of
     distinct radicals."""
-    sieve = np.ones(N + 1, dtype=bool)
-    sieve[: min(2, N + 1)] = False
     rads = np.ones(N + 1, dtype=np.int64)
-    for p in range(2, N + 1):
-        if sieve[p]:
-            sieve[2 * p :: p] = False
-            rads[p::p] *= p
+    for p in primes_up_to(max(N, 2)).tolist():  # at N = 1 the slice of p = 2 is empty
+        rads[p::p] *= p
     radicals = sorted(set(int(v) for v in rads[1:]))
     index = {v: i for i, v in enumerate(radicals)}
     idx = np.array([index[int(v)] for v in rads[1:]], dtype=np.int64)
@@ -391,8 +386,7 @@ def zeta_truncated(s: float, prime_limit: int) -> tuple[float, float]:
     if s <= 1:
         raise ValueError("need s > 1")
     value = float(np.prod(1.0 / (1.0 - primes_up_to(prime_limit) ** -float(s))))
-    tail_log = 2.0 * prime_limit ** (1.0 - s) / ((s - 1.0) * math.log(2.0))
-    return value, value * math.expm1(tail_log)
+    return value, value * _euler_tail(1, s, prime_limit)
 
 
 def verify_theorem3(G: CoprimalityGraph, s, N: int, prime_limit: int):

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senary.arith import integer_cube_root, is_prime
+from senary.arith import integer_cube_root, is_prime, primes_up_to
 from senary.cubic import (
     CountReport,
     SolutionSextuple,
-    _check_box_bound,
     _moebius_weights,
     _run_partitioned,
 )
@@ -264,7 +263,8 @@ _PLANE_CAP = 1 << 13
 
 
 def _check_torsor_bound(P: int):
-    _check_box_bound(P)
+    if P < 1:
+        raise ValueError("box bound must be >= 1")
     if P > _MAX_TORSOR_BOUND:
         raise OverflowError(f"box bound {P} exceeds the int64-checked torsor range")
 
@@ -341,13 +341,11 @@ def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
 def _coprime_table(P: int) -> np.ndarray:
     """T[x, y] = (gcd(x, y) == 1) for 1 <= x, y <= P, in a (P+1)^2 bool
     array whose row and column 0 go unused: every prime p <= P strikes out
-    the pairs it divides both of, and p is prime exactly when T[p, p] is
-    still set on reaching it.  It takes 1 MB at P = 1000 and 16 MB at
+    the pairs it divides both of.  It takes 1 MB at P = 1000 and 16 MB at
     ``_MAX_TORSOR_BOUND``."""
     T = np.ones((P + 1, P + 1), dtype=bool)
-    for p in range(2, P + 1):
-        if T[p, p]:
-            T[::p, ::p] = False
+    for p in primes_up_to(max(P, 2)).tolist():  # at P = 1, p = 2 strikes only T[0, 0]
+        T[::p, ::p] = False
     return T
 
 

@@ -217,6 +217,31 @@ USAGE_MESSAGES = [
     (("constants", "alpha", "--tolerance", "0"), "tolerance must be positive"),
     (("constants", "alpha", "--tolerance=-inf"), "tolerance must be positive"),
     (("constants", "alpha", "--tolerance", "nan"), "tolerance must be finite"),
+    # an Euler tail bound that overflows a float: at zeta(1.001), and at xi
+    # with exponent sum 1.001
+    (
+        ("verify", "theorem3", "--graph", "r=2;edges=1-2", "--s", "1.001,40", "--n", "1000"),
+        "the Euler tail bound at prime limit 100000 and exponent sum 1.001 is not finite; "
+        "raise the prime limit or the exponents",
+    ),
+    (
+        ("graph", "xi", "--graph", "r=2;edges=1-2", "--s", "0.5005,0.5005"),
+        "the Euler tail bound at prime limit 100000 and exponent sum 1.001 is not finite; "
+        "raise the prime limit or the exponents",
+    ),
+    # boxes whose naive kernel would not fit in memory, refused before any work
+    (
+        ("count", "--box", "100000", "--method", "naive"),
+        "box bound 100000 exceeds 1000, the largest box the naive kernel holds in memory",
+    ),
+    (
+        ("count", "--height", "1000000000000000000", "--primitive"),
+        "box bound 1000000 exceeds 1000, the largest box the naive kernel holds in memory",
+    ),
+    (
+        ("verify", "lift", "--pmax", "100000"),
+        "box bound 100000 exceeds 1000, the largest box the naive kernel holds in memory",
+    ),
 ]
 
 

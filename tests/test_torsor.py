@@ -336,6 +336,9 @@ def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
         torsor_count_V(P + 1)
     with pytest.raises(OverflowError):
         torsor_count_N((P + 1) ** 3)
+    # the bound itself passes the check, whatever box the naive counter holds
+    monkeypatch.setattr(torsor, "_run_partitioned", lambda jobs, threads: 0)
+    assert torsor_count_V(P).count == 0
 
 
 def test_torsor_V_strided_shares_add_up():
