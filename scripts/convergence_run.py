@@ -3,11 +3,12 @@
 
 Prints the Euler-product drift across prime limits (with the rigorous tail
 bound next to it) and the quadrature refinement ladder for the archimedean
-density against the closed-form target.
+density against the closed-form target, with the seconds each level took.
 """
 
 import argparse
 import sys
+import time
 
 from senary.graphs import SENARY_GRAPH, xi
 from senary.peyre import TWO_PI_LOG_CONSTANT, _outer_level, _QUAD_L
@@ -30,10 +31,12 @@ def main(argv=None) -> int:
 
     target = 12.0 * TWO_PI_LOG_CONSTANT
     print(f"\narchimedean density, target {target:.6f}:")
-    print("grid_n,value,rel_error")
+    print("grid_n,value,rel_error,seconds")
     for n in (int(v) for v in args.levels.split(",")):
-        value = _outer_level(n, _QUAD_L)
-        print(f"{n},{value:.6f},{(value - target) / target:+.3e}")
+        start = time.perf_counter()
+        value = _outer_level.__wrapped__(n, _QUAD_L)  # uncached, so timed in full
+        seconds = time.perf_counter() - start
+        print(f"{n},{value:.6f},{(value - target) / target:+.3e},{seconds:.3f}")
     return 0
 
 

@@ -110,8 +110,9 @@ def _verify_line(out: _Output, name: str, ok: bool, **details):
     out.emit(json.dumps(obj, sort_keys=True))
 
 
-# the flags each verify suite reads, with the value an absent flag takes; all
-# read --output, and a flag the suite does not read is a usage error
+# the flags each verify suite, constant and graph action reads, with the value
+# an absent flag takes; all read --output, and a flag the action does not read
+# is a usage error
 _VERIFY_SUITES = {
     "bijection": {"pmax": 10},
     "mobius": {"bmax": 27000, "threads": 1},
@@ -121,16 +122,37 @@ _VERIFY_SUITES = {
     "lift": {"pmax": 5},
     "fp-counts": {"pmax": 11},
 }
+_CONSTANTS = {
+    "alpha": {},
+    "mu-infinity": {"tolerance": 0.01},
+    "euler": {"prime_limit": 100_000},
+    "theta": {"prime_limit": 100_000, "tolerance": 0.01},
+    "leading-v": {"prime_limit": 100_000},
+}
+_GRAPH_ACTIONS = {
+    "b-vector": {"graph": "senary"},
+    "euler": {"graph": "senary", "p": 2, "s": None},
+    "xi": {"graph": "senary", "s": None, "prime_limit": 100_000},
+}
+# per command: the positional argument that names the action, and its table
+_ACTIONS = {
+    "verify": ("suite", _VERIFY_SUITES),
+    "constants": ("name", _CONSTANTS),
+    "graph": ("action", _GRAPH_ACTIONS),
+}
 
 
-def _suite_flags(args: argparse.Namespace):
-    """Refuse a flag the verify suite does not read, and give the flags it
-    reads their defaults."""
-    reads = _VERIFY_SUITES[args.suite]
-    given = {k for k, v in vars(args).items() if v is not None} - {"command", "suite", "output"}
+def _action_flags(args: argparse.Namespace):
+    """Refuse a flag the command's action does not read, and give the flags
+    it reads their defaults."""
+    key, table = _ACTIONS[args.command]
+    action = getattr(args, key)
+    reads = table[action]
+    given = {k for k, v in vars(args).items() if v is not None} - {"command", key, "output"}
     stray = sorted(given - reads.keys())
     if stray:
-        raise ValueError(f"verify {args.suite} does not read --{stray[0].replace('_', '-')}")
+        flag = stray[0].replace("_", "-")
+        raise ValueError(f"{args.command} {action} does not read --{flag}")
     for name, default in reads.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
@@ -198,9 +220,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    if args.tolerance <= 0:
+    if args.tolerance is not None and args.tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if not math.isfinite(args.tolerance):
+    if args.tolerance is not None and not math.isfinite(args.tolerance):
         raise ValueError("tolerance must be finite")
     out = _Output(args.output)
     name = args.name
@@ -337,17 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(v, ("--output",))
 
     k = sub.add_parser("constants", help="compute one constant", allow_abbrev=False)
-    k.add_argument("name", choices=("alpha", "mu-infinity", "euler", "theta", "leading-v"))
-    k.add_argument("--prime-limit", type=int, default=100_000)
-    k.add_argument("--tolerance", type=float, default=0.01)
+    k.add_argument("name", choices=tuple(_CONSTANTS))
+    # no defaults here, nor for graph: _CONSTANTS and _GRAPH_ACTIONS fill them in
+    k.add_argument("--prime-limit", type=int)
+    k.add_argument("--tolerance", type=float)
     _add_common(k, ("--output",))
 
     g = sub.add_parser("graph", help="coprimality-graph computations", allow_abbrev=False)
-    g.add_argument("action", choices=("b-vector", "euler", "xi"))
-    g.add_argument("--graph", default="senary")
-    g.add_argument("--p", type=int, default=2)
-    g.add_argument("--s", default=None)
-    g.add_argument("--prime-limit", type=int, default=100_000)
+    g.add_argument("action", choices=tuple(_GRAPH_ACTIONS))
+    g.add_argument("--graph")
+    g.add_argument("--p", type=int)
+    g.add_argument("--s")
+    g.add_argument("--prime-limit", type=int)
     _add_common(g, ("--output",))
     return parser
 
@@ -355,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # which flags a suite reads comes before what their values are
-        if args.command == "verify":
-            _suite_flags(args)
+        # which flags an action reads comes before what their values are
+        if args.command in _ACTIONS:
+            _action_flags(args)
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ValueError("threads must be >= 1")
         command = {

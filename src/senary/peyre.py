@@ -155,11 +155,15 @@ def alpha_invariant() -> Rational:
 # a piecewise combination of three explicitly integrable branches.  The
 # breakpoints are the pairwise crossings of the branches; every piece is
 # integrated in closed form (the |alpha + eps*s| branch through the stable
-# substitution y = s / (alpha +- s)).  ``_inner_t5`` evaluates this entrywise
-# over arrays: each row's candidate breakpoints are padded with +inf and
-# sorted, the pieces between consecutive finite breakpoints are summed in
-# order with the branch picked by mask at the piece's geometric midpoint, and
-# the last piece's log-series tail is summed only where it is short.
+# substitution y = s / (alpha +- s)).  ``_inner_t5_pair`` evaluates this
+# entrywise over arrays, both couplings at once.  Each coupling's breakpoints
+# are a list of arrays, an absent crossing repeating a present one (an empty
+# piece), sorted entrywise by a network of np.minimum/np.maximum.  The pieces
+# are summed in order, each with the branch largest at its geometric midpoint,
+# then the tail past the last breakpoint, by Horner where it is a short series.
+# For eps = -1 the two largest, h = (alpha + sqrt(alpha^2 + 4 beta))/2 and
+# alpha + K, need no sort: h >= alpha >= r2 >= beta/r2, alpha - K;
+# h >= sqrt(beta) >= beta/K; and h <= alpha + K as beta = t2 <= K.
 #
 # The remaining three variables are compactified by t -> log t (equivalently:
 # inversion t -> 1/t onto the unit cube plus a logarithmic capture of the
@@ -171,20 +175,17 @@ def alpha_invariant() -> Rational:
 
 
 def _log_series(z: np.ndarray) -> np.ndarray:
-    """sum_{k>=3} z^k/k = -ln(1-z) - z - z^2/2 for |z| < 1/2; an entry stops
-    at its first term below 1e-18 of its sum, the loop once every entry has."""
-    acc = np.zeros_like(z)
-    live = np.arange(len(z))
-    t = z * z * z
-    k = 3
-    while len(live) and k <= 200:
-        term = t / k
-        acc[live] += term
-        going = np.abs(term) > 1e-18 * np.abs(acc[live])
-        live = live[going]
-        t = t[going] * z[live]
-        k += 1
-    return acc
+    """sum_{k>=3} z^k/k = -ln(1-z) - z - z^2/2 for |z| <= 1/2: with u = z/(2-z),
+    -ln(1-z) = 2 atanh(u) makes it z^3/(2(2-z)) + 2 u^3 sum_{j>=0} u^(2j)/(2j+3),
+    and as u^2 <= 1/9 Horner over j = 0..17 leaves out under 1e-18 of it."""
+    d = 2.0 - z
+    u = z / d
+    v = u * u
+    acc = np.full_like(z, 1.0 / 37.0)
+    for j in range(16, -1, -1):
+        acc *= v
+        acc += 1.0 / (2 * j + 3)
+    return (z * z * z) / (2.0 * d) + 2.0 * (u * v) * acc
 
 
 def _tail_plus(alpha: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -206,11 +207,9 @@ def _tail_minus(w: np.ndarray) -> np.ndarray:
 
 def _phi_piece(prev: np.ndarray, b: np.ndarray, alpha: np.ndarray, eps: float) -> np.ndarray:
     """alpha^3 * int_prev^b ds / (s (alpha + eps*s)^3), through the stable
-    substitution y = s / (alpha + eps*s), for b <= alpha when eps < 0.
-
-    That is the only side on which the coupling branch can be the largest
-    between breakpoints: past alpha (eps < 0) every breakpoint is at most
-    alpha + K, and s - alpha <= K up to there."""
+    substitution y = s / (alpha + eps*s), for b <= alpha when eps < 0: past
+    alpha every breakpoint is at most alpha + K, so s - alpha <= K up to there
+    and the coupling branch is never the largest."""
     c = alpha + eps * prev
     e = alpha + eps * b
     ya = prev / c
@@ -225,58 +224,58 @@ def _flat(*arrays) -> tuple[np.ndarray, ...]:
     return tuple(np.ravel(a) for a in arrays)
 
 
-def _inner_t5(t1, t2, t4, eps: float) -> np.ndarray:
-    """Closed-form integral over s in (0, inf) of ds / (s * g(s)^3), entrywise
-    over the broadcast and flattened t1, t2, t4; ``eps`` is +1 or -1."""
+def _sorted_rows(rows: list) -> list:
+    """``rows`` sorted entrywise, smallest first, by odd-even transposition."""
+    for rank in range(len(rows)):
+        for i in range(rank % 2, len(rows) - 1, 2):
+            rows[i : i + 2] = np.minimum(*rows[i : i + 2]), np.maximum(*rows[i : i + 2])
+    return rows
+
+
+def _pieces(bps: list, eps: float, K, alpha, beta, a3, K3, beta3x3) -> np.ndarray:
+    """The integral over s up to the last of the sorted breakpoints ``bps``."""
+    roots = [np.sqrt(b) for b in bps]
+    total = bps[0] ** 3 / beta3x3  # leading branch g = beta/s
+    for j in range(1, len(bps)):
+        prev, b = bps[j - 1], bps[j]
+        # on [prev, b] g is the branch largest at the geometric midpoint; an
+        # empty piece (b = prev) takes the branch g = K, which gives 0
+        sm = roots[j - 1] * roots[j]
+        g_beta = beta / sm
+        g_phi = np.abs(alpha + eps * sm)
+        piece = np.log(b / prev) / K3
+        off = np.nonzero((K < np.maximum(g_beta, g_phi)) & (b > prev))[0]
+        on_beta = g_beta[off] >= g_phi[off]
+        i = off[on_beta]  # g = beta/s
+        lo, hi = prev[i], b[i]
+        piece[i] = (hi * hi * hi - lo * lo * lo) / beta3x3[i]
+        i = off[~on_beta]  # g = |alpha + eps*s|
+        piece[i] = _phi_piece(prev[i], b[i], alpha[i], eps) / a3[i]
+        total += piece
+    return total
+
+
+def _inner_t5_pair(t1, t2, t4) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form integrals over s in (0, inf) of ds / (s * g(s)^3) for eps = +1
+    and -1, entrywise over the broadcast and flattened t1, t2, t4."""
     t1, t2, t4 = _flat(t1, t2, t4)
     K = np.maximum(np.maximum(t1, t2), np.maximum(t4, 1.0))
-    alpha = t1 / t4
-    beta = t2
+    alpha, beta = t1 / t4, t2
     sq = np.sqrt(alpha * alpha + 4.0 * beta)
-    # the candidate breakpoints, each positive, or +inf where a crossing is absent
-    absent = np.full_like(alpha, np.inf)
-    if eps > 0:
-        cols = [beta / K, np.where(K > alpha, K - alpha, absent), 2.0 * beta / (alpha + sq)]
-    else:
-        disc = alpha * alpha - 4.0 * beta
-        real = disc >= 0.0
-        r2 = np.where(real, 0.5 * (alpha + np.sqrt(np.maximum(disc, 0.0))), absent)
-        cols = [
-            beta / K,
-            np.where(alpha > K, alpha - K, absent),
-            alpha + K,
-            alpha,
-            r2,
-            np.where(real, beta / r2, absent),
-            0.5 * (alpha + sq),
-        ]
-    bps = np.sort(np.stack(cols), axis=0)  # one row per rank
-    last = np.max(np.where(bps < np.inf, bps, 0.0), axis=0)
-    bps = np.where(bps < np.inf, bps, last)  # padding becomes empty pieces [last, last]
-    total = bps[0] ** 3 / (3.0 * beta**3)  # leading branch g = beta/s
     a3 = alpha**3
-    K3 = K * K * K
-    with np.errstate(divide="ignore", invalid="ignore"):  # in branches not taken
-        for prev, b in zip(bps, bps[1:]):
-            # on [prev, b] g is the branch largest at the geometric midpoint
-            sm = np.sqrt(prev) * np.sqrt(b)
-            g_beta = beta / sm
-            g_phi = np.abs(alpha + eps * sm)
-            piece = np.where(
-                K >= np.maximum(g_beta, g_phi),
-                np.log(b / prev) / K3,
-                np.where(
-                    g_beta >= g_phi,
-                    (b * b * b - prev * prev * prev) / (3.0 * beta**3),
-                    _phi_piece(prev, b, alpha, eps) / a3,
-                ),
-            )
-            total += np.where(b > prev, piece, 0.0)
-    if eps > 0:
-        total += _tail_plus(alpha, last) / a3
-    else:
-        total += _tail_minus(alpha / (last - alpha)) / a3
-    return total
+    shared = (K, alpha, beta, a3, K * K * K, 3.0 * beta**3)
+    lo = beta / K
+    plus = _sorted_rows([lo, np.where(K > alpha, K - alpha, lo), 2.0 * beta / (alpha + sq)])
+    disc = alpha * alpha - 4.0 * beta
+    real = disc >= 0.0
+    r2 = np.where(real, 0.5 * (alpha + np.sqrt(np.maximum(disc, 0.0))), alpha)
+    minus = _sorted_rows([lo, np.where(alpha > K, alpha - K, alpha), alpha, r2,
+                          np.where(real, beta / r2, alpha)])
+    minus += [0.5 * (alpha + sq), alpha + K]
+    return (
+        _pieces(plus, 1.0, *shared) + _tail_plus(alpha, plus[-1]) / a3,
+        _pieces(minus, -1.0, *shared) + _tail_minus(alpha / (minus[-1] - alpha)) / a3,
+    )
 
 
 def _inner_t5_unit_cell(t1, t2, t4, eps: float) -> np.ndarray:
@@ -298,19 +297,22 @@ def _outer_level(n: int, L: float, unit_cell: bool = False) -> float:
     """One midpoint level on the n^3 grid in log coordinates over [-L, L]^3
     (over [-L, 0]^3, where t1, t2, t4 <= 1, for the unit cell).  The Jacobian
     dt = t du weights each point by t1 t2 (t4 cancels the density's 1/t4);
-    one t1 slice at a time, the (t2, t4) plane is one array call per eps.
+    one t1 slice at a time, the (t2, t4) plane is one array call for both eps.
 
     The points are added one by one in (t1, t2, t4) order, as a plain triple
     loop would: the level then moves only by the rounding of the inner
     integral, not by a new summation order."""
-    inner = _inner_t5_unit_cell if unit_cell else _inner_t5
     h = (L if unit_cell else 2.0 * L) / n
     ts = np.array([math.exp(-L + h * (i + 0.5)) for i in range(n)])
     t2 = np.repeat(ts, n)
     t4 = np.tile(ts, n)
     total = np.zeros(1)
     for t1 in ts:
-        terms = (t1 * t2) * (inner(t1, t2, t4, 1.0) + inner(t1, t2, t4, -1.0))
+        if unit_cell:
+            plus, minus = (_inner_t5_unit_cell(t1, t2, t4, eps) for eps in (1.0, -1.0))
+        else:
+            plus, minus = _inner_t5_pair(t1, t2, t4)
+        terms = (t1 * t2) * (plus + minus)
         total = np.add.accumulate(np.concatenate((total, terms)))[-1:]  # sequential
     return 8.0 * float(total[0]) * h**3
 
@@ -400,18 +402,23 @@ def local_density(p: int) -> Rational:
     return Fraction((p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1), p**9)
 
 
+def _euler_factor_polynomials(p: int) -> tuple[int, int, int, int]:
+    """Both sides of the two identities of ``factor_identity_check``, times p^9
+    and times p^6."""
+    graph = p**6 - 9 * p**4 + 16 * p**3 - 9 * p**2 + 1
+    density = (p - 1) ** 5 * (p**4 + 5 * p**3 + 6 * p**2 + 5 * p + 1)
+    return density, (p**3 - 1) * graph, graph, (p - 1) ** 4 * (p * p + 4 * p + 1)
+
+
 def factor_identity_check(p: int) -> bool:
-    """Exact rational identities wiring the three Euler factors together:
+    """Exact identities wiring the three Euler factors together:
 
     (1-1/p)^5 (1+5/p+6/p^2+5/p^3+1/p^4) = (1-1/p^3)(1-9/p^2+16/p^3-9/p^4+1/p^6)
-    and (1-9/p^2+16/p^3-9/p^4+1/p^6) = (1-1/p)^4 (1+4/p+1/p^2).
+    and (1-9/p^2+16/p^3-9/p^4+1/p^6) = (1-1/p)^4 (1+4/p+1/p^2),
+    checked over the integers after multiplying through by p^9 and p^6.
     """
-    q = Fraction(1, p)
-    density_factor = (1 - q) ** 5 * (1 + 5 * q + 6 * q**2 + 5 * q**3 + q**4)
-    graph_factor = 1 - 9 * q**2 + 16 * q**3 - 9 * q**4 + q**6
-    first = density_factor == (1 - q**3) * graph_factor
-    second = graph_factor == (1 - q) ** 4 * (1 + 4 * q + q**2)
-    return first and second
+    density, zeta_graph, graph, product = _euler_factor_polynomials(p)
+    return density == zeta_graph and graph == product
 
 
 def _euler_product_local(prime_limit: int) -> tuple[float, float]:
@@ -474,13 +481,6 @@ def leading_coeff_V(prime_limit: int = 100_000) -> ConstantReport:
         tolerance=0.5 * TWO_PI_LOG_CONSTANT * xi_tail,
         provenance={"prime_limit": prime_limit, "xi": xi_val, "xi_tail": xi_tail},
     )
-
-
-def scalar_prefactor_identity() -> tuple[float, float]:
-    """Both sides of 6*(-5/4 + pi^2/12 + 2 log 2 + 1) = (1/2)(pi^2 + 24 log 2 - 3)."""
-    lhs = 6.0 * (-1.25 + math.pi**2 / 12.0 + 2.0 * math.log(2.0) + 1.0)
-    rhs = 0.5 * TWO_PI_LOG_CONSTANT
-    return lhs, rhs
 
 
 def consistency_V_to_N(prime_limit: int = 100_000) -> tuple[bool, float]:

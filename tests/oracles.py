@@ -5,11 +5,14 @@ symmetry tricks, so it stays trustworthy (and slow); use only for tiny bounds.
 Two sections keep the scalar form of a kernel that the package now runs over
 arrays: the descent counter's lattice count (``senary.torsor``), which counts
 the runs of the package's own scalar enumerator, and the archimedean
-density's inner integral (``senary.peyre``).
+density's inner integral (``senary.peyre``).  A last section keeps the
+Fraction form of the per-prime Euler-factor identities, which the package
+checks over the integers, and the scalar prefactor identity of the paper.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def cubic(x1, x2, x3, y1, y2, y3):
@@ -162,7 +165,7 @@ def tail_minus(w: float) -> float:
 
 def inner_t5(t1: float, t2: float, t4: float, eps: float) -> float:
     """Closed-form integral over s in (0, inf) of ds / (s * g(s)^3), one point
-    at a time (the reference for ``senary.peyre._inner_t5``)."""
+    at a time (the reference for ``senary.peyre._inner_t5_pair``)."""
     K = t1 if t1 > t2 else t2
     if t4 > K:
         K = t4
@@ -257,3 +260,31 @@ def outer_level(n, L, unit_cell=False):
             for t4 in ts:
                 total += w12 * (inner(t1, t2, t4, 1.0) + inner(t1, t2, t4, -1.0))
     return 8.0 * total * h**3
+
+
+# --- leading constant: per-prime factors and the scalar prefactor ---------
+
+
+def euler_factors(p):
+    """The Euler factors at p as Fractions in q = 1/p: the local density,
+    (1 - q^3) times the graph factor, the graph factor, and its product form."""
+    q = Fraction(1, p)
+    density_factor = (1 - q) ** 5 * (1 + 5 * q + 6 * q**2 + 5 * q**3 + q**4)
+    graph_factor = 1 - 9 * q**2 + 16 * q**3 - 9 * q**4 + q**6
+    product_form = (1 - q) ** 4 * (1 + 4 * q + q**2)
+    return density_factor, (1 - q**3) * graph_factor, graph_factor, product_form
+
+
+def factor_identity_check(p):
+    """The two identities between the Euler factors at p, in exact Fractions
+    (the reference for ``senary.peyre.factor_identity_check``)."""
+    density_factor, zeta_graph_factor, graph_factor, product_form = euler_factors(p)
+    return density_factor == zeta_graph_factor and graph_factor == product_form
+
+
+def scalar_prefactor_identity():
+    """Both sides of 6*(-5/4 + pi^2/12 + 2 log 2 + 1) = (1/2)(pi^2 + 24 log 2 - 3),
+    the archimedean prefactor of the paper's leading constant in two forms."""
+    lhs = 6.0 * (-1.25 + math.pi**2 / 12.0 + 2.0 * math.log(2.0) + 1.0)
+    rhs = 0.5 * (math.pi**2 + 24.0 * math.log(2.0) - 3.0)
+    return lhs, rhs

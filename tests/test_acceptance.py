@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import scalar_prefactor_identity
 from senary.arith import integer_cube_root, primes_up_to
 from senary.cubic import count_degenerate, count_N, naive_count_V, slice_count
 from senary.graphs import (
@@ -25,7 +26,6 @@ from senary.peyre import (
     factor_identity_check,
     peyre_theta,
     polytope_volume,
-    scalar_prefactor_identity,
 )
 from senary.peyre import ALPHA_POLYTOPE
 from senary.torsor import (

@@ -213,10 +213,32 @@ USAGE_MESSAGES = [
     (("count", "--box", "2", "--threads", "abc"), "argument --threads: invalid int value: 'abc'"),
     (("count", "--box", "2", "--bogus"), "unrecognized arguments: --bogus"),
     (("count", "--box", "3", "--primitive"), "--primitive applies to height counts; use --height"),
-    (("constants", "euler", "--tolerance", "-1"), "tolerance must be positive"),
-    (("constants", "alpha", "--tolerance", "0"), "tolerance must be positive"),
-    (("constants", "alpha", "--tolerance=-inf"), "tolerance must be positive"),
-    (("constants", "alpha", "--tolerance", "nan"), "tolerance must be finite"),
+    # constants and graph actions refuse a flag they do not read, like verify
+    # suites, whatever its value
+    (("constants", "euler", "--tolerance", "-1"), "constants euler does not read --tolerance"),
+    (("constants", "alpha", "--tolerance", "0"), "constants alpha does not read --tolerance"),
+    (("constants", "alpha", "--tolerance=-inf"), "constants alpha does not read --tolerance"),
+    (("constants", "alpha", "--tolerance", "nan"), "constants alpha does not read --tolerance"),
+    (("constants", "alpha", "--prime-limit", "0"), "constants alpha does not read --prime-limit"),
+    (
+        ("constants", "mu-infinity", "--prime-limit", "1000"),
+        "constants mu-infinity does not read --prime-limit",
+    ),
+    (
+        ("constants", "leading-v", "--tolerance", "0.1"),
+        "constants leading-v does not read --tolerance",
+    ),
+    (
+        ("graph", "b-vector", "--p", "4", "--prime-limit", "0", "--s", "nan"),
+        "graph b-vector does not read --p",
+    ),
+    (("graph", "euler", "--prime-limit", "1000"), "graph euler does not read --prime-limit"),
+    (("graph", "xi", "--p", "3"), "graph xi does not read --p"),
+    # the constants that read --tolerance check its value
+    (("constants", "mu-infinity", "--tolerance", "-1"), "tolerance must be positive"),
+    (("constants", "theta", "--tolerance", "0"), "tolerance must be positive"),
+    (("constants", "mu-infinity", "--tolerance=-inf"), "tolerance must be positive"),
+    (("constants", "theta", "--tolerance", "nan"), "tolerance must be finite"),
     # an Euler tail bound that overflows a float: at zeta(1.001), and at xi
     # with exponent sum 1.001
     (
@@ -315,6 +337,38 @@ def test_verify_suites_refuse_the_flags_they_do_not_read(capsys, suite, flag):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err == f"senary: verify {suite} does not read {flag.split()[0]}\n"
+
+
+_ACTION_FLAGS = {
+    "constants": ("--prime-limit 1000", "--tolerance 0.1"),
+    "graph": ("--graph senary", "--p 3", "--s 1,1,1,1,1,1", "--prime-limit 1000"),
+}
+_ACTION_READS = {
+    ("constants", "alpha"): (),
+    ("constants", "mu-infinity"): ("--tolerance",),
+    ("constants", "euler"): ("--prime-limit",),
+    ("constants", "theta"): ("--prime-limit", "--tolerance"),
+    ("constants", "leading-v"): ("--prime-limit",),
+    ("graph", "b-vector"): ("--graph",),
+    ("graph", "euler"): ("--graph", "--p", "--s"),
+    ("graph", "xi"): ("--graph", "--s", "--prime-limit"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, action, flag",
+    [
+        (command, action, flag)
+        for (command, action), reads in _ACTION_READS.items()
+        for flag in _ACTION_FLAGS[command]
+        if flag.split()[0] not in reads
+    ],
+)
+def test_constants_and_graph_refuse_the_flags_they_do_not_read(capsys, command, action, flag):
+    code = main([command, action, *flag.split()])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == f"senary: {command} {action} does not read {flag.split()[0]}\n"
 
 
 def test_verify_factor_identity(capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -18,9 +18,12 @@ from senary.peyre import (
     HPolytope,
     QuadratureNonconvergence,
     UnboundedPolytopeError,
-    _inner_t5,
+    _euler_factor_polynomials,
+    _inner_t5_pair,
     _inner_t5_unit_cell,
     _outer_level,
+    _tail_minus,
+    _tail_plus,
     alpha_invariant,
     archimedean_density,
     consistency_V_to_N,
@@ -29,7 +32,6 @@ from senary.peyre import (
     local_density,
     peyre_theta,
     polytope_volume,
-    scalar_prefactor_identity,
 )
 from senary.torsor import count_O_Fp
 
@@ -139,6 +141,28 @@ def test_factor_identities():
         assert factor_identity_check(p)
 
 
+def test_factor_identity_integers_are_the_fraction_factors():
+    # p^9 and p^6 times the oracle's Fraction factors, side by side: the
+    # integer check compares the same factors, not merely some true identity
+    for p in primes_up_to(500).tolist():
+        density, zeta_graph, graph, product = oracles.euler_factors(p)
+        scaled = (p**9 * density, p**9 * zeta_graph, p**6 * graph, p**6 * product)
+        assert _euler_factor_polynomials(p) == scaled
+        assert oracles.factor_identity_check(p) and factor_identity_check(p)
+
+
+@pytest.mark.parametrize("side", range(4))
+def test_factor_identity_check_fails_on_a_perturbed_constant_term(monkeypatch, side):
+    # negative control: one side's constant term one higher fails every prime
+    def perturbed(p):
+        sides = list(_euler_factor_polynomials(p))
+        sides[side] += 1
+        return tuple(sides)
+
+    monkeypatch.setattr(peyre, "_euler_factor_polynomials", perturbed)
+    assert not any(factor_identity_check(p) for p in primes_up_to(500).tolist())
+
+
 # --- archimedean density ---------------------------------------------------------
 
 
@@ -208,11 +232,10 @@ def test_archimedean_orthant_symmetry():
     # flipping every sign fixes the coupling sign, so opposite orthants give
     # identical integrals; the implementation integrates each coupling class
     # once, and the two classes differ
-    plus = _inner_t5(0.7, 1.3, 0.4, 1.0)
-    minus = _inner_t5(0.7, 1.3, 0.4, -1.0)
+    plus, minus = _inner_t5_pair(0.7, 1.3, 0.4)
     assert plus.shape == minus.shape == (1,)
     assert plus[0] != minus[0]
-    assert _inner_t5(0.7, 1.3, 0.4, 1.0)[0] == plus[0]  # deterministic
+    assert _inner_t5_pair(0.7, 1.3, 0.4)[0][0] == plus[0]  # deterministic
 
 
 _LOG_T = st.floats(-18.0, 18.0)
@@ -223,7 +246,7 @@ _LOG_T = st.floats(-18.0, 18.0)
        st.sampled_from([1.0, -1.0]))
 def test_inner_integral_array_kernel_against_scalar_oracle(logs, eps):
     t1, t2, t4 = (np.exp(np.array(col)) for col in zip(*logs))
-    got = _inner_t5(t1, t2, t4, eps)
+    got = _inner_t5_pair(t1, t2, t4)[0 if eps > 0 else 1]
     for j in range(len(logs)):
         want = oracles.inner_t5(float(t1[j]), float(t2[j]), float(t4[j]), eps)
         assert got[j] == pytest.approx(want, rel=1e-12)
@@ -238,6 +261,36 @@ def test_unit_cell_array_kernel_against_scalar_oracle(logs, eps):
     for j in range(len(logs)):
         want = oracles.inner_t5_unit_cell(float(t1[j]), float(t2[j]), float(t4[j]), eps)
         assert got[j] == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+def _assert_tails_match_the_oracle(alpha, s, w):
+    plus, minus = _tail_plus(alpha, s), _tail_minus(w)
+    for j in range(len(alpha)):
+        want = oracles.tail_plus(float(alpha[j]), float(s[j]))
+        assert plus[j] == pytest.approx(want, rel=1e-14)
+        assert minus[j] == pytest.approx(oracles.tail_minus(float(w[j])), rel=1e-14)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(math.log(1e-24), math.log(0.6)), min_size=1, max_size=8),
+       st.floats(-36.0, 36.0))
+@example([math.log(1e-24)], 0.0)
+def test_series_tails_against_scalar_oracle(log_zs, log_alpha):
+    # z = alpha / (alpha + s) and w from 1e-24 to 0.6: the series below 1/2,
+    # the logarithms from 1/2 on
+    z = np.exp(np.array(log_zs))
+    alpha = np.full_like(z, math.exp(log_alpha))
+    _assert_tails_match_the_oracle(alpha, alpha * (1.0 - z) / z, z)
+
+
+def test_series_tails_against_scalar_oracle_at_the_switch():
+    # z and w just under 1/2 (the series), at 1/2 and just over (the logarithms)
+    alpha = np.ones(3)
+    s = np.array([1.0 + 2.0**-51, 1.0, 1.0 - 2.0**-51])
+    w = np.array([math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)])
+    z = alpha / (alpha + s)
+    assert z[0] < 0.5 == z[1] < z[2]
+    _assert_tails_match_the_oracle(alpha, s, w)
 
 
 @pytest.mark.parametrize(
@@ -272,14 +325,15 @@ def test_inner_integral_against_adaptive_quadrature():
         bps.add(0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 * beta)))
         grid = [mp.mpf(-70)] + sorted(mp.log(b) for b in bps if b > 0) + [mp.mpf(70)]
         ref = float(mp.quad(integrand, grid)) + float(mp.e ** mp.mpf(-70)) ** 3 / (3 * beta**3)
-        assert _inner_t5(t1, t2, t4, eps)[0] == pytest.approx(ref, rel=1e-9)
+        got = _inner_t5_pair(t1, t2, t4)[0 if eps > 0 else 1][0]
+        assert got == pytest.approx(ref, rel=1e-9)
 
 
 # --- constant assembly -----------------------------------------------------------
 
 
 def test_scalar_prefactor_identity():
-    lhs, rhs = scalar_prefactor_identity()
+    lhs, rhs = oracles.scalar_prefactor_identity()
     assert abs(lhs - rhs) < 1e-12
 
 

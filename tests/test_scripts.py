@@ -30,7 +30,7 @@ def rows_under(lines, header):
         (
             "convergence_run",
             ["--prime-limits", "1000", "--levels", "16"],
-            {"prime_limit,value,tail_bound": 1, "grid_n,value,rel_error": 1},
+            {"prime_limit,value,tail_bound": 1, "grid_n,value,rel_error,seconds": 1},
         ),
     ],
 )
