@@ -220,10 +220,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    if args.tolerance is not None and args.tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if args.tolerance is not None and not math.isfinite(args.tolerance):
-        raise ValueError("tolerance must be finite")
+    if args.tolerance is not None:  # None only where the action does not read it
+        if args.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
+        if not math.isfinite(args.tolerance):
+            raise ValueError("tolerance must be finite")
     out = _Output(args.output)
     name = args.name
     code = EXIT_OK

@@ -306,12 +306,12 @@ def _outer_level(n: int, L: float, unit_cell: bool = False) -> float:
     ts = np.array([math.exp(-L + h * (i + 0.5)) for i in range(n)])
     t2 = np.repeat(ts, n)
     t4 = np.tile(ts, n)
+    pair = _inner_t5_pair if not unit_cell else (
+        lambda *t: tuple(_inner_t5_unit_cell(*t, eps) for eps in (1.0, -1.0))
+    )
     total = np.zeros(1)
     for t1 in ts:
-        if unit_cell:
-            plus, minus = (_inner_t5_unit_cell(t1, t2, t4, eps) for eps in (1.0, -1.0))
-        else:
-            plus, minus = _inner_t5_pair(t1, t2, t4)
+        plus, minus = pair(t1, t2, t4)
         terms = (t1 * t2) * (plus + minus)
         total = np.add.accumulate(np.concatenate((total, terms)))[-1:]  # sequential
     return 8.0 * float(total[0]) * h**3

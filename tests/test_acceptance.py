@@ -189,7 +189,7 @@ def test_criterion_11_constant_assembly():
     prov = report.provenance
     paths_ok = abs(prov["assembled"] - prov["closed_form"]) <= report.tolerance
     lhs, rhs = scalar_prefactor_identity()
-    scalar_ok = abs(lhs - rhs) <= 1e-12
+    scalar_ok = abs(lhs - rhs) <= 1e-12 and abs(lhs - 0.5 * TWO_PI_LOG_CONSTANT) <= 1e-12
     _report(
         "11 constant assembly (two paths + scalar identity)",
         paths_ok and scalar_ok,

@@ -221,19 +221,9 @@ USAGE_MESSAGES = [
     (("constants", "alpha", "--tolerance", "nan"), "constants alpha does not read --tolerance"),
     (("constants", "alpha", "--prime-limit", "0"), "constants alpha does not read --prime-limit"),
     (
-        ("constants", "mu-infinity", "--prime-limit", "1000"),
-        "constants mu-infinity does not read --prime-limit",
-    ),
-    (
-        ("constants", "leading-v", "--tolerance", "0.1"),
-        "constants leading-v does not read --tolerance",
-    ),
-    (
         ("graph", "b-vector", "--p", "4", "--prime-limit", "0", "--s", "nan"),
         "graph b-vector does not read --p",
     ),
-    (("graph", "euler", "--prime-limit", "1000"), "graph euler does not read --prime-limit"),
-    (("graph", "xi", "--p", "3"), "graph xi does not read --p"),
     # the constants that read --tolerance check its value
     (("constants", "mu-infinity", "--tolerance", "-1"), "tolerance must be positive"),
     (("constants", "theta", "--tolerance", "0"), "tolerance must be positive"),
@@ -320,25 +310,6 @@ def test_commands_take_after_them_only_the_shared_flags_they_read(capsys, argv, 
     assert code == expected and (out == "") == (expected == EXIT_USAGE)
 
 
-@pytest.mark.parametrize(
-    "suite, flag",
-    [
-        ("bijection", "--bmax 5"),
-        ("mobius", "--pmax 5"),
-        ("theorem3", "--degree 1"),
-        ("tg-series", "--bmax 5"),
-        ("factor-identity", "--threads 2"),
-        ("lift", "--prime-limit 100"),
-        ("fp-counts", "--graph senary"),
-    ],
-)
-def test_verify_suites_refuse_the_flags_they_do_not_read(capsys, suite, flag):
-    code = main(["verify", suite, *flag.split()])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE and captured.out == ""
-    assert captured.err == f"senary: verify {suite} does not read {flag.split()[0]}\n"
-
-
 _ACTION_FLAGS = {
     "constants": ("--prime-limit 1000", "--tolerance 0.1"),
     "graph": ("--graph senary", "--p 3", "--s 1,1,1,1,1,1", "--prime-limit 1000"),
@@ -353,18 +324,28 @@ _ACTION_READS = {
     ("graph", "euler"): ("--graph", "--p", "--s"),
     ("graph", "xi"): ("--graph", "--s", "--prime-limit"),
 }
+# (command, action, flag): one flag each verify suite does not read, and every
+# flag of constants and graph that an action does not read
+_STRAY_FLAGS = [
+    ("verify", "bijection", "--bmax 5"),
+    ("verify", "mobius", "--pmax 5"),
+    ("verify", "theorem3", "--degree 1"),
+    ("verify", "tg-series", "--bmax 5"),
+    ("verify", "factor-identity", "--threads 2"),
+    ("verify", "lift", "--prime-limit 100"),
+    ("verify", "fp-counts", "--graph senary"),
+] + [
+    (command, action, flag)
+    for (command, action), reads in _ACTION_READS.items()
+    for flag in _ACTION_FLAGS[command]
+    if flag.split()[0] not in reads
+]
 
 
 @pytest.mark.parametrize(
-    "command, action, flag",
-    [
-        (command, action, flag)
-        for (command, action), reads in _ACTION_READS.items()
-        for flag in _ACTION_FLAGS[command]
-        if flag.split()[0] not in reads
-    ],
+    "command, action, flag", _STRAY_FLAGS, ids=[f"{a}-{f}" for _, a, f in _STRAY_FLAGS]
 )
-def test_constants_and_graph_refuse_the_flags_they_do_not_read(capsys, command, action, flag):
+def test_verify_suites_refuse_the_flags_they_do_not_read(capsys, command, action, flag):
     code = main([command, action, *flag.split()])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""

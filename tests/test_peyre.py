@@ -335,6 +335,7 @@ def test_inner_integral_against_adaptive_quadrature():
 def test_scalar_prefactor_identity():
     lhs, rhs = oracles.scalar_prefactor_identity()
     assert abs(lhs - rhs) < 1e-12
+    assert abs(lhs - 0.5 * TWO_PI_LOG_CONSTANT) < 1e-12  # the package's form of the constant
 
 
 def test_alpha_times_archimedean_prefactor():
