@@ -41,14 +41,6 @@ def _sieve(limit: int) -> np.ndarray:
     return primes
 
 
-def gcd_many(values) -> int:
-    """gcd of the absolute values; gcd of an all-zero list is 0."""
-    values = list(values)
-    if not values:
-        raise ValueError("gcd of empty list")
-    return math.gcd(*values)
-
-
 # The first 13 primes; the strong probable-prime test to all of them is exact
 # below the smallest strong pseudoprime to every one of them (Sorenson and
 # Webster, Math. Comp. 86 (2017)).
@@ -114,14 +106,13 @@ def moebius(n: int) -> int:
 
 
 def integer_cube_root(n: int) -> int:
-    """Largest r >= 0 with r**3 <= n, exact (no floating point in the result)."""
+    """Largest r >= 0 with r**3 <= n: integer Newton steps from above the
+    root, which stay at or above floor(n^(1/3)) and fall while r^3 > n."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 0
-    r = round(n ** (1.0 / 3.0))
-    while r > 0 and r * r * r > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
+    r = 1 << -(-n.bit_length() // 3)
+    while (s := (2 * r + n // (r * r)) // 3) < r:
+        r = s
     return r

@@ -23,6 +23,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGENT = 3
 
+# a process pool forks all its --threads workers at its first submit, so the
+# value is capped, far above the cores a count can use
+_MAX_THREADS = 64
+
 
 class _Output:
     def __init__(self, path: str | None):
@@ -55,12 +59,12 @@ class _Output:
             sys.stdout.write(text)
 
 
-def _emit_report(out: _Output, report, fmt: str, stable: bool):
+def _emit_report(out: _Output, kind: str, report, fmt: str, stable: bool):
     seconds = 0.0 if stable else report.elapsed
     if fmt == "csv":
         out.emit(f"{report.bound},{report.method},{report.count},{seconds:.3f}")
     else:
-        row = {"bound": report.bound, "method": report.method, "count": report.count}
+        row = {"bound": report.bound, "kind": kind, "method": report.method, "count": report.count}
         out.emit(json.dumps({**row, "seconds": round(seconds, 3)}, sort_keys=True))
 
 
@@ -98,7 +102,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     for method in methods:
         for kind, report in _count_reports(args, method):
             per_bound.setdefault((kind, report.bound), set()).add(report.count)
-            _emit_report(out, report, args.format, args.stable_output)
+            _emit_report(out, kind, report, args.format, args.stable_output)
     out.flush()
     # with --method both the two routes must agree exactly, bound by bound
     return EXIT_VERIFY_FAILED if any(len(v) != 1 for v in per_bound.values()) else EXIT_OK
@@ -382,8 +386,8 @@ def main(argv=None) -> int:
         # which flags an action reads comes before what their values are
         if args.command in _ACTIONS:
             _action_flags(args)
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if getattr(args, "threads", None) is not None and not 1 <= args.threads <= _MAX_THREADS:
+            raise ValueError(f"threads must be between 1 and {_MAX_THREADS}, got {args.threads}")
         command = {
             "count": _cmd_count,
             "verify": _cmd_verify,

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from senary.arith import gcd_many, integer_cube_root, moebius
+from senary.arith import integer_cube_root, moebius
 
 COUNT_METHODS = (
     "naive",
@@ -50,11 +50,6 @@ def cubic_form(x1: int, x2: int, x3: int, y1: int, y2: int, y3: int) -> int:
     return x1 * y2 * y3 + x2 * y1 * y3 + x3 * y1 * y2
 
 
-def is_solution(sextuple) -> bool:
-    """True iff the cubic form vanishes on the sextuple."""
-    return cubic_form(*sextuple) == 0
-
-
 @dataclass(frozen=True)
 class SolutionSextuple:
     """An integer point on the cubic; validated on construction."""
@@ -79,18 +74,6 @@ class SolutionSextuple:
     @property
     def is_degenerate(self) -> bool:
         return self.y1 * self.y2 * self.y3 == 0
-
-    def normalized(self) -> "SolutionSextuple":
-        """Divide by the gcd of all six coordinates and fix the overall sign
-        so the first nonzero coordinate is positive."""
-        g = gcd_many(self.coords)
-        c = [v // g for v in self.coords]
-        for v in c:
-            if v != 0:
-                if v < 0:
-                    c = [-w for w in c]
-                break
-        return SolutionSextuple(*c)
 
 
 @dataclass
@@ -252,21 +235,6 @@ def mobius_check(B: int, threads: int = 1) -> list[tuple[int, bool, int]]:
         rhs = _primitive_count_by_moebius(r, lambda m: V[m])
         ladder.append((r**3, N2[r] == rhs, N2[r] - rhs))
     return ladder
-
-
-def group_compose(p: SolutionSextuple, q: SolutionSextuple) -> SolutionSextuple:
-    """Product of two nondegenerate points: coordinate-wise mediant-style
-    composition (x_i y_i' + x_i' y_i, ..., y_i y_i', ...)."""
-    if p.is_degenerate or q.is_degenerate:
-        raise ValueError("group law requires y1*y2*y3 != 0 on both points")
-    return SolutionSextuple(
-        p.x1 * q.y1 + q.x1 * p.y1,
-        p.x2 * q.y2 + q.x2 * p.y2,
-        p.x3 * q.y3 + q.x3 * p.y3,
-        p.y1 * q.y1,
-        p.y2 * q.y2,
-        p.y3 * q.y3,
-    )
 
 
 def _moebius_weights(R: int) -> dict[int, int]:

@@ -82,15 +82,6 @@ SENARY_GRAPH = CoprimalityGraph.from_edges(
 )
 
 
-def vertex_set(edge_subset) -> frozenset[int]:
-    """Union of the endpoints of the given edges."""
-    out: set[int] = set()
-    for k, l in edge_subset:
-        out.add(k)
-        out.add(l)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class SubsetPolynomial:
     """Multilinear integer polynomial, stored as bitmask -> coefficient.
@@ -105,9 +96,6 @@ class SubsetPolynomial:
         d = dict(self.terms)
         if d.get(0) != 1:
             raise ValueError("the empty-set coefficient must be 1")
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
 
     def evaluate(self, values):
         """Evaluate at one value per vertex (floats, Fractions, ...)."""

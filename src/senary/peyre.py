@@ -1,15 +1,13 @@
 """Numeric constants of the predicted leading coefficient.
 
-Four ingredients are computed here and cross-tied:
+Three ingredients are computed here and cross-tied:
 
 * the alpha invariant, an exact rational polytope-slice volume;
 * the archimedean density, a 4-dimensional improper integral evaluated by
   orthant decomposition, closed-form integration of the innermost variable,
   and a deterministic midpoint grid in log coordinates for the outer three;
-* the p-adic densities, exact rationals checked against brute-force
-  finite-field counts;
-* the Euler products assembling everything into the leading constants, with
-  per-prime algebraic identities verified exactly.
+* the Euler products of the local factors, assembling everything into the
+  leading constants, with per-prime algebraic identities verified exactly.
 """
 
 from __future__ import annotations
@@ -278,40 +276,23 @@ def _inner_t5_pair(t1, t2, t4) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _inner_t5_unit_cell(t1, t2, t4, eps: float) -> np.ndarray:
-    """Same inner integral restricted to the cell where the max equals 1:
-    requires t1, t2, t4 <= 1 (checked by the caller), t5 <= 1 and coupling
-    |alpha + eps*s| <= 1; the integrand there is ds/s over an interval."""
-    t1, t2, t4 = _flat(t1, t2, t4)
-    alpha = t1 / t4
-    beta = t2  # s = beta/t5 >= beta on t5 <= 1
-    if eps > 0:
-        lo, hi = beta, 1.0 - alpha
-    else:
-        lo, hi = np.maximum(alpha - 1.0, beta), alpha + 1.0
-    return np.log(np.maximum(hi, lo) / lo)  # 0 where the interval is empty
-
-
 @lru_cache(maxsize=64)
-def _outer_level(n: int, L: float, unit_cell: bool = False) -> float:
-    """One midpoint level on the n^3 grid in log coordinates over [-L, L]^3
-    (over [-L, 0]^3, where t1, t2, t4 <= 1, for the unit cell).  The Jacobian
-    dt = t du weights each point by t1 t2 (t4 cancels the density's 1/t4);
-    one t1 slice at a time, the (t2, t4) plane is one array call for both eps.
+def _outer_level(n: int, L: float) -> float:
+    """One midpoint level on the n^3 grid in log coordinates over [-L, L]^3.
+    The Jacobian dt = t du weights each point by t1 t2 (t4 cancels the
+    density's 1/t4); one t1 slice at a time, the (t2, t4) plane is one array
+    call for both eps.
 
     The points are added one by one in (t1, t2, t4) order, as a plain triple
     loop would: the level then moves only by the rounding of the inner
     integral, not by a new summation order."""
-    h = (L if unit_cell else 2.0 * L) / n
+    h = 2.0 * L / n
     ts = np.array([math.exp(-L + h * (i + 0.5)) for i in range(n)])
     t2 = np.repeat(ts, n)
     t4 = np.tile(ts, n)
-    pair = _inner_t5_pair if not unit_cell else (
-        lambda *t: tuple(_inner_t5_unit_cell(*t, eps) for eps in (1.0, -1.0))
-    )
     total = np.zeros(1)
     for t1 in ts:
-        plus, minus = pair(t1, t2, t4)
+        plus, minus = _inner_t5_pair(t1, t2, t4)
         terms = (t1 * t2) * (plus + minus)
         total = np.add.accumulate(np.concatenate((total, terms)))[-1:]  # sequential
     return 8.0 * float(total[0]) * h**3
@@ -347,34 +328,29 @@ _QUAD_DOMAIN_MARGIN = 0.05  # allowance for the [-L, L] truncation
 _QUAD_L = 18.0
 
 
-def archimedean_density(tolerance: float = 0.01, region: str = "full") -> ConstantReport:
+def archimedean_density(tolerance: float = 0.01) -> ConstantReport:
     """Archimedean density by deterministic quadrature.
 
     ``tolerance`` is the requested relative accuracy (heuristic two-level
     estimate, reported in the result).  The level pairs of ``_QUAD_SCHEDULE``
     run in turn until one meets it; the provenance names that pair and counts
     the grid points of every level evaluated, each once.
-    ``region='unit-cell'`` restricts to the cell where the max in the
-    denominator equals 1 (used by consistency tests).
     """
     if not (math.isfinite(tolerance) and tolerance >= 1e-3):
         raise ValueError(f"tolerance must be finite and >= 1e-3 (fixed schedule), got {tolerance}")
-    if region not in ("full", "unit-cell"):
-        raise ValueError("region must be 'full' or 'unit-cell'")
-    unit_cell = region == "unit-cell"
     evaluated = set()
     best_err = math.inf
     for n_lo, n_hi in _QUAD_SCHEDULE:
         evaluated.update((n_lo, n_hi))
-        coarse = _outer_level(n_lo, _QUAD_L, unit_cell)
-        fine = _outer_level(n_hi, _QUAD_L, unit_cell)
+        coarse = _outer_level(n_lo, _QUAD_L)
+        fine = _outer_level(n_hi, _QUAD_L)
         value = (4.0 * fine - coarse) / 3.0  # Richardson for the h^2 term
         err = _QUAD_SAFETY * abs(fine - coarse) / 3.0 + _QUAD_DOMAIN_MARGIN
         if err < best_err:
             best, best_err = value, err
         if best_err <= tolerance * abs(best):
             return ConstantReport(
-                name="mu_infinity" if region == "full" else "mu_infinity_unit_cell",
+                name="mu_infinity",
                 value=best,
                 exact=None,
                 tolerance=best_err,
@@ -392,14 +368,7 @@ def archimedean_density(tolerance: float = 0.01, region: str = "full") -> Consta
 
 
 # ---------------------------------------------------------------------------
-# p-adic densities and per-prime identities
-
-
-def local_density(p: int) -> Rational:
-    """Exact p-adic mass of the descent scheme: (p-1)^5 (p^2+p+1) (p^2+4p+1) / p^9."""
-    if p < 2:
-        raise ValueError("p must be a prime")
-    return Fraction((p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1), p**9)
+# per-prime identities and Euler products
 
 
 def _euler_factor_polynomials(p: int) -> tuple[int, int, int, int]:
@@ -481,16 +450,3 @@ def leading_coeff_V(prime_limit: int = 100_000) -> ConstantReport:
         tolerance=0.5 * TWO_PI_LOG_CONSTANT * xi_tail,
         provenance={"prime_limit": prime_limit, "xi": xi_val, "xi_tail": xi_tail},
     )
-
-
-def consistency_V_to_N(prime_limit: int = 100_000) -> tuple[bool, float]:
-    """Check that (1/162) zeta(3)^-1 x leading_V equals the closed-form theta,
-    with zeta(3) truncated over the same primes so the per-prime identity is
-    exact; returns (ok, relative residual)."""
-    zeta3_inv = float(np.prod(1.0 - primes_up_to(prime_limit) ** -3.0))  # int64 ** -3 raises
-    lead_v = leading_coeff_V(prime_limit)
-    lhs = lead_v.value * zeta3_inv / 162.0
-    product, _ = _euler_product_local(prime_limit)
-    rhs = (TWO_PI_LOG_CONSTANT / 324.0) * product
-    residual = abs(lhs - rhs) / abs(rhs)
-    return residual < 1e-10, residual

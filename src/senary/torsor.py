@@ -56,21 +56,6 @@ def pairwise_conditions(u1, u2, u3, w1, w2, w3) -> bool:
     )
 
 
-def monomial_gcd_condition(u1, u2, u3, w1, w2, w3) -> bool:
-    """gcd of the six torsor monomials u_i u_k w_j w_k over all permutations
-    (i, j, k) of (1, 2, 3) equals 1; equivalent to pairwise_conditions."""
-    us = {1: u1, 2: u2, 3: u3}
-    ws = {1: w1, 2: w2, 3: w3}
-    g = 0
-    for i, j, k in itertools.permutations((1, 2, 3)):
-        g = math.gcd(g, us[i] * us[k] * ws[j] * ws[k])
-    return g == 1
-
-
-def _primitivity_condition(u, v1, v2, v3, w1, w2, w3) -> bool:
-    return math.gcd(math.gcd(u, v1 * w1), math.gcd(v2 * w2, v3 * w3)) == 1
-
-
 # ---------------------------------------------------------------------------
 # tuple types
 
@@ -103,52 +88,6 @@ class TorsorTupleA:
 
 
 @dataclass(frozen=True)
-class TorsorTupleB:
-    """Descent coordinates with v replaced by lattice parameters r."""
-
-    u: int
-    u1: int
-    u2: int
-    u3: int
-    w1: int
-    w2: int
-    w3: int
-    r1: int
-    r2: int
-    r3: int
-
-    def __post_init__(self):
-        if min(self.u, self.u1, self.u2, self.u3) < 1:
-            raise ValueError("u and u_j must be positive")
-        if self.w1 == 0 or self.w2 == 0 or self.w3 == 0:
-            raise ValueError("w_j must be nonzero")
-        if not 1 <= self.r1 <= self.u1:
-            raise ValueError("r1 must lie in the residue set {1..u1}")
-        if not pairwise_conditions(self.u1, self.u2, self.u3, self.w1, self.w2, self.w3):
-            raise ValueError("coprimality conditions violated")
-
-    @property
-    def v(self) -> tuple[int, int, int]:
-        return (
-            self.u2 * self.r3 - self.u3 * self.r2,
-            self.u3 * self.r1 - self.u1 * self.r3,
-            self.u1 * self.r2 - self.u2 * self.r1,
-        )
-
-
-@dataclass(frozen=True)
-class PrimitiveTorsorTuple(TorsorTupleA):
-    """TorsorTupleA whose image is a primitive sextuple: additionally
-    gcd(u, v1*w1, v2*w2, v3*w3) = 1 (the monomial gcd condition is already
-    implied by the pairwise conditions)."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not _primitivity_condition(self.u, self.v1, self.v2, self.v3, self.w1, self.w2, self.w3):
-            raise ValueError("primitivity gcd condition violated")
-
-
-@dataclass(frozen=True)
 class TriProjectivePoint:
     """A point of the resolved variety in P^5 x P^2 x P^2."""
 
@@ -170,35 +109,9 @@ class TriProjectivePoint:
         if self.Y[1] * self.Z[1] != p or self.Y[2] * self.Z[2] != p:
             raise ValueError("Y_i Z_i must be independent of i")
 
-    def same_point(self, other: "TriProjectivePoint") -> bool:
-        """Blockwise equality up to scalars (the coordinates are projective)."""
-
-        def proportional(a, b):
-            return all(
-                a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a))
-            )
-
-        return (
-            proportional(self.x + self.y, other.x + other.y)
-            and proportional(self.Y, other.Y)
-            and proportional(self.Z, other.Z)
-        )
-
 
 # ---------------------------------------------------------------------------
 # bijections
-
-
-def params_to_solution_A(t: TorsorTupleA) -> SolutionSextuple:
-    """Forward map: (w1*v1, w2*v2, w3*v3, u*u2*u3*w1, u*u1*u3*w2, u*u1*u2*w3)."""
-    return SolutionSextuple(
-        t.w1 * t.v1,
-        t.w2 * t.v2,
-        t.w3 * t.v3,
-        t.u * t.u2 * t.u3 * t.w1,
-        t.u * t.u1 * t.u3 * t.w2,
-        t.u * t.u1 * t.u2 * t.w3,
-    )
 
 
 def solution_to_params_A(s: SolutionSextuple) -> TorsorTupleA:
@@ -219,14 +132,6 @@ def solution_to_params_A(s: SolutionSextuple) -> TorsorTupleA:
     v3, rv3 = divmod(s.x3, w3)
     assert rv1 == rv2 == rv3 == 0, "w_j must divide x_j on a solution"
     return TorsorTupleA(u, u1, u2, u3, v1, v2, v3, w1, w2, w3)
-
-
-def params_to_solution_B(t: TorsorTupleB) -> SolutionSextuple:
-    """Compose the lattice parametrization of v with the forward map."""
-    v1, v2, v3 = t.v
-    return params_to_solution_A(
-        TorsorTupleA(t.u, t.u1, t.u2, t.u3, v1, v2, v3, t.w1, t.w2, t.w3)
-    )
 
 
 def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:

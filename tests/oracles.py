@@ -2,6 +2,8 @@
 
 Everything here iterates plain Python integers over full boxes with no
 symmetry tricks, so it stays trustworthy (and slow); use only for tiny bounds.
+``forward_map`` writes out the descent's forward map, which the package runs
+only inline, inside ``verify_bijection``.
 Two sections keep the scalar form of a kernel that the package now runs over
 arrays: the descent counter's lattice count (``senary.torsor``), which counts
 the runs of the package's own scalar enumerator, and the archimedean
@@ -76,6 +78,19 @@ def solutions_via_x3(P):
                 if abs(x3) <= P:
                     out.append((x1, x2, x3, y1, y2, y3))
     return out
+
+
+def forward_map(t):
+    """The descent's forward map on a tuple with fields u, u_j, v_j and w_j:
+    (w1 v1, w2 v2, w3 v3, u u2 u3 w1, u u1 u3 w2, u u1 u2 w3)."""
+    return (
+        t.w1 * t.v1,
+        t.w2 * t.v2,
+        t.w3 * t.v3,
+        t.u * t.u2 * t.u3 * t.w1,
+        t.u * t.u1 * t.u3 * t.w2,
+        t.u * t.u1 * t.u2 * t.w3,
+    )
 
 
 def descent_uw_tuples(P, w_coprime=True):
@@ -230,35 +245,16 @@ def inner_t5(t1: float, t2: float, t4: float, eps: float) -> float:
     return total
 
 
-def inner_t5_unit_cell(t1: float, t2: float, t4: float, eps: float) -> float:
-    """Same inner integral restricted to the cell where the max equals 1:
-    requires t1, t2, t4 <= 1 (checked by the caller), t5 <= 1 and coupling
-    |alpha + eps*s| <= 1; the integrand there is ds/s over an interval."""
-    alpha = t1 / t4
-    beta = t2  # s = beta/t5 >= beta on t5 <= 1
-    if eps > 0:
-        hi = 1.0 - alpha
-        if hi <= beta:
-            return 0.0
-        return math.log(hi / beta)
-    lo = max(alpha - 1.0, beta)
-    hi = alpha + 1.0
-    if hi <= lo:
-        return 0.0
-    return math.log(hi / lo)
-
-
-def outer_level(n, L, unit_cell=False):
+def outer_level(n, L):
     """The midpoint level as a plain triple loop over the n^3 log grid."""
-    h = (L if unit_cell else 2.0 * L) / n
-    inner = inner_t5_unit_cell if unit_cell else inner_t5
+    h = 2.0 * L / n
     ts = [math.exp(-L + h * (i + 0.5)) for i in range(n)]
     total = 0.0
     for t1 in ts:
         for t2 in ts:
             w12 = t1 * t2
             for t4 in ts:
-                total += w12 * (inner(t1, t2, t4, 1.0) + inner(t1, t2, t4, -1.0))
+                total += w12 * (inner_t5(t1, t2, t4, 1.0) + inner_t5(t1, t2, t4, -1.0))
     return 8.0 * total * h**3
 
 

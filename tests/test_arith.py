@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from senary.arith import (
     Rational,
     factorize,
-    gcd_many,
     integer_cube_root,
     is_prime,
     moebius,
@@ -64,14 +63,6 @@ def test_primes_up_to_shares_the_table_of_the_last_limit():
             primes_up_to(limit)
     assert primes_up_to(10).tolist() == [2, 3, 5, 7]
     assert np.array_equal(primes_up_to(1000), table)
-
-
-def test_gcd_many_examples():
-    assert gcd_many([4, 6]) == 2
-    assert gcd_many([0, 0, 0]) == 0
-    assert gcd_many([-3, 7]) == 1
-    with pytest.raises(ValueError):
-        gcd_many([])
 
 
 def test_moebius_examples():
@@ -134,3 +125,13 @@ def test_integer_cube_root_at_cube_boundaries():
         assert integer_cube_root(m**3 - 1) == m - 1
         assert integer_cube_root(m**3) == m
         assert integer_cube_root(m**3 + 1) == m
+
+
+def test_integer_cube_root_is_exact_far_past_the_floats():
+    # r^3 - 1, r^3 and r^3 + 1 for r up to 10^200, the largest first: far
+    # above 2^53 a float start is off by many units, and above 1.8e308 a
+    # float does not hold n at all
+    roots = {10**k + d for k in range(1, 201) for d in (-1, 0, 1)}
+    roots |= {2**k for k in range(1, 665)}
+    for r in sorted(roots, reverse=True):
+        assert [integer_cube_root(r**3 + d) for d in (-1, 0, 1)] == [r - 1, r, r]

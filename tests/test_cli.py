@@ -106,7 +106,21 @@ def test_json_format(capsys):
     code, out = run(capsys, "count", "--box", "2", "--format", "json", "--stable-output")
     assert code == EXIT_OK
     obj = json.loads(out.splitlines()[0])
-    assert obj["count"] == 928 and obj["method"] == "naive"
+    assert obj["count"] == 928 and obj["method"] == "naive" and obj["kind"] == "box"
+
+
+def test_json_rows_say_whether_the_bound_is_a_box_or_a_height(capsys):
+    # the CSV rows of this command are the four of the box-or-height test above
+    code, out = run(
+        capsys, "count", "--box", "8", "--height", "8", "--method", "both", "--format", "json",
+        "--stable-output",
+    )
+    assert code == EXIT_OK
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"bound": 8, "count": count, "kind": kind, "method": method, "seconds": 0.0}
+        for method in ("naive", "torsor")
+        for kind, count in (("box", 173248), ("height", 928))
+    ]
 
 
 def test_output_is_byte_identical_across_runs(capsys):
@@ -119,6 +133,27 @@ def test_threads_do_not_change_counts(capsys):
     _, serial = run(capsys, "count", "--box", "6", "--stable-output")
     _, parallel = run(capsys, "count", "--box", "6", "--stable-output", "--threads", "2")
     assert serial == parallel
+
+
+def test_threads_above_the_cap_exit_2_before_any_pool(capsys, monkeypatch):
+    # a pool forks all its workers at the first submit, so here no pool may
+    # open: a missing check then fails the test instead of forking
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was opened")
+
+    monkeypatch.setattr(cubic, "ProcessPoolExecutor", no_pool)
+    for threads in (65, 5000):
+        for argv in (
+            ("count", "--box", "100", "--method", "torsor"),
+            ("count", "--height", "27000", "--primitive", "--method", "torsor"),
+        ):
+            code = main([*argv, "--threads", str(threads)])
+            captured = capsys.readouterr()
+            assert code == EXIT_USAGE and captured.out == ""
+            assert captured.err == f"senary: threads must be between 1 and 64, got {threads}\n"
+    # the cap itself passes the check and reaches the pool
+    with pytest.raises(AssertionError, match="pool was opened"):
+        main(["count", "--box", "3", "--method", "torsor", "--threads", "64"])
 
 
 @pytest.mark.parametrize(
@@ -205,10 +240,10 @@ USAGE_MESSAGES = [
     (("count",), "count needs --box or --height"),
     (("count", "--box", "0"), "bounds must be >= 1"),
     (("count", "--height", "-5"), "bounds must be >= 1"),
-    (("count", "--box", "3", "--threads", "0"), "threads must be >= 1"),
+    (("count", "--box", "3", "--threads", "0"), "threads must be between 1 and 64, got 0"),
     # a flag the suite does not read is refused whatever its value
     (("verify", "tg-series", "--threads", "0"), "verify tg-series does not read --threads"),
-    (("verify", "mobius", "--threads", "0"), "threads must be >= 1"),
+    (("verify", "mobius", "--threads", "0"), "threads must be between 1 and 64, got 0"),
     # errors argparse finds print the same one line
     (("count", "--box", "2", "--threads", "abc"), "argument --threads: invalid int value: 'abc'"),
     (("count", "--box", "2", "--bogus"), "unrecognized arguments: --bogus"),
@@ -253,6 +288,16 @@ USAGE_MESSAGES = [
     (
         ("verify", "lift", "--pmax", "100000"),
         "box bound 100000 exceeds 1000, the largest box the naive kernel holds in memory",
+    ),
+    # heights far past any box: the cube root is exact integer arithmetic, so
+    # the bound check answers at once, also above the largest float
+    (
+        ("count", "--height", "1" + "0" * 72, "--primitive", "--method", "torsor"),
+        f"box bound {10**24} exceeds the int64-checked torsor range",
+    ),
+    (
+        ("count", "--height", "1" + "0" * 399, "--method", "torsor"),
+        f"box bound {10**133} exceeds the int64-checked torsor range",
     ),
 ]
 

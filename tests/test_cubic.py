@@ -3,9 +3,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from oracles import (
     box_solutions,
     exhaustive_degenerate_pairs,
@@ -24,8 +21,7 @@ from senary.cubic import (
     SolutionSextuple,
     count_degenerate,
     count_N,
-    group_compose,
-    is_solution,
+    cubic_form,
     iter_box_solutions,
     mobius_check,
     naive_count_V,
@@ -39,9 +35,9 @@ DEGEN_PAIRS_1, DEGEN_PAIRS_2 = 148, 1264
 
 
 def test_is_solution_examples():
-    assert is_solution((0, 0, 0, 1, 1, 1))
-    assert is_solution((1, -1, 0, 1, 1, 1))
-    assert not is_solution((1, 1, 1, 1, 1, 1))
+    assert cubic_form(0, 0, 0, 1, 1, 1) == 0
+    assert cubic_form(1, -1, 0, 1, 1, 1) == 0
+    assert cubic_form(1, 1, 1, 1, 1, 1) != 0
 
 
 def test_sextuple_validates():
@@ -154,43 +150,6 @@ def test_iter_box_solutions_matches_x3_oracle(P):
 def test_sign_symmetry_divisibility_by_8():
     for P in range(1, 7):
         assert naive_count_V(P).count % 8 == 0
-
-
-# --- group law ------------------------------------------------------------
-
-IDENTITY = SolutionSextuple(0, 0, 0, 1, 1, 1)
-_SAMPLES = [SolutionSextuple(*t) for t in box_solutions(2) if t[3] * t[4] * t[5] != 0]
-
-
-def test_group_identity():
-    p = SolutionSextuple(1, -1, 0, 1, 1, 1)
-    assert group_compose(p, IDENTITY).normalized() == p.normalized()
-
-
-def test_group_inverses():
-    p = SolutionSextuple(1, -1, 0, 1, 1, 1)
-    q = SolutionSextuple(-1, 1, 0, 1, 1, 1)
-    assert group_compose(p, q).normalized() == IDENTITY.normalized()
-
-
-def test_group_rejects_degenerate():
-    with pytest.raises(ValueError):
-        group_compose(IDENTITY, SolutionSextuple(0, 1, -1, 0, 1, 1))
-
-
-@given(st.sampled_from(_SAMPLES), st.sampled_from(_SAMPLES))
-def test_group_closure_and_commutativity(p, q):
-    pq = group_compose(p, q)
-    assert is_solution(pq.coords)
-    assert pq.normalized() == group_compose(q, p).normalized()
-
-
-@settings(max_examples=60)
-@given(st.sampled_from(_SAMPLES), st.sampled_from(_SAMPLES), st.sampled_from(_SAMPLES))
-def test_group_associativity_up_to_scaling(p, q, r):
-    left = group_compose(group_compose(p, q), r)
-    right = group_compose(p, group_compose(q, r))
-    assert left.normalized() == right.normalized()
 
 
 # --- degenerate locus and slices -------------------------------------------

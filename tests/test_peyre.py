@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 import oracles
 from senary import peyre
@@ -19,17 +18,15 @@ from senary.peyre import (
     QuadratureNonconvergence,
     UnboundedPolytopeError,
     _euler_factor_polynomials,
+    _euler_product_local,
     _inner_t5_pair,
-    _inner_t5_unit_cell,
     _outer_level,
     _tail_minus,
     _tail_plus,
     alpha_invariant,
     archimedean_density,
-    consistency_V_to_N,
     factor_identity_check,
     leading_coeff_V,
-    local_density,
     peyre_theta,
     polytope_volume,
 )
@@ -119,21 +116,27 @@ def test_alpha_invariant_exact():
 # --- local densities -----------------------------------------------------------
 
 
+def _local_density(p):
+    """The p-adic mass of the descent scheme, (p-1)^5 (p^2+p+1) (p^2+4p+1) / p^9,
+    whose numerator ``verify fp-counts`` compares with the F_p point count."""
+    return Fraction((p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1), p**9)
+
+
 def test_local_density_examples():
-    assert local_density(2) == Fraction(91, 512)
-    assert local_density(3) == Fraction(9152, 19683)
+    assert _local_density(2) == Fraction(91, 512)
+    assert _local_density(3) == Fraction(9152, 19683)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_local_density_matches_finite_field_count(p):
-    mass = local_density(p)
+    mass = _local_density(p)
     assert mass * p**9 == count_O_Fp(p)
 
 
 def test_local_density_expanded_form():
     for p in primes_up_to(100).tolist():
         q = Fraction(1, p)
-        assert local_density(p) == (1 - q) ** 5 * (1 + 5 * q + 6 * q**2 + 5 * q**3 + q**4)
+        assert _local_density(p) == (1 - q) ** 5 * (1 + 5 * q + 6 * q**2 + 5 * q**3 + q**4)
 
 
 def test_factor_identities():
@@ -197,37 +200,6 @@ def test_archimedean_nonconvergence_carries_best_estimate(monkeypatch):
     assert abs(info.value.best_value - MU_TARGET) <= info.value.error_estimate
 
 
-def _unit_cell_oracle():
-    """Closed-form cross sections: on the cell where the max is 1 the
-    integrand is 1/|t4 t5|; substituting a = t1/t4, b = t2/t5 reduces the cell
-    integral to the area of a clipped strip, integrable piecewise in closed
-    form in one variable and by 1D quadrature in the other."""
-
-    def inner_closed(B):
-        t_hi = 1.0 / (B + 1.0)
-        val = 4.0 * B * t_hi  # strip fully crossing: area 4B
-
-        def F(t):  # antiderivative of (2B+2)/t - 1/t^2 - (B-1)^2
-            return (2.0 * B + 2.0) * math.log(t) + 1.0 / t - (B - 1.0) ** 2 * t
-
-        if B >= 2.0:
-            t_mid = 1.0 / (B - 1.0)
-            val += F(t_mid) - F(t_hi)
-            val += -4.0 * math.log(t_mid)
-        else:
-            val += F(1.0) - F(t_hi)
-        return val
-
-    value, err = quad(lambda t5: inner_closed(1.0 / t5), 0.0, 1.0, limit=400)
-    return 4.0 * value, 4.0 * err
-
-
-def test_archimedean_unit_cell_against_closed_form_oracle():
-    oracle, oracle_err = _unit_cell_oracle()
-    report = archimedean_density(0.01, region="unit-cell")
-    assert abs(report.value - oracle) <= report.tolerance + oracle_err
-
-
 def test_archimedean_orthant_symmetry():
     # flipping every sign fixes the coupling sign, so opposite orthants give
     # identical integrals; the implementation integrates each coupling class
@@ -250,17 +222,6 @@ def test_inner_integral_array_kernel_against_scalar_oracle(logs, eps):
     for j in range(len(logs)):
         want = oracles.inner_t5(float(t1[j]), float(t2[j]), float(t4[j]), eps)
         assert got[j] == pytest.approx(want, rel=1e-12)
-
-
-@settings(max_examples=100)
-@given(st.lists(st.tuples(*(st.floats(-18.0, 0.0),) * 3), min_size=1, max_size=8),
-       st.sampled_from([1.0, -1.0]))
-def test_unit_cell_array_kernel_against_scalar_oracle(logs, eps):
-    t1, t2, t4 = (np.exp(np.array(col)) for col in zip(*logs))
-    got = _inner_t5_unit_cell(t1, t2, t4, eps)
-    for j in range(len(logs)):
-        want = oracles.inner_t5_unit_cell(float(t1[j]), float(t2[j]), float(t4[j]), eps)
-        assert got[j] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def _assert_tails_match_the_oracle(alpha, s, w):
@@ -293,12 +254,9 @@ def test_series_tails_against_scalar_oracle_at_the_switch():
     _assert_tails_match_the_oracle(alpha, s, w)
 
 
-@pytest.mark.parametrize(
-    "n, unit_cell", [(16, False), (32, False), (64, False), (16, True), (32, True)]
-)
-def test_outer_level_against_scalar_triple_loop(n, unit_cell):
-    got = _outer_level(n, 18.0, unit_cell)
-    assert got == pytest.approx(oracles.outer_level(n, 18.0, unit_cell), rel=1e-11)
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_outer_level_against_scalar_triple_loop(n):
+    assert _outer_level(n, 18.0) == pytest.approx(oracles.outer_level(n, 18.0), rel=1e-11)
 
 
 def test_inner_integral_against_adaptive_quadrature():
@@ -357,8 +315,6 @@ def test_peyre_theta_two_paths_agree():
 
 
 def test_euler_product_drift_between_prime_limits():
-    from senary.peyre import _euler_product_local
-
     v1, t1 = _euler_product_local(100_000)
     v2, t2 = _euler_product_local(1_000_000)
     assert abs(v1 - v2) <= t1
@@ -366,8 +322,14 @@ def test_euler_product_drift_between_prime_limits():
 
 
 def test_consistency_V_to_N():
-    ok, residual = consistency_V_to_N(10_000)
-    assert ok and residual < 1e-10
+    # (1/162) zeta(3)^-1 x leading_V equals the closed-form theta, with zeta(3)
+    # truncated over the same primes so that the per-prime identity is exact
+    prime_limit = 10_000
+    zeta3_inv = float(np.prod(1.0 - primes_up_to(prime_limit) ** -3.0))  # int64 ** -3 raises
+    lhs = leading_coeff_V(prime_limit).value * zeta3_inv / 162.0
+    product, _ = _euler_product_local(prime_limit)
+    rhs = (TWO_PI_LOG_CONSTANT / 324.0) * product
+    assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
 
 def test_consistency_exact_per_prime():
@@ -376,7 +338,7 @@ def test_consistency_exact_per_prime():
     for p in primes_up_to(50).tolist():
         q = Fraction(1, p)
         graph_factor = 1 - 9 * q**2 + 16 * q**3 - 9 * q**4 + q**6
-        assert (1 - q**3) * graph_factor == local_density(p)
+        assert (1 - q**3) * graph_factor == _local_density(p)
 
 
 def test_constant_report_validates_tolerance():

@@ -9,21 +9,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import descent_uw_tuples, r_pair_count, solutions_via_x3, torsor_V_chunk
+from oracles import (
+    descent_uw_tuples,
+    forward_map,
+    r_pair_count,
+    solutions_via_x3,
+    torsor_V_chunk,
+)
 from senary import cubic, torsor
 from senary.cubic import (
     CountReport,
     SolutionSextuple,
     count_N,
-    is_solution,
+    cubic_form,
     mobius_check,
     naive_count_V,
     slice_count,
 )
 from senary.torsor import (
-    PrimitiveTorsorTuple,
     TorsorTupleA,
-    TorsorTupleB,
     TriProjectivePoint,
     _coprime_table,
     _lattice_counts,
@@ -34,10 +38,7 @@ from senary.torsor import (
     count_O_Fp,
     count_X_Fp,
     lift_to_X,
-    monomial_gcd_condition,
     pairwise_conditions,
-    params_to_solution_A,
-    params_to_solution_B,
     solution_to_params_A,
     torsor_count_N,
     torsor_count_V,
@@ -45,11 +46,16 @@ from senary.torsor import (
 )
 
 
+def _lattice_v(u1, u2, u3, r1, r2, r3):
+    """The v that the lattice parameters r give: u.v = 0 for every r."""
+    return (u2 * r3 - u3 * r2, u3 * r1 - u1 * r3, u1 * r2 - u2 * r1)
+
+
 def test_forward_map_examples():
     t = TorsorTupleA(1, 1, 1, 1, 1, -1, 0, 1, 1, 1)
-    assert params_to_solution_A(t).coords == (1, -1, 0, 1, 1, 1)
+    assert forward_map(t) == (1, -1, 0, 1, 1, 1)
     t0 = TorsorTupleA(1, 1, 1, 1, 0, 0, 0, 1, 1, 1)
-    assert params_to_solution_A(t0).coords == (0, 0, 0, 1, 1, 1)
+    assert forward_map(t0) == (0, 0, 0, 1, 1, 1)
 
 
 def test_tuple_invariants_enforced():
@@ -59,13 +65,6 @@ def test_tuple_invariants_enforced():
         TorsorTupleA(1, 2, 2, 1, 1, -1, 0, 1, 1, 1)  # u1, u2 not coprime
     with pytest.raises(ValueError):
         TorsorTupleA(1, 1, 1, 1, 1, -1, 0, 0, 1, 1)  # w1 zero
-    with pytest.raises(ValueError):
-        TorsorTupleB(1, 1, 1, 1, 1, 1, 1, 2, 0, 0)  # r1 outside {1..u1}
-    with pytest.raises(ValueError):
-        PrimitiveTorsorTuple(2, 1, 1, 1, 0, 0, 0, 2, 2, 2)  # w pairwise not coprime
-    with pytest.raises(ValueError):
-        PrimitiveTorsorTuple(2, 1, 1, 1, 2, -2, 0, 1, 1, 1)  # gcd(u, v_j w_j) = 2
-    PrimitiveTorsorTuple(1, 1, 1, 1, 2, -2, 0, 1, 1, 1)
 
 
 def test_inverse_map_examples():
@@ -79,7 +78,7 @@ def test_inverse_map_examples():
     assert (t2.u, t2.u1, t2.u2, t2.u3) == (2, 1, 1, 1)
     assert (t2.w1, t2.w2, t2.w3) == (1, 1, 1)
     assert (t2.v1, t2.v2, t2.v3) == (2, -2, 0)
-    assert params_to_solution_A(t2).coords == (2, -2, 0, 2, 2, 2)
+    assert forward_map(t2) == (2, -2, 0, 2, 2, 2)
 
 
 def test_inverse_map_rejects_degenerate():
@@ -93,8 +92,7 @@ def test_round_trip_and_lift_on_all_box_solutions_up_to_10():
     # families (checked by the TriProjectivePoint constructor)
     for coords in solutions_via_x3(10):
         s = SolutionSextuple(*coords)
-        t = solution_to_params_A(s)
-        assert params_to_solution_A(t) == s
+        assert forward_map(solution_to_params_A(s)) == coords
         lift_to_X(s)
 
 
@@ -116,38 +114,34 @@ def valid_tuples_A(draw):
             break
     u = draw(_units)
     r1, r2, r3 = draw(st.integers(-9, 9)), draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
-    v = (u2 * r3 - u3 * r2, u3 * r1 - u1 * r3, u1 * r2 - u2 * r1)
-    return TorsorTupleA(u, u1, u2, u3, *v, w1, w2, w3)
+    return TorsorTupleA(u, u1, u2, u3, *_lattice_v(u1, u2, u3, r1, r2, r3), w1, w2, w3)
 
 
 @given(valid_tuples_A())
 def test_forward_map_lands_on_solutions(t):
-    s = params_to_solution_A(t)
-    assert is_solution(s.coords)
+    s = SolutionSextuple(*forward_map(t))
+    assert cubic_form(*s.coords) == 0
     assert not s.is_degenerate
 
 
 @given(valid_tuples_A())
 def test_round_trip_property(t):
-    s = params_to_solution_A(t)
-    back = params_to_solution_A(solution_to_params_A(s))
-    assert back == s
+    coords = forward_map(t)
+    assert forward_map(solution_to_params_A(SolutionSextuple(*coords))) == coords
 
 
 def test_lattice_parametrization_substitution():
-    t = TorsorTupleB(1, 1, 1, 1, 1, 1, 1, 1, 4, 9)
-    assert t.v == (9 - 4, 1 - 9, 4 - 1)
-    t_eq = TorsorTupleB(1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-    assert t_eq.v == (0, 0, 0)
-    assert params_to_solution_B(t_eq).coords == (0, 0, 0, 1, 1, 1)
+    # u = (1, 1, 1), r = (1, 4, 9), and the equal r = (1, 1, 1), whose v is 0
+    assert _lattice_v(1, 1, 1, 1, 4, 9) == (9 - 4, 1 - 9, 4 - 1)
+    v = _lattice_v(1, 1, 1, 1, 1, 1)
+    assert v == (0, 0, 0)
+    assert forward_map(TorsorTupleA(1, 1, 1, 1, *v, 1, 1, 1)) == (0, 0, 0, 1, 1, 1)
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8),
        st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
 def test_lattice_parameters_solve_bilinear_relation(u1, u2, u3, r1, r2, r3):
-    v1 = u2 * r3 - u3 * r2
-    v2 = u3 * r1 - u1 * r3
-    v3 = u1 * r2 - u2 * r1
+    v1, v2, v3 = _lattice_v(u1, u2, u3, r1, r2, r3)
     assert u1 * v1 + u2 * v2 + u3 * v3 == 0
 
 
@@ -160,8 +154,8 @@ def test_bijection_small_boxes():
 
 
 def test_forward_map_image_set_equals_oracle():
-    # materialize the image of the lattice parametrization at P = 2 through
-    # the public tuple API and compare against exhaustive enumeration
+    # materialize the image of the lattice parametrization at P = 2, the
+    # forward map written out, and compare against exhaustive enumeration
     P = 2
     from oracles import box_solutions
 
@@ -181,13 +175,14 @@ def test_forward_map_image_set_equals_oracle():
                                     continue
                                 if u * u1 * u2 * abs(w3) > P:
                                     continue
+                                y = (u * u2 * u3 * w1, u * u1 * u3 * w2, u * u1 * u2 * w3)
                                 for r1 in range(1, u1 + 1):
                                     for r2 in range(-3 * P, 3 * P + 1):
                                         for r3 in range(-3 * P, 3 * P + 1):
-                                            t = TorsorTupleB(u, u1, u2, u3, w1, w2, w3, r1, r2, r3)
-                                            s = params_to_solution_B(t)
-                                            if max(abs(c) for c in s.coords) <= P:
-                                                images.add(s.coords)
+                                            v1, v2, v3 = _lattice_v(u1, u2, u3, r1, r2, r3)
+                                            x = (w1 * v1, w2 * v2, w3 * v3)
+                                            if max(abs(c) for c in x) <= P:
+                                                images.add(x + y)
     assert images == set(box_solutions(P))
 
 
@@ -509,16 +504,39 @@ def test_tri_projective_point_validates():
 
 
 def test_lifts_of_scalar_multiples_agree_projectively():
+    def proportional(a, b):
+        return all(a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(i + 1, len(a)))
+
+    def same_point(p, q):
+        # blockwise equality up to scalars: the coordinates are projective
+        return (
+            proportional(p.x + p.y, q.x + q.y)
+            and proportional(p.Y, q.Y)
+            and proportional(p.Z, q.Z)
+        )
+
     a = lift_to_X(SolutionSextuple(0, 0, 0, 1, 1, 1))
     b = lift_to_X(SolutionSextuple(0, 0, 0, 2, 2, 2))
-    assert a.same_point(b)
+    assert same_point(a, b)
     c = lift_to_X(SolutionSextuple(1, -1, 0, 1, 1, 1))
     d = lift_to_X(SolutionSextuple(3, -3, 0, 3, 3, 3))
-    assert c.same_point(d)
-    assert not a.same_point(c)
+    assert same_point(c, d)
+    assert not same_point(a, c)
 
 
 # --- coprimality equivalence -------------------------------------------------
+
+
+def monomial_gcd_condition(u1, u2, u3, w1, w2, w3) -> bool:
+    """gcd of the six torsor monomials u_i u_k w_j w_k over all permutations
+    (i, j, k) of (1, 2, 3) equals 1; the paper's lemma makes this equivalent
+    to the pairwise conditions."""
+    us = {1: u1, 2: u2, 3: u3}
+    ws = {1: w1, 2: w2, 3: w3}
+    g = 0
+    for i, j, k in itertools.permutations((1, 2, 3)):
+        g = math.gcd(g, us[i] * us[k] * ws[j] * ws[k])
+    return g == 1
 
 
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30),
