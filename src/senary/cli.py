@@ -210,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _verify_line(out, "lift", good, points=count)
         ok = good
     elif suite == "fp-counts":
-        for p in primes_up_to(max(args.pmax, 2)).tolist():
+        for p in primes_up_to(args.pmax).tolist():
             formula = (p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1)
             good = torsor.count_O_Fp(p) == formula
             _verify_line(out, "fp-descent-scheme", good, p=p)

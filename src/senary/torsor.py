@@ -13,9 +13,9 @@ Below them everything is int64 arrays: the (u3, w1, w2, w3) of the orbit
 representatives are laid out level by level in chunks of about
 ``_PLANE_CAP`` candidates (``_w_chunks``), reduced to their distinct keys
 (u3, P // w1, P // w2, P // w3), and one array kernel counts the lattice
-parameters of each distinct key once (``_lattice_counts``).
-``verify_bijection`` walks their scalar forms, the generators ``_uw_tuples``
-and ``_lattice_runs``.
+parameters of each distinct key once, as two floor sums (``_lattice_counts``).
+``verify_bijection`` walks the scalar tuples and lattice points, the
+generators ``_uw_tuples`` and ``_lattice_runs``.
 """
 
 from __future__ import annotations
@@ -151,19 +151,21 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # by (v2, v3), so K <= (2P+1)^2; the n*M over all keys add up to the n*m over
 # all representatives, which is P^3 (one descent tuple per positive
 # y-triple).  So every n*M is at most P^3, and every n*M*K, every partial sum
-# of them, and every running sum of lattice counts inside the kernel is at
-# most P^3 (2P+1)^2, which stays below 2^63 up to P = 4704.  The packed key,
-# four digits base P + 1, is below (P+1)^4 < 2^48 at P = 4000.  The other
-# intermediates are far smaller: in the kernel |r2|, |r3| <= 2P, so
-# |a*t| + q1 <= 2P^2 + P and the corner values are at most 4P^2.
+# of them, is at most P^3 (2P+1)^2, which stays below 2^63 up to P = 4704.
+# The packed key, four digits base P + 1, is below (P+1)^4 < 2^48 at
+# P = 4000.  A kernel key has u1 <= u2 and u2 u3 <= P, so c < u1 <= isqrt(P),
+# u1 q1 + u3 q3 <= 2P^2, and a floor sum has m <= u1 u3 <= P, n <= 2P + 1,
+# |lo| <= P + 1, |alpha| <= u2 + u3 c <= 2P and |alpha lo + beta| <= 5P^2;
+# its quotient terms n(n-1)/2 (alpha // m) and n (b // m) stay below
+# 21P^3 < 2^41.  After them 0 <= a, b < m, so a n + b < m (n + 1) <=
+# P (2P + 2), and a Euclid step keeps n' = (a n + b) // m <= n and m' = a < m.
 _MAX_TORSOR_BOUND = 4000
 
-# Elements laid out at once, by one level of the tuple build or by one slice
-# of the kernel, and the keys of one kernel call: large enough that the numpy
-# calls per slice are amortised, small enough that the arrays alive at once
-# stay near a few MiB (above the import, V(100) raises the peak RSS by about
-# 2.6 MiB with this cap, 3.9 MiB with twice it and 1.2 MiB with half; V(300)
-# by 3.8, 6.8 and 2.4 MiB).
+# Elements laid out at once by one level of the tuple build, and the keys of
+# one kernel call: enough to amortise the numpy calls per slice, few enough
+# that the arrays alive at once stay near a few MiB (above the import, V(100)
+# raises the peak RSS by about 3.5 MiB with this cap, 4.9 MiB with twice it
+# and 1.5 MiB with half; V(300) by 4.5, 8.5 and 2.6 MiB).
 _PLANE_CAP = 1 << 13
 
 
@@ -294,66 +296,63 @@ def _w_chunks(P: int, u1: int, u2: int, T: np.ndarray, mine):
             yield y3[row], z1[row], z2[row], w3[col]
 
 
-def _run_counts(t_lo, L, q1, c_lo, c_hi, a, b) -> np.ndarray:
-    """Per entry, the sum over t in [t_lo, t_lo + L) of the length of
-    [ceil((a t - q1) / b), floor((a t + q1) / b)] intersected with
-    [c_lo, c_hi]: the runs of t are laid out with ``_ranges``, and the
-    lengths are summed back per entry by differences of one running sum."""
-    at = np.repeat(a, L) * _ranges(t_lo, L)
-    q, b = np.repeat(q1, L), np.repeat(b, L)
-    lo = np.maximum(-((q - at) // b), np.repeat(c_lo, L))
-    hi = np.minimum((at + q) // b, np.repeat(c_hi, L))
-    running = np.concatenate(([0], np.cumsum(np.maximum(hi - lo + 1, 0))))
-    ends = np.cumsum(L)
-    return running[ends] - running[ends - L]
+def _floor_sums(lo, hi, alpha, beta, m) -> np.ndarray:
+    """Per entry, the sum of floor((alpha v + beta) / m) over the v in
+    [lo, hi], 0 where hi < lo, for int64 arrays with m >= 1: the Euclid-like
+    ``floor_sum`` of the AtCoder Library (``math.hpp``), one numpy pass per
+    step over the entries still live, O(log m) passes."""
+    n = np.maximum(hi - lo + 1, 0)
+    a, b = alpha, alpha * lo + beta  # v = lo + i, 0 <= i < n
+    total = np.zeros(len(n), dtype=np.int64)
+    live = np.arange(len(n))
+    while len(live):
+        qa, a = np.divmod(a, m)
+        qb, b = np.divmod(b, m)
+        total[live] += n * (n - 1) // 2 * qa + n * qb
+        # 0 <= a, b < m: count the points under the line along the other axis
+        y = a * n + b
+        more = y >= m
+        live, y, a, m = live[more], y[more], a[more], m[more]
+        n, b = np.divmod(y, m)
+        m, a = a, m
+    return total
 
 
 def _lattice_counts(u1: int, u2: int, u3, q1, q2, q3) -> np.ndarray:
     """K per entry: the number of (r1 in {1..u1}, r2, r3) with
     |u1 r2 - u2 r1| <= q3, |u3 r1 - u1 r3| <= q2 and |u2 r3 - u3 r2| <= q1,
-    for ints u1, u2 and int64 arrays u3 and q1, q2, q3 >= 0.
+    for ints u1, u2 and int64 arrays u3 and q1, q2, q3 >= 0, u pairwise
+    coprime.
 
-    For each r1 the first two conditions give decoupled intervals for r2 and
-    r3.  Where the third condition holds at the corners of that box it holds
-    on all of it, and the box counts whole.  Elsewhere t runs over the
-    shorter interval, and the interval the third condition allows is
-    intersected with the longer one (``_run_counts``), a slice of at most
-    about ``_PLANE_CAP`` laid-out t at a time."""
-    K = np.zeros(len(q1), dtype=np.int64)
-    for r1 in range(1, u1 + 1):
-        r2lo = -((q3 - u2 * r1) // u1)
-        r2hi = (u2 * r1 + q3) // u1
-        r3lo = -((q2 - u3 * r1) // u1)
-        r3hi = (u3 * r1 + q2) // u1
-        n2 = r2hi - r2lo + 1
-        n3 = r3hi - r3lo + 1
-        slack = np.maximum(
-            np.abs(u2 * r3hi - u3 * r2lo), np.abs(u2 * r3lo - u3 * r2hi)
-        ) <= q1
-        K += np.where(slack, n2 * n3, 0)
-        by_r2 = n2 <= n3
-        L = np.where(slack, 0, np.where(by_r2, n2, n3))
-        # r2 runs and bounds r3 (a = u3, b = u2), or the reverse
-        runs = (
-            np.where(by_r2, r2lo, r3lo),
-            L,
-            q1,
-            np.where(by_r2, r3lo, r2lo),
-            np.where(by_r2, r3hi, r2hi),
-            np.where(by_r2, u3, u2),
-            np.where(by_r2, u2, u3),
-        )
-        for a, b in _chunks(L):
-            K[a:b] += _run_counts(*(x[a:b] for x in runs))
-    return K
+    v = u x r maps these r one to one onto the v in Z^3 with u.v = 0 and
+    |v_j| <= q_j.  v1 is an integer exactly when v3 = c v2 (mod u1), c =
+    -u2 / u3 mod u1, so the v3 of a v2 number floor((B(v2) - c v2) / u1) -
+    floor((-B(-v2) - 1 - c v2) / u1), B(v2) = min(q3, floor((u1 q1 - u2 v2)
+    / u3)), and v -> -v pairs the terms: K = 2M + 1 + 2 sum_{|v2| <= M}
+    floor((B(v2) - c v2) / u1), M = min(q2, (u1 q1 + u3 q3) // u2).  B is q3
+    up to s = floor((u1 q1 - u3 q3) / u2), and past s nested floors make the
+    term floor((u1 q1 - (u2 + u3 c) v2) / (u1 u3)): two floor sums."""
+    # c read off a table of the residues of u3 mod u1 (c = 0 when u1 = 1)
+    table = [-u2 * pow(r, -1, u1) % u1 if math.gcd(r, u1) == 1 else 0 for r in range(u1)]
+    c = np.array(table, dtype=np.int64)[u3 % u1]
+    M = np.minimum(q2, (u1 * q1 + u3 * q3) // u2)
+    s = np.clip((u1 * q1 - u3 * q3) // u2, -M - 1, M)
+    sums = _floor_sums(
+        np.concatenate((-M, s + 1)),
+        np.concatenate((s, M)),
+        np.concatenate((-c, -(u2 + u3 * c))),
+        np.concatenate((q3, u1 * q1)),
+        np.concatenate((np.full_like(c, u1), u1 * u3)),
+    )
+    return 2 * M + 1 + 2 * (sums[: len(M)] + sums[len(M) :])
 
 
 def _lattice_runs(u1: int, u2: int, u3: int, q1: int, q2: int, q3: int):
     """The points (r1, r2, r3) that ``_lattice_counts`` counts, as runs
-    (r1, r2s, r3s) of ranges whose product holds the run's points: as in the
-    kernel, the shorter of the decoupled r2 and r3 intervals of each r1 is
-    walked, and the third condition cuts the longer one down to a range, so
-    one range of a run has length 1."""
+    (r1, r2s, r3s) of ranges whose product holds the run's points: for each
+    r1 the first two conditions give decoupled r2 and r3 intervals, the
+    shorter one is walked, and the third condition cuts the longer one down
+    to a range, so one range of a run has length 1."""
     for r1 in range(1, u1 + 1):
         r2s = range(-((q3 - u2 * r1) // u1), (u2 * r1 + q3) // u1 + 1)
         r3s = range(-((q2 - u3 * r1) // u1), (u3 * r1 + q2) // u1 + 1)

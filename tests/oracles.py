@@ -113,11 +113,23 @@ def descent_uw_tuples(P, w_coprime=True):
     return out
 
 
+def plane_point_count(u1, u2, u3, q1, q2, q3):
+    """Count v in Z^3 with u1 v1 + u2 v2 + u3 v3 = 0 and |v_j| <= q_j, for
+    positive u, by a loop over every (v2, v3) of the box."""
+    count = 0
+    for v2 in range(-q2, q2 + 1):
+        for v3 in range(-q3, q3 + 1):
+            v1, rem = divmod(-(u2 * v2 + u3 * v3), u1)
+            count += rem == 0 and abs(v1) <= q1
+    return count
+
+
 # --- descent counter: the scalar lattice kernel ------------------------------
 # The one-tuple-at-a-time form of the torsor V counter that the array kernel
 # in ``senary.torsor`` replaces.  It walks the package's scalar ``_uw_tuples``
 # and counts the runs of its scalar ``_lattice_runs``; the tests check both
-# by brute force (``descent_uw_tuples`` above, and a box of r for the runs).
+# by brute force (``descent_uw_tuples`` and ``plane_point_count`` above, and a
+# box of r for the runs).
 
 
 def r_pair_count(u1, u2, u3, q1, q2, q3):

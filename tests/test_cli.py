@@ -248,6 +248,9 @@ USAGE_MESSAGES = [
     (("count", "--box", "2", "--threads", "abc"), "argument --threads: invalid int value: 'abc'"),
     (("count", "--box", "2", "--bogus"), "unrecognized arguments: --bogus"),
     (("count", "--box", "3", "--primitive"), "--primitive applies to height counts; use --height"),
+    # the suites that sieve primes up to --pmax refuse a limit below 2
+    (("verify", "fp-counts", "--pmax", "1"), "prime limit must be >= 2, got 1"),
+    (("verify", "factor-identity", "--pmax", "1"), "prime limit must be >= 2, got 1"),
     # constants and graph actions refuse a flag they do not read, like verify
     # suites, whatever its value
     (("constants", "euler", "--tolerance", "-1"), "constants euler does not read --tolerance"),

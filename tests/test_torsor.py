@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     descent_uw_tuples,
     forward_map,
+    plane_point_count,
     r_pair_count,
     solutions_via_x3,
     torsor_V_chunk,
@@ -30,6 +31,7 @@ from senary.torsor import (
     TorsorTupleA,
     TriProjectivePoint,
     _coprime_table,
+    _floor_sums,
     _lattice_counts,
     _lattice_runs,
     _torsor_V_chunk,
@@ -274,13 +276,13 @@ _q = st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 4000))
 
 
 @st.composite
-def lattice_keys(draw):
+def lattice_keys(draw, q=_q):
     """Pairwise coprime u (u1 > 1 included) and q >= 0, one (u1, u2) with a
     list of (u3, q1, q2, q3), as the kernel takes them."""
     u1 = draw(st.integers(1, 12))
     u2 = draw(st.integers(1, 40).filter(lambda u: math.gcd(u1, u) == 1))
     u3 = st.integers(1, 200).filter(lambda u: math.gcd(u1 * u2, u) == 1)
-    return u1, u2, draw(st.lists(st.tuples(u3, _q, _q, _q), min_size=1, max_size=12))
+    return u1, u2, draw(st.lists(st.tuples(u3, q, q, q), min_size=1, max_size=12))
 
 
 @settings(max_examples=150)
@@ -294,6 +296,50 @@ def test_lattice_kernel_matches_the_scalar_kernel(drawn):
     u3, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
     K = _lattice_counts(u1, u2, u3, q1, q2, q3).tolist()
     assert K == [r_pair_count(u1, u2, *key) for key in keys]
+
+
+@settings(max_examples=100)
+@given(lattice_keys(st.integers(0, 10)))
+# u1 = 1 (every v3 gives an integer v1), every q_j = 0, and q2 far above q1
+@example((1, 1, [(1, 0, 0, 0), (7, 0, 0, 0), (3, 1, 40, 2)]))
+@example((5, 3, [(2, 0, 0, 0), (7, 1, 60, 3), (1, 0, 45, 9)]))
+def test_lattice_kernel_counts_the_plane_points_by_brute_force(drawn):
+    u1, u2, keys = drawn
+    u3, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
+    K = _lattice_counts(u1, u2, u3, q1, q2, q3).tolist()
+    assert K == [plane_point_count(u1, u2, *key) for key in keys]
+    assert K == [r_pair_count(u1, u2, *key) for key in keys]
+
+
+def test_lattice_kernel_holds_in_int64_at_the_largest_box():
+    # extreme keys of P = _MAX_TORSOR_BOUND: u1 up to isqrt(P) = 63, u3 up to
+    # P // u2, q_j up to P; r_pair_count works in Python ints
+    P = torsor._MAX_TORSOR_BOUND
+    qs = [(P, P, P), (P, 0, P), (0, P, P), (P, P, 0), (P, 1, P - 1), (1, P, 0)]
+    for u1, u2, u3 in [(1, 1, P), (1, 2, P // 2 - 1), (47, 59, 67), (61, 62, 63), (63, 64, 61)]:
+        keys = [(u3, *q) for q in qs]
+        u3s, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
+        K = _lattice_counts(u1, u2, u3s, q1, q2, q3).tolist()
+        assert K == [r_pair_count(u1, u2, *key) for key in keys]
+
+
+_range_sums = st.tuples(
+    st.integers(-30, 30),  # lo
+    st.integers(-30, 30),  # hi, below lo for an empty range
+    st.integers(-500, 500),  # alpha
+    st.integers(-10**4, 10**4),  # beta
+    st.integers(1, 60),  # m
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(_range_sums, min_size=1, max_size=20))
+# an empty range (n = 0), hi below lo, m = 1, negative alpha and beta
+@example([(0, -1, 3, 5, 7), (4, 2, -3, 1, 5), (-5, 5, -7, -11, 1), (3, 3, 0, -1, 2)])
+def test_floor_sums_match_the_direct_sum(entries):
+    lo, hi, alpha, beta, m = (np.array(col, dtype=np.int64) for col in zip(*entries))
+    expected = [sum((a * v + b) // d for v in range(l, h + 1)) for l, h, a, b, d in entries]
+    assert _floor_sums(lo, hi, alpha, beta, m).tolist() == expected
 
 
 @settings(max_examples=200)
