@@ -210,6 +210,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _verify_line(out, "lift", good, points=count)
         ok = good
     elif suite == "fp-counts":
+        if args.pmax > torsor._MAX_FP_PRIME:  # refused before the first count
+            raise ValueError(f"prime limit must be <= {torsor._MAX_FP_PRIME}, got {args.pmax}")
         for p in primes_up_to(args.pmax).tolist():
             formula = (p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1)
             good = torsor.count_O_Fp(p) == formula

@@ -9,11 +9,11 @@ turns the whole solution set into a transparently enumerable family, which is
 what the fast exact counter iterates over.
 
 The counter ``torsor_count_V`` loops over the coprime (u1, u2) in Python.
-Below them everything is int64 arrays: the (u3, w1, w2, w3) of the orbit
-representatives are laid out level by level in chunks of about
-``_PLANE_CAP`` candidates (``_w_chunks``), reduced to their distinct keys
-(u3, P // w1, P // w2, P // w3), and one array kernel counts the lattice
-parameters of each distinct key once, as two floor sums (``_lattice_counts``).
+Below them everything is int64 arrays: the orbit representatives are counted
+per (u3, w1, w2) row and run of constant P // w3 (``_w_chunks``), these
+counts are reduced to their distinct keys (u3, P // w1, P // w2, P // w3),
+and one array kernel counts the lattice parameters of each distinct key once,
+as two floor sums (``_lattice_counts``).
 ``verify_bijection`` walks the scalar tuples and lattice points, the
 generators ``_uw_tuples`` and ``_lattice_runs``.
 """
@@ -145,27 +145,29 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # ---------------------------------------------------------------------------
 # enumeration helpers
 
-# int64 safety of the array path.  A plane's sum adds n*M*K over its distinct
-# keys (u3, q1, q2, q3), M the sum of the orbit sizes m of the tuples with the
-# key.  K counts v in Z^3 with u.v = 0 and |v_j| <= q_j <= P, and v1 is fixed
-# by (v2, v3), so K <= (2P+1)^2; the n*M over all keys add up to the n*m over
-# all representatives, which is P^3 (one descent tuple per positive
-# y-triple).  So every n*M is at most P^3, and every n*M*K, every partial sum
-# of them, is at most P^3 (2P+1)^2, which stays below 2^63 up to P = 4704.
-# The packed key, four digits base P + 1, is below (P+1)^4 < 2^48 at
-# P = 4000.  A kernel key has u1 <= u2 and u2 u3 <= P, so c < u1 <= isqrt(P),
-# u1 q1 + u3 q3 <= 2P^2, and a floor sum has m <= u1 u3 <= P, n <= 2P + 1,
-# |lo| <= P + 1, |alpha| <= u2 + u3 c <= 2P and |alpha lo + beta| <= 5P^2;
-# its quotient terms n(n-1)/2 (alpha // m) and n (b // m) stay below
-# 21P^3 < 2^41.  After them 0 <= a, b < m, so a n + b < m (n + 1) <=
-# P (2P + 2), and a Euclid step keeps n' = (a n + b) // m <= n and m' = a < m.
+# int64 safety of the array path.  The sum adds n*M*K over the distinct keys,
+# M the sum of the orbit sizes of the key's tuples; a (row, q3-run) count adds
+# at most 6 times the run length to it.  K counts v in Z^3 with u.v = 0 and
+# |v_j| <= q_j <= P, and v1 is fixed by (v2, v3), so K <= (2P+1)^2; the n*M
+# over all keys add up to the n*m over all representatives, which is P^3 (one
+# descent tuple per positive y-triple).  So every n*M is at most P^3, and
+# every n*M*K, every partial sum of them, is at most P^3 (2P+1)^2, which stays
+# below 2^63 up to P = 4704.  The packed key, u1 <= u2 <= isqrt(P) < 64 base
+# 64 over four digits base P + 1, is below 2^12 (P+1)^4 < 2^60 at P = 4000.
+# A kernel key has u2 u3 <= P, so c < u1 <= isqrt(P), u1 q1 + u3 q3 <= 2P^2,
+# and a floor sum has m <= u1 u3 <= P, n <= 2P + 1, |lo| <= P + 1,
+# |alpha| <= u2 + u3 c <= 2P and |alpha lo + beta| <= 5P^2; its quotient terms
+# n(n-1)/2 (alpha // m) and n (b // m) stay below 21P^3 < 2^41.  After them
+# 0 <= a, b < m, so a n + b < m (n + 1) <= P (2P + 2), and a Euclid step keeps
+# n' = (a n + b) // m <= n and m' = a < m.
 _MAX_TORSOR_BOUND = 4000
 
-# Elements laid out at once by one level of the tuple build, and the keys of
-# one kernel call: enough to amortise the numpy calls per slice, few enough
-# that the arrays alive at once stay near a few MiB (above the import, V(100)
-# raises the peak RSS by about 3.5 MiB with this cap, 4.9 MiB with twice it
-# and 1.5 MiB with half; V(300) by 4.5, 8.5 and 2.6 MiB).
+# Elements laid out at once by a level of the row build, and (row, run) counts
+# merged at once: enough to amortise the numpy calls, few enough to keep the
+# arrays alive near a few MiB (V(100) raises the peak RSS by 1.3 MiB with this
+# cap, 2.5 with twice it, 1.1 with half).  A kernel call takes a quarter: its
+# dozen temporaries of two entries per key outgrow glibc's trim threshold at
+# the whole cap and fault in afresh each call (1,866 faults at V(100), not 98).
 _PLANE_CAP = 1 << 13
 
 
@@ -257,19 +259,28 @@ def _coprime_table(P: int) -> np.ndarray:
 
 
 def _w_chunks(P: int, u1: int, u2: int, T: np.ndarray, mine):
-    """The (u3, w1, w2, w3) of every orbit representative with this (u1, u2)
-    (the tuples ``_uw_tuples`` yields for it, in the same order), as int64
-    arrays in chunks of at most about ``_PLANE_CAP`` candidates; T is
-    ``_coprime_table(P)``, and ``mine`` an iterator of bools with one item
-    per grid slice, drawn in the order the slices are cut and shared across
-    calls: a slice whose item is False is skipped before its grid is built.
+    """The distinct keys of the orbit representatives with this (u1, u2)
+    (the tuples of ``_uw_tuples``) with the sums M of their tuples' orbit
+    sizes, in int64 blocks (keys, M), a key in one block only; a key packs
+    u1, u2 base 64 over u3, P - P // w1, P - P // w2, P - P // w3 base P + 1.
+    T is ``_coprime_table(P)``; ``mine`` yields one bool per grid slice, in
+    cut order across calls, and a False slice is skipped before its grid.
 
     Each level is built from the last and masked by its coprimality
-    conditions: the u3, the (u3, w1) rows, the (u3, w1, w2) rows, each laid
-    out with ``_ranges``, and then the tuples, as a bool grid of the rows by
-    the w3 in 1..P // (u1*u2).  A row of one level is at most P candidates
-    for the next, so the last two levels, whose size grows like P^2 and P^3,
-    are built a slice of rows at a time (``_chunks``)."""
+    conditions: the u3, the (u3, w1) rows, the (u3, w1, w2) rows (by
+    ``_ranges``, in slices of about ``_PLANE_CAP`` candidates), and grids of
+    about ``_PLANE_CAP`` cells of these rows by the w3 in 1..P // (u1*u2),
+    summed over each run of constant q3 = P // w3.  The keys of these
+    (row, run) counts join the open keys ``_PLANE_CAP`` at a time; they rise
+    with the rows within each (u3, P // w1) group, and the groups with the
+    rows, so only the last row's group stays open, at most the distinct
+    (P // w2, P // w3), about 4P keys.
+
+    A tie w_i = w_j with gcd(w_i, w_j) = 1 forces w_i = w_j = 1, and with it
+    u_i = u_j, coprime, forces u_i = u_j = 1.  So only the rows w1 = w2 = 1
+    of the plane u1 = u2 = 1 have orbit size 3, and in them the first tuple,
+    u = w = (1, 1, 1), orbit size 1; every other tuple counts 6."""
+    base, digit = P + 1, P - P // np.arange(1, P + 1)  # digit[w - 1] = P - P // w
     u3 = np.arange(u2, P // u2 + 1)
     u3 = u3[T[u3, u1 * u2]]
     W1 = P // (u2 * u3)
@@ -281,19 +292,47 @@ def _w_chunks(P: int, u1: int, u2: int, T: np.ndarray, mine):
     n2 = P // (u1 * u3) - s2 + 1
     w3 = np.arange(1, P // (u1 * u2) + 1)
     T3 = T[:, 1 : len(w3) + 1]  # the columns w3
+    q3 = P // w3
+    starts = np.flatnonzero(np.concatenate(([True], q3[1:] != q3[:-1])))  # the q3-runs
+    keys = M = np.zeros(0, np.int64)  # the open keys
+    pending, held = [], 0  # the (row, run) keys and M not merged yet
     for a, b in _chunks(n2):
         rows = n2[a:b]
         y3, z1, z2 = np.repeat(u3[a:b], rows), np.repeat(w1[a:b], rows), _ranges(s2[a:b], rows)
         keep = T[z2, u2 * z1]
         y3, z1, z2 = y3[keep], z1[keep], z2[keep]
         s3 = np.where(y3 == u2, z2, 1)
+        row_key = (((u1 * 64 + u2) * base + y3) * base + digit[z1 - 1]) * base + digit[z2 - 1]
+        orbit = np.where((z1 == z2) & (u2 == u1), 3, 6)[:, None]  # the ties
         for c, d in _chunks(len(w3) - s3 + 1):
             if not next(mine):
                 continue
-            grid = T3[y3[c:d]] & T3[z1[c:d]] & T3[z2[c:d]] & (w3 >= s3[c:d, None])
-            row, col = np.nonzero(grid)
-            row += c
-            yield y3[row], z1[row], z2[row], w3[col]
+            # u3*w1 <= P, and w3 is coprime to u3 and w1 when it is to u3*w1
+            grid = T3[y3[c:d] * z1[c:d]] & T3[z2[c:d]]
+            if y3[c] == u2:  # u3 = u2 = 1: the ordering w3 >= w2
+                grid &= w3 >= s3[c:d, None]
+            counts = np.add.reduceat(grid, starts, axis=1, dtype=np.int64) * orbit[c:d]
+            if u2 == u1 and a == c == 0:  # the tuple u = w = (1, 1, 1)
+                counts[0, 0] -= 2
+            row, run = np.nonzero(counts)
+            pending.append((row_key[row + c] * base + digit[starts[run]], counts[row, run]))
+            held += len(row)
+            if held >= _PLANE_CAP:
+                keys, M = _distinct_keys([(keys, M), *pending])
+                cut = np.searchsorted(keys, row_key[d - 1] // base * base * base)
+                yield keys[:cut], M[:cut]
+                keys, M, pending, held = keys[cut:], M[cut:], [], 0
+    yield _distinct_keys([(keys, M), *pending])
+
+
+def _distinct_keys(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of the (keys, M) blocks in increasing order, each with
+    the sum of its M; numpy's stable int64 sort is a timsort, for sorted runs."""
+    keys, M = (np.concatenate(col) for col in zip(*blocks))
+    order = np.argsort(keys, kind="stable")
+    keys, M = keys[order], M[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)])
+    return keys[first], np.add.reduceat(M, first)
 
 
 def _floor_sums(lo, hi, alpha, beta, m) -> np.ndarray:
@@ -318,11 +357,18 @@ def _floor_sums(lo, hi, alpha, beta, m) -> np.ndarray:
     return total
 
 
-def _lattice_counts(u1: int, u2: int, u3, q1, q2, q3) -> np.ndarray:
+def _inverses(n: int) -> np.ndarray:
+    """I[m, r] = r^-1 mod m, in [0, m), for 1 <= m <= n and the r <= n
+    coprime to m, and 0 elsewhere: the least x with r x = 1 (mod m)."""
+    m, r, x = np.ogrid[: n + 1, : n + 1, : n + 1]
+    return np.argmax(r * x % np.maximum(m, 1) == 1, axis=2)
+
+
+def _lattice_counts(u1, u2, u3, q1, q2, q3, inv: np.ndarray) -> np.ndarray:
     """K per entry: the number of (r1 in {1..u1}, r2, r3) with
     |u1 r2 - u2 r1| <= q3, |u3 r1 - u1 r3| <= q2 and |u2 r3 - u3 r2| <= q1,
-    for ints u1, u2 and int64 arrays u3 and q1, q2, q3 >= 0, u pairwise
-    coprime.
+    for int64 arrays with u pairwise coprime and q1, q2, q3 >= 0; inv is
+    ``_inverses(n)`` for an n >= every u1.
 
     v = u x r maps these r one to one onto the v in Z^3 with u.v = 0 and
     |v_j| <= q_j.  v1 is an integer exactly when v3 = c v2 (mod u1), c =
@@ -332,9 +378,7 @@ def _lattice_counts(u1: int, u2: int, u3, q1, q2, q3) -> np.ndarray:
     floor((B(v2) - c v2) / u1), M = min(q2, (u1 q1 + u3 q3) // u2).  B is q3
     up to s = floor((u1 q1 - u3 q3) / u2), and past s nested floors make the
     term floor((u1 q1 - (u2 + u3 c) v2) / (u1 u3)): two floor sums."""
-    # c read off a table of the residues of u3 mod u1 (c = 0 when u1 = 1)
-    table = [-u2 * pow(r, -1, u1) % u1 if math.gcd(r, u1) == 1 else 0 for r in range(u1)]
-    c = np.array(table, dtype=np.int64)[u3 % u1]
+    c = -u2 * inv[u1, u3 % u1] % u1  # c = 0 when u1 = 1
     M = np.minimum(q2, (u1 * q1 + u3 * q3) // u2)
     s = np.clip((u1 * q1 - u3 * q3) // u2, -M - 1, M)
     sums = _floor_sums(
@@ -342,7 +386,7 @@ def _lattice_counts(u1: int, u2: int, u3, q1, q2, q3) -> np.ndarray:
         np.concatenate((s, M)),
         np.concatenate((-c, -(u2 + u3 * c))),
         np.concatenate((q3, u1 * q1)),
-        np.concatenate((np.full_like(c, u1), u1 * u3)),
+        np.concatenate((u1, u1 * u3)),
     )
     return 2 * M + 1 + 2 * (sums[: len(M)] + sums[len(M) :])
 
@@ -366,97 +410,55 @@ def _lattice_runs(u1: int, u2: int, u3: int, q1: int, q2: int, q3: int):
                 yield r1, range(max(lo, r2s.start), min(hi + 1, r2s.stop)), range(r3, r3 + 1)
 
 
-def _distinct_keys(keys: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys in increasing order, each with the int64 sum of its
-    m.  numpy's stable sort of int64 is a merge sort (timsort) that finds
-    the sorted runs the keys of a chunk come in."""
-    order = np.argsort(keys, kind="stable")
-    keys, m = keys[order], m[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(m, starts)
+def _calls(blocks):
+    """The (keys, M) blocks as kernel calls of a quarter of ``_PLANE_CAP`` keys, bar the last."""
+    size, held, n = (_PLANE_CAP + 3) // 4, [], 0
+    for block in blocks:
+        held.append(block)
+        n += len(block[0])
+        if n >= size:
+            keys, M = (np.concatenate(col) for col in zip(*held))
+            whole = n - n % size
+            for a in range(0, whole, size):
+                yield keys[a : a + size], M[a : a + size]
+            held, n = [(keys[whole:], M[whole:])], n - whole
+    if n:
+        yield tuple(np.concatenate(col) for col in zip(*held))
 
 
-def _keyed_sum(P: int, u1: int, u2: int, keys: np.ndarray, M: np.ndarray) -> int:
-    """The sum of n*M*K over the plane (u1, u2)'s packed keys
-    ((u3*(P+1) + P-q1)*(P+1) + P-q2)*(P+1) + P-q3, ``_PLANE_CAP`` keys per
-    ``_lattice_counts`` call."""
+def _keyed_sum(P: int, keys: np.ndarray, M: np.ndarray, inv: np.ndarray) -> int:
+    """The sum of n*M*K over packed keys of ``_w_chunks``, in one kernel call."""
     base = P + 1
-    total = 0
-    for a in range(0, len(keys), _PLANE_CAP):
-        key, d3 = np.divmod(keys[a : a + _PLANE_CAP], base)
-        key, d2 = np.divmod(key, base)
-        u3, d1 = np.divmod(key, base)
-        q1, q2, q3 = P - d1, P - d2, P - d3
-        # P // max(a, b, c) = min(P // a, P // b, P // c) and
-        # P // (u * w) = (P // w) // u
-        n = np.minimum(np.minimum(q1 // (u2 * u3), q2 // (u1 * u3)), q3 // (u1 * u2))
-        total += int(np.dot(n * M[a : a + _PLANE_CAP], _lattice_counts(u1, u2, u3, q1, q2, q3)))
-    return total
+    key, d3 = np.divmod(keys, base)
+    key, d2 = np.divmod(key, base)
+    key, d1 = np.divmod(key, base)
+    (u1, u2), u3 = np.divmod(key // base, 64), key % base
+    q1, q2, q3 = P - d1, P - d2, P - d3
+    # P // max(a, b, c) = min(P // a, P // b, P // c), P // (u * w) = (P // w) // u
+    n = np.minimum(np.minimum(q1 // (u2 * u3), q2 // (u1 * u3)), q3 // (u1 * u2))
+    return int(np.dot(n * M, _lattice_counts(u1, u2, u3, q1, q2, q3, inv)))
 
 
 def _torsor_V_chunk(P: int, k: int, T: int) -> int:
     """Worker k's share of V(P) / 8 when T workers split it: the sum of
-    n*m*K over the tuples of the grid slices k, k + T, k + 2T, ... of the one
-    slice sequence ``_w_chunks`` cuts over all (u1, u2) planes in turn; T = 1,
-    k = 0 gives all of V(P) / 8.
+    n*M*K over the keys of the grid slices k, k + T, k + 2T, ... of the one
+    slice sequence ``_w_chunks`` cuts over all (u1, u2) planes in turn;
+    T = 1, k = 0 gives all of V(P) / 8.
 
-    The coprime (u1, u2) run in Python; for each, the tuples come as array
-    chunks (``_w_chunks``).  A tuple's orbit size m depends on its ties, but
-    its number n of admissible u and its lattice count K depend only on its
-    key (u3, q1, q2, q3), q_j = P // w_j.  So the chunks are reduced to their
-    distinct keys, each with the sum M of the orbit sizes m of its tuples,
-    and the array kernel ``_lattice_counts`` runs once per distinct key of
-    the plane, ``_PLANE_CAP`` keys a call (``_keyed_sum``).  At P = 300 the
-    3.8M tuples have 0.3M distinct keys.
-
-    The keys are packed as digits base P + 1 in the order u3, P - q1, P - q2,
-    P - q3, so they rise with (u3, w1, w2, w3), the order of the tuples.
-    Only the keys of the last tuple's (u3, q1) can come again in a later
-    chunk, and they number at most the distinct (P // w2, P // w3), about
-    4P.  The keys below them are final, and they go to the kernel as soon as
-    a call's worth of them has gathered.
-
-    A grid slice holds about ``_PLANE_CAP`` cells, so the stride deals out
-    thousands of like-sized pieces at P = 300, and the shares come out within
-    a few percent of each other.  Each worker aggregates the keys of its own
-    slices only.  Every worker lays out the (u3, w1, w2) rows of every plane,
-    so at P = 300 the shares add up to about 6% more work than one serial
-    pass."""
-    total = 0
-    base = P + 1
-    digit = P - P // np.arange(1, P + 1)  # digit[w - 1] = P - P // w
-    coprime = _coprime_table(P)
+    A tuple's number n of admissible u and its lattice count K depend only
+    on its key (u3, q1, q2, q3), q_j = P // w_j, so each worker counts each
+    of its keys once (at P = 300, 3.8M tuples give 1.9M (row, q3-run) counts
+    and 0.3M keys), in kernel calls the keys of consecutive planes fill.
+    Every worker lays out the rows of every plane (9% more work than one
+    pass at P = 300, T = 2)."""
+    coprime, inv = _coprime_table(P), _inverses(math.isqrt(P))
     mine = itertools.cycle([j == k for j in range(T)])
-    weights = np.array([6, 3, 1])
-    for u1 in range(1, math.isqrt(P) + 1):
-        for u2 in range(u1, math.isqrt(P) + 1):
-            if math.gcd(u1, u2) != 1:
-                continue
-            # the keys still open, and the final ones not yet counted
-            keys, M = np.zeros(0, np.int64), np.zeros(0, np.int64)
-            final_keys, final_M, final = [], [], 0
-            for u3, w1, w2, w3 in _w_chunks(P, u1, u2, coprime, mine):
-                if not len(u3):  # a slice of rows can hold no admissible w3
-                    continue
-                if u2 == u1:  # u3 == u2 only when u = (1, 1, 1)
-                    m = weights[np.add(w2 == w1, (u3 == u2) & (w3 == w2), dtype=np.int64)]
-                else:
-                    m = np.full_like(u3, 6)
-                group = u3 * base + digit[w1 - 1]
-                chunk = (group * base + digit[w2 - 1]) * base + digit[w3 - 1]
-                keys, M = _distinct_keys(np.concatenate((keys, chunk)), np.concatenate((M, m)))
-                cut = np.searchsorted(keys, group[-1] * base * base)
-                final_keys.append(keys[:cut])
-                final_M.append(M[:cut])
-                final += cut
-                keys, M = keys[cut:], M[cut:]
-                if final >= _PLANE_CAP:
-                    total += _keyed_sum(P, u1, u2, np.concatenate(final_keys), np.concatenate(final_M))
-                    final_keys, final_M, final = [], [], 0
-            total += _keyed_sum(
-                P, u1, u2, np.concatenate([*final_keys, keys]), np.concatenate([*final_M, M])
-            )
-    return total
+    blocks = itertools.chain.from_iterable(
+        _w_chunks(P, u1, u2, coprime, mine)
+        for u1, u2 in itertools.combinations_with_replacement(range(1, math.isqrt(P) + 1), 2)
+        if math.gcd(u1, u2) == 1
+    )
+    return sum(_keyed_sum(P, keys, M, inv) for keys, M in _calls(blocks))
 
 
 def _weighted_V_chunk(c: int, P: int, k: int, T: int) -> int:
@@ -472,16 +474,12 @@ def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     meeting the x-box constraints, times the number of admissible u in closed
     form and the orbit size, and multiply by 8 for the w-sign orbits.
 
-    The coprime (u1, u2) run in Python; for each, the (u3, w1, w2, w3) are
-    built as int64 arrays in chunks of about ``_PLANE_CAP`` tuples and
-    reduced to their distinct keys (u3, P // w1, P // w2, P // w3), each
-    with the summed orbit sizes of its tuples, and an array kernel
-    (``_lattice_counts``) counts the lattice parameters of each distinct key
-    once, ``_PLANE_CAP`` keys a call (``_torsor_V_chunk``).  With
-    threads = T > 1, one pool of T workers takes the grid slices by stride,
-    and each worker reduces the keys of its own slices.  Bounds above
-    ``_MAX_TORSOR_BOUND`` raise OverflowError before any work, since the
-    int64 sums could wrap there."""
+    The tuples are counted per (u3, w1, w2) row and run of constant
+    P // w3, and the kernel counts the lattice parameters of each distinct
+    key (u3, P // w1, P // w2, P // w3) once (``_torsor_V_chunk``).  With
+    threads = T > 1, one pool of T workers takes the grid slices by stride.
+    Bounds above ``_MAX_TORSOR_BOUND`` raise OverflowError before any work,
+    since the int64 sums could wrap there."""
     _check_torsor_bound(P)
     t0 = time.perf_counter()
     jobs = [(_torsor_V_chunk, (P, k, threads)) for k in range(threads)]
@@ -549,6 +547,8 @@ def verify_bijection(P: int, drop_w_coprimality: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 # finite-field point counts
 
+_MAX_FP_PRIME = 31  # count_O_Fp holds p^5 int64 cells, 230 MB at p = 31
+
 
 def count_O_Fp(p: int) -> int:
     """Brute-force count of F_p points of the ten-coordinate descent scheme:
@@ -556,8 +556,8 @@ def count_O_Fp(p: int) -> int:
     u_i u_k w_j w_k nonzero, and (u, v) != 0.  The (u, v) block is counted by
     the kernel dimension of the linear form v -> u . v, reducing the loop to
     the six (u_j, w_j) variables."""
-    if not is_prime(p) or p > 31:
-        raise ValueError("p must be a prime <= 31")
+    if not is_prime(p) or p > _MAX_FP_PRIME:
+        raise ValueError(f"p must be a prime <= {_MAX_FP_PRIME}")
     rng = np.arange(p, dtype=np.int64)
     total = 0
     for u1 in range(p):  # chunk the 6D grid over u1 to bound memory

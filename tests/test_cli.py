@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from oracles import exhaustive_V
-from senary import cubic, peyre
+from senary import cubic, peyre, torsor
 from senary.cli import EXIT_OK, EXIT_USAGE, main
 from senary.torsor import _MAX_TORSOR_BOUND
 
@@ -250,6 +250,7 @@ USAGE_MESSAGES = [
     (("count", "--box", "3", "--primitive"), "--primitive applies to height counts; use --height"),
     # the suites that sieve primes up to --pmax refuse a limit below 2
     (("verify", "fp-counts", "--pmax", "1"), "prime limit must be >= 2, got 1"),
+    (("verify", "fp-counts", "--pmax", "37"), "prime limit must be <= 31, got 37"),
     (("verify", "factor-identity", "--pmax", "1"), "prime limit must be >= 2, got 1"),
     # constants and graph actions refuse a flag they do not read, like verify
     # suites, whatever its value
@@ -496,6 +497,18 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE and captured.out == ""
     assert captured.err.startswith(f"senary: cannot write {path}: ")
     assert captured.err.count("\n") == 1 and not path.exists()
+
+
+def test_fp_counts_refuse_a_large_prime_limit_before_any_count(capsys, monkeypatch):
+    def no_count(p):
+        raise AssertionError(f"counted at p = {p} before refusing the limit")
+
+    monkeypatch.setattr(torsor, "count_O_Fp", no_count)
+    for pmax in ("32", "37", "1000"):
+        code = main(["verify", "fp-counts", "--pmax", pmax])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err == f"senary: prime limit must be <= 31, got {pmax}\n"
 
 
 def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):

@@ -32,6 +32,7 @@ from senary.torsor import (
     TriProjectivePoint,
     _coprime_table,
     _floor_sums,
+    _inverses,
     _lattice_counts,
     _lattice_runs,
     _torsor_V_chunk,
@@ -253,32 +254,85 @@ def test_coprime_table_matches_gcd():
         assert np.array_equal(_coprime_table(P)[1:, 1:], np.gcd.outer(w, w) == 1)
 
 
+def _unpack(P, key):
+    """The (u1, u2, u3, q1, q2, q3) of a packed key of ``_w_chunks``: the
+    digits u1, u2 base 64 over u3, P - q1, P - q2, P - q3 base P + 1."""
+    key, d3 = divmod(key, P + 1)
+    key, d2 = divmod(key, P + 1)
+    key, d1 = divmod(key, P + 1)
+    plane, u3 = divmod(key, P + 1)
+    return (*divmod(plane, 64), u3, P - d1, P - d2, P - d3)
+
+
+def _layer_M(P, T, k):
+    """Worker k's (row, run) layer of V(P) out of T stride shares: M per
+    (u1, u2, u3, q1, q2, q3); each key comes once in the worker's blocks."""
+    mine = itertools.cycle([j == k for j in range(T)])
+    M = {}
+    for u1 in range(1, math.isqrt(P) + 1):
+        for u2 in range(u1, math.isqrt(P) + 1):
+            if math.gcd(u1, u2) == 1:
+                for keys, m in _w_chunks(P, u1, u2, _coprime_table(P), mine):
+                    for key, value in zip(keys.tolist(), m.tolist()):
+                        assert _unpack(P, key) not in M
+                        M[_unpack(P, key)] = value
+    return M
+
+
 @pytest.mark.parametrize("cap", [3, 1 << 13])
-def test_w_chunks_lay_out_the_scalar_representatives_in_order(monkeypatch, cap):
+def test_w_chunks_sum_the_scalar_orbit_sizes_per_key(monkeypatch, cap):
+    # the (row, q3-run) counts against the orbit sizes of the scalar
+    # representatives, summed per key, serially and in stride shares
     monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
-    for P in (1, 2, 9, 25):
-        every = itertools.repeat(True)  # every grid slice, as in one serial pass
-        for u1 in range(1, math.isqrt(P) + 1):
-            for u2 in range(u1, math.isqrt(P) + 1):
-                if math.gcd(u1, u2) != 1:
-                    continue
-                built = [
-                    tuple(t)
-                    for chunk in _w_chunks(P, u1, u2, _coprime_table(P), every)
-                    for t in zip(*(x.tolist() for x in chunk))
-                ]
-                scalar = [t[4:] for t in _uw_tuples(P, u1, u1 + 1) if t[3] == u2]
-                assert built == scalar
+    for P in (1, 2, 9, 25, 45):
+        oracle = Counter()
+        for _, m, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, 1, P + 1):
+            oracle[u1, u2, u3, P // w1, P // w2, P // w3] += m
+        for T in (1, 2, 3):
+            shares = Counter()
+            for k in range(T):
+                shares.update(_layer_M(P, T, k))
+            assert shares == oracle
+
+
+def test_w_chunks_weigh_the_two_ties():
+    # every representative of V(3) has u1 = u2 = 1: u = w = (1, 1, 1) (orbit
+    # 1) is alone in its key; the other rows w1 = w2 = 1 have orbit 3, here
+    # w3 = 2, 3 with u3 = 1, and w3 = 1, 3 and w3 = 1, 2 with u3 = 2, 3;
+    # w = (1, 2, 3) alone counts 6
+    assert _layer_M(3, 1, 0) == {
+        (1, 1, 1, 3, 3, 3): 1,
+        (1, 1, 1, 3, 3, 1): 3 + 3,
+        (1, 1, 2, 3, 3, 3): 3,
+        (1, 1, 2, 3, 3, 1): 3,
+        (1, 1, 3, 3, 3, 3): 3,
+        (1, 1, 3, 3, 3, 1): 3,
+        (1, 1, 1, 3, 1, 1): 6,
+    }
+
+
+def test_inverses_invert_every_unit():
+    n = 63  # isqrt(_MAX_TORSOR_BOUND)
+    I = _inverses(n)
+    for m in range(1, n + 1):
+        for r in range(n + 1):
+            assert I[m, r] == (pow(r, -1, m) if math.gcd(r, m) == 1 else 0)
 
 
 # q_j = P // w_j: zero, small, and up to far apart in size
 _q = st.one_of(st.just(0), st.integers(0, 6), st.integers(0, 4000))
 
 
+def _kernel_columns(u1, u2, keys):
+    """The int64 columns u1, u2, u3, q1, q2, q3 of one plane's keys
+    (u3, q1, q2, q3), as the kernel takes them."""
+    return np.array([(u1, u2, *key) for key in keys], dtype=np.int64).T
+
+
 @st.composite
 def lattice_keys(draw, q=_q):
     """Pairwise coprime u (u1 > 1 included) and q >= 0, one (u1, u2) with a
-    list of (u3, q1, q2, q3), as the kernel takes them."""
+    list of (u3, q1, q2, q3)."""
     u1 = draw(st.integers(1, 12))
     u2 = draw(st.integers(1, 40).filter(lambda u: math.gcd(u1, u) == 1))
     u3 = st.integers(1, 200).filter(lambda u: math.gcd(u1 * u2, u) == 1)
@@ -293,8 +347,7 @@ def lattice_keys(draw, q=_q):
 @example((2, 3, [(5, 7, 3, 4), (7, 0, 9, 0), (11, 40, 2, 2)]))
 def test_lattice_kernel_matches_the_scalar_kernel(drawn):
     u1, u2, keys = drawn
-    u3, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
-    K = _lattice_counts(u1, u2, u3, q1, q2, q3).tolist()
+    K = _lattice_counts(*_kernel_columns(u1, u2, keys), _inverses(u1)).tolist()
     assert K == [r_pair_count(u1, u2, *key) for key in keys]
 
 
@@ -305,8 +358,7 @@ def test_lattice_kernel_matches_the_scalar_kernel(drawn):
 @example((5, 3, [(2, 0, 0, 0), (7, 1, 60, 3), (1, 0, 45, 9)]))
 def test_lattice_kernel_counts_the_plane_points_by_brute_force(drawn):
     u1, u2, keys = drawn
-    u3, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
-    K = _lattice_counts(u1, u2, u3, q1, q2, q3).tolist()
+    K = _lattice_counts(*_kernel_columns(u1, u2, keys), _inverses(u1)).tolist()
     assert K == [plane_point_count(u1, u2, *key) for key in keys]
     assert K == [r_pair_count(u1, u2, *key) for key in keys]
 
@@ -318,8 +370,7 @@ def test_lattice_kernel_holds_in_int64_at_the_largest_box():
     qs = [(P, P, P), (P, 0, P), (0, P, P), (P, P, 0), (P, 1, P - 1), (1, P, 0)]
     for u1, u2, u3 in [(1, 1, P), (1, 2, P // 2 - 1), (47, 59, 67), (61, 62, 63), (63, 64, 61)]:
         keys = [(u3, *q) for q in qs]
-        u3s, q1, q2, q3 = (np.array(col, dtype=np.int64) for col in zip(*keys))
-        K = _lattice_counts(u1, u2, u3s, q1, q2, q3).tolist()
+        K = _lattice_counts(*_kernel_columns(u1, u2, keys), _inverses(u1)).tolist()
         assert K == [r_pair_count(u1, u2, *key) for key in keys]
 
 
@@ -465,13 +516,15 @@ def test_aggregated_shares_do_not_depend_on_the_cap(monkeypatch, cap):
 
 @pytest.mark.parametrize("cap", [5, 1 << 13])
 def test_the_kernel_sees_each_distinct_key_once(monkeypatch, cap):
+    # the keys of consecutive planes fill each call up to a quarter of the cap
     monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
-    seen = Counter()
+    seen, sizes = Counter(), []
     kernel = torsor._lattice_counts
 
-    def recording(u1, u2, u3, q1, q2, q3):
-        seen.update((u1, u2, *key) for key in zip(*(x.tolist() for x in (u3, q1, q2, q3))))
-        return kernel(u1, u2, u3, q1, q2, q3)
+    def recording(u1, u2, u3, q1, q2, q3, inv):
+        sizes.append(len(u3))
+        seen.update(zip(*(x.tolist() for x in (u1, u2, u3, q1, q2, q3))))
+        return kernel(u1, u2, u3, q1, q2, q3, inv)
 
     monkeypatch.setattr(torsor, "_lattice_counts", recording)
     P = 45
@@ -481,6 +534,8 @@ def test_the_kernel_sees_each_distinct_key_once(monkeypatch, cap):
         for _, _, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, 1, P + 1)
     }
     assert set(seen) == keys and set(seen.values()) == {1}
+    size = (cap + 3) // 4
+    assert all(n == size for n in sizes[:-1]) and 0 < sizes[-1] <= size <= cap
 
 
 def test_torsor_count_V_300_is_pinned():
