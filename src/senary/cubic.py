@@ -5,11 +5,14 @@ octant at a time (sign symmetry gives a factor 8), with x1 and x2 free over
 the box as numpy arrays.  For each (x1, x2) the cubic is linear in (y3, x3),
 and its solutions are one arithmetic progression in y3 with step
 y1*y2 / gcd(x1*y2 + x2*y1, y1*y2); the kernel lays out only the terms inside
-the box.  The box, primitive and slice counters, the Moebius ladder of
+the box.  The box and primitive counters, the Moebius ladder of
 ``mobius_check`` and ``iter_box_solutions`` all consume it.  It is
 deliberately plain box arithmetic, sharing no descent coordinates, coprimality
 tables or lattice counts with :mod:`senary.torsor`, and serves as the oracle
-that the descent-based counter must reproduce exactly.
+that the descent-based counter must reproduce exactly.  Every counter skips
+the degenerate locus y1*y2*y3 = 0: its points of height at most B number on
+the order of B^(4/3) and would swamp the B * Q(log B) the paper proves for
+the open set.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ COUNT_METHODS = (
     "torsor",
     "naive-primitive",
     "torsor-primitive",
-    "degenerate",
-    "slice",
 )
 
 # Memory, not int64, bounds the naive kernel: its largest intermediate is
@@ -150,12 +151,6 @@ def _count_by_height(R: int, y1, y2, y3, x1, x2, x3) -> np.ndarray:
     return np.stack([np.bincount(h, minlength=R + 1), np.bincount(h[primitive], minlength=R + 1)])
 
 
-def _count_in_slice(Z: frozenset, y1, y2, y3, x1, x2, x3) -> int:
-    if y1 in Z or y2 in Z:
-        return len(x3)
-    return int(np.isin(y3, list(Z)).sum())
-
-
 def iter_box_solutions(P: int):
     """Every integer sextuple in [-P, P]^6 on the cubic with y1*y2*y3 != 0,
     once each: the sign orbits (s1 x1, s2 x2, s3 x3, s1 y1, s2 y2, s3 y3) of
@@ -232,7 +227,7 @@ def mobius_check(B: int, threads: int = 1) -> list[tuple[int, bool, int]]:
     V, N2 = (8 * np.cumsum(bins, axis=1)).tolist()
     ladder = []
     for r in range(1, R + 1):
-        rhs = _primitive_count_by_moebius(r, lambda m: V[m])
+        rhs = sum(c * V[m] for m, c in _moebius_weights(r).items())
         ladder.append((r**3, N2[r] == rhs, N2[r] - rhs))
     return ladder
 
@@ -247,37 +242,3 @@ def _moebius_weights(R: int) -> dict[int, int]:
         if mu:
             weights[R // d] = weights.get(R // d, 0) + mu
     return {m: c for m, c in weights.items() if c}
-
-
-def _primitive_count_by_moebius(R: int, box_count) -> int:
-    """Primitive tuples in a box of radius R when the unrestricted count at
-    radius m is box_count(m): standard Moebius sieve over the scaling d."""
-    return sum(c * box_count(m) for m, c in _moebius_weights(R).items())
-
-
-def count_degenerate(B: int) -> CountReport:
-    """Primitive +/- pairs on the degenerate locus y1*y2*y3 = 0 with
-    max|coordinate|^3 <= B.  Split by which y vanish; each case is a free box
-    count (the cubic forces x_i = 0 when only y_i = 0, and vanishes identically
-    once two of the y are zero), made primitive by a Moebius sieve."""
-    if B < 1:
-        raise ValueError("height bound must be >= 1")
-    t0 = time.perf_counter()
-    R = integer_cube_root(B)
-    one_zero = _primitive_count_by_moebius(R, lambda m: (2 * m + 1) ** 2 * (2 * m) ** 2)
-    two_zero = _primitive_count_by_moebius(R, lambda m: (2 * m + 1) ** 3 * (2 * m))
-    all_zero = _primitive_count_by_moebius(R, lambda m: (2 * m + 1) ** 3 - 1)
-    total = 3 * one_zero + 3 * two_zero + all_zero
-    assert total % 2 == 0
-    return CountReport(B, "degenerate", total // 2, time.perf_counter() - t0)
-
-
-def slice_count(P: int, Z, threads: int = 1) -> CountReport:
-    """Solutions counted by V(P) with |y_j| in Z for at least one j."""
-    _check_box_bound(P)
-    Z = frozenset(Z)
-    if any(z < 1 or z > P for z in Z):
-        raise ValueError("Z must be a subset of {1..P}")
-    t0 = time.perf_counter()
-    total = 8 * _run_partitioned(_y1_jobs(P, partial(_count_in_slice, Z), threads), threads)
-    return CountReport(P, "slice", total, time.perf_counter() - t0)

@@ -22,6 +22,11 @@ import numpy as np
 from senary.arith import is_prime, primes_up_to
 
 _MAX_EDGES = 24  # 2^|E| subset enumeration cap
+# The most edges ``sg_polynomial`` takes touch at most twice as many vertices,
+# so past this r some vertex is isolated and only scales D_G by a zeta factor.
+# Every action builds at least one entry per vertex (the b-vector, the default
+# exponents, the weight vectors), so a huge r is refused before it allocates.
+_MAX_VERTICES = 2 * _MAX_EDGES
 _MAX_INTERMEDIATE = 1 << 22  # entries (32 MiB of float64) of one truncated_DG factor
 
 
@@ -35,6 +40,8 @@ class CoprimalityGraph:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("need at least one vertex")
+        if self.r > _MAX_VERTICES:
+            raise ValueError(f"a graph has at most {_MAX_VERTICES} vertices, got {self.r}")
         seen = set()
         for e in self.edges:
             k, l = e

@@ -46,20 +46,6 @@ def exhaustive_primitive_pairs(P):
     return len(sols) // 2
 
 
-def exhaustive_degenerate_pairs(P):
-    count = 0
-    rng = range(-P, P + 1)
-    for t in itertools.product(rng, repeat=6):
-        if t[3] * t[4] * t[5] != 0:
-            continue
-        if all(v == 0 for v in t):
-            continue
-        if cubic(*t) == 0 and math.gcd(*t) == 1:
-            count += 1
-    assert count % 2 == 0
-    return count // 2
-
-
 def solutions_via_x3(P):
     """Box solutions with y1*y2*y3 != 0, found by solving for x3 (faster than
     the full 6-fold product; still plain integers)."""

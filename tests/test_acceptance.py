@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from oracles import scalar_prefactor_identity
 from senary.arith import integer_cube_root, primes_up_to
-from senary.cubic import count_degenerate, count_N, naive_count_V, slice_count
+from senary.cubic import count_N, naive_count_V
 from senary.graphs import (
     SENARY_GRAPH,
     CoprimalityGraph,
@@ -195,20 +195,3 @@ def test_criterion_11_constant_assembly():
         paths_ok and scalar_ok,
         f"assembled={prov['assembled']:.6g} closed={prov['closed_form']:.6g}",
     )
-
-
-def test_criterion_12_growth_sanity_report_only():
-    # report-only: print the trends; the assertions only require well-formed
-    # positive counts
-    heights = (8, 64, 512, 4096)
-    degen = [count_degenerate(B).count for B in heights]
-    print("\n  degenerate-locus pairs vs B^(4/3):")
-    for B, c in zip(heights, degen):
-        print(f"    B={B:5d}  count={c:10d}  count/B^(4/3)={c / B ** (4 / 3):8.2f}")
-    slices = []
-    for P in (2, 4, 8, 16):
-        c = slice_count(P, {P}).count
-        slices.append(c)
-        print(f"    P={P:3d}  slice(|y|=P) count={c:8d}  count/P^2={c / P**2:8.1f}")
-    ok = all(c > 0 for c in degen + slices)
-    _report("12 growth sanity (report only)", ok)

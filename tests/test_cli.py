@@ -252,6 +252,28 @@ USAGE_MESSAGES = [
     (("verify", "fp-counts", "--pmax", "1"), "prime limit must be >= 2, got 1"),
     (("verify", "fp-counts", "--pmax", "37"), "prime limit must be <= 31, got 37"),
     (("verify", "factor-identity", "--pmax", "1"), "prime limit must be >= 2, got 1"),
+    # a sieve past 10^8 would not fit in memory, refused before it allocates
+    (
+        ("constants", "euler", "--prime-limit", "1000000000000"),
+        "prime limit must be <= 100000000, got 1000000000000",
+    ),
+    (
+        ("graph", "xi", "--prime-limit", "100000000000"),
+        "prime limit must be <= 100000000, got 100000000000",
+    ),
+    (
+        ("verify", "theorem3", "--prime-limit", "100000000000"),
+        "prime limit must be <= 100000000, got 100000000000",
+    ),
+    (
+        ("verify", "factor-identity", "--pmax", "100000000000"),
+        "prime limit must be <= 100000000, got 100000000000",
+    ),
+    # so would one entry per vertex of a huge graph
+    (
+        ("graph", "b-vector", "--graph", "r=1000000000000"),
+        "a graph has at most 48 vertices, got 1000000000000",
+    ),
     # constants and graph actions refuse a flag they do not read, like verify
     # suites, whatever its value
     (("constants", "euler", "--tolerance", "-1"), "constants euler does not read --tolerance"),

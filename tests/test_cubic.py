@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from oracles import (
     box_solutions,
-    exhaustive_degenerate_pairs,
     exhaustive_primitive_pairs,
     exhaustive_V,
     solutions_via_x3,
@@ -15,23 +14,20 @@ from senary.cubic import (
     _count_by_height,
     _count_chunk,
     _count_primitive,
-    _primitive_count_by_moebius,
+    _moebius_weights,
     _y1_jobs,
     CountReport,
     SolutionSextuple,
-    count_degenerate,
     count_N,
     cubic_form,
     iter_box_solutions,
     mobius_check,
     naive_count_V,
-    slice_count,
 )
 
 # values computed with the exhaustive oracle below before the main build
 V1, V2 = 56, 928
 N_BOX1, N_BOX2 = 28, 436
-DEGEN_PAIRS_1, DEGEN_PAIRS_2 = 148, 1264
 
 
 def test_is_solution_examples():
@@ -119,7 +115,7 @@ def test_mobius_ladder_matches_the_per_radius_check():
     ladder = mobius_check(12**3)
     for r, entry in enumerate(ladder, start=1):
         lhs = 2 * count_N(r**3).count
-        rhs = _primitive_count_by_moebius(r, lambda m: naive_count_V(m).count)
+        rhs = sum(c * naive_count_V(m).count for m, c in _moebius_weights(r).items())
         assert entry == (r**3, lhs == rhs, lhs - rhs)
 
 
@@ -150,24 +146,3 @@ def test_iter_box_solutions_matches_x3_oracle(P):
 def test_sign_symmetry_divisibility_by_8():
     for P in range(1, 7):
         assert naive_count_V(P).count % 8 == 0
-
-
-# --- degenerate locus and slices -------------------------------------------
-
-
-def test_count_degenerate_matches_exhaustive_oracle():
-    assert exhaustive_degenerate_pairs(1) == DEGEN_PAIRS_1
-    assert count_degenerate(1).count == DEGEN_PAIRS_1
-    assert exhaustive_degenerate_pairs(2) == DEGEN_PAIRS_2
-    assert count_degenerate(8).count == DEGEN_PAIRS_2
-
-
-def test_slice_count_boundary_cases():
-    assert slice_count(5, set(range(1, 6))).count == naive_count_V(5).count
-    assert slice_count(5, set()).count == 0
-    assert slice_count(10, {10}).count == 93032  # frozen from the exhaustive x3-solve oracle
-
-
-def test_slice_count_validates_Z():
-    with pytest.raises(ValueError):
-        slice_count(5, {6})

@@ -1,10 +1,12 @@
-"""Every public top-level name of the package is reached by the program.
+"""Every top-level name of the package is reached by the program.
 
-A public function, class or constant of ``src/senary`` must be referenced, as
-a name or an attribute in the syntax tree, somewhere in ``src/`` outside its
-own definition, or in ``scripts/`` or ``bench/``.  A name that only the tests
-use belongs in the tests.  Text matching would let a docstring count, so the
-files are walked with ``ast``.
+A function, class or constant of ``src/senary``, public or single-underscore
+private, must be referenced, as a name or an attribute in the syntax tree,
+somewhere in ``src/`` outside its own definition, or in ``scripts/`` or
+``bench/``.  A name that only the tests use belongs in the tests, and a
+private helper that a deletion leaves behind goes with it.  Dunders are
+exempt: the interpreter reads them, not the program.  Text matching would
+let a docstring count, so the files are walked with ``ast``.
 """
 
 import ast
@@ -18,8 +20,9 @@ def _trees(*dirs):
     return {path: ast.parse(path.read_text()) for d in dirs for path in sorted(d.rglob("*.py"))}
 
 
-def _public_definitions(tree):
-    """(name, node) of each public top-level function, class and constant."""
+def _definitions(tree):
+    """(name, node) of each top-level function, class and constant but the
+    dunders."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -29,7 +32,7 @@ def _public_definitions(tree):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
+            if not (name.startswith("__") and name.endswith("__")):
                 yield name, node
 
 
@@ -48,7 +51,7 @@ def test_every_public_name_is_reached_outside_the_tests():
     reached_outside = {name for tree in outside.values() for name, _ in _references(tree)}
     unreached = []
     for path, tree in src.items():
-        for name, node in _public_definitions(tree):
+        for name, node in _definitions(tree):
             if name in reached_outside:
                 continue
             own = range(node.lineno, node.end_lineno + 1)

@@ -23,11 +23,6 @@ def rows_under(lines, header):
     "name, argv, tables",
     [
         (
-            "growth_report",
-            ["--heights", "8,64", "--slice-bounds", "2,4"],
-            {"kind,bound,count,normalized": 4},
-        ),
-        (
             "convergence_run",
             ["--prime-limits", "1000", "--levels", "16"],
             {"prime_limit,value,tail_bound": 1, "grid_n,value,rel_error,seconds": 1},

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 from collections import Counter
@@ -25,7 +24,6 @@ from senary.cubic import (
     cubic_form,
     mobius_check,
     naive_count_V,
-    slice_count,
 )
 from senary.torsor import (
     TorsorTupleA,
@@ -457,7 +455,6 @@ def test_torsor_primitive_count_matches_naive(B):
 _PARTITIONED = [
     ("naive_count_V", naive_count_V, 3, 6),
     ("count_N", count_N, 27, 216),
-    ("slice_count", functools.partial(slice_count, Z={2}), 3, 6),
     ("torsor_count_V", torsor_count_V, 3, 8),
     ("torsor_count_N", torsor_count_N, 27, 216),
     ("mobius_check", mobius_check, 27, 1000),
