@@ -46,6 +46,18 @@ COUNT_METHODS = (
 # bytes, 1.7 GiB; twice the bound would take about 7.4 GiB.
 _MAX_NAIVE_BOUND = 1000
 
+# The cost rule of ``_run_partitioned``: a count opens a pool of T workers
+# only when its estimated serial time exceeds T * _WORKER_START_S.  The
+# estimate is a cell count times its kernel's seconds per cell: the naive
+# kernel's R^2 (2R+1)^2 cells below, the descent's sum of m^3 in
+# senary.torsor.  Calibrated on a 2-core Xeon VM, best of three runs in one
+# process: two workers first beat one at about 50 ms of serial work (V(150),
+# N(150^3), mobius_check(15^3)), so a worker costs 25 ms, which covers its
+# fork, pickling and join and the speed-up that falls short of T-fold.  The
+# naive kernel takes 94-121 ns per cell at R = 20 (mobius_check 117 ns).
+_WORKER_START_S = 0.025
+_NAIVE_CELL_S = 1.2e-7
+
 
 def cubic_form(x1: int, x2: int, x3: int, y1: int, y2: int, y3: int) -> int:
     return x1 * y2 * y3 + x2 * y1 * y3 + x3 * y1 * y2
@@ -100,7 +112,7 @@ def _check_box_bound(P: int):
         )
 
 
-def _octant_solutions(P: int, y1s: range):
+def _octant_solutions(P: int, y1s):
     """The naive kernel: for each (y1, y2) in the positive quadrant with y1
     in ``y1s``, yield y1, y2 and the int64 arrays (y3, x1, x2, x3) of every
     box solution with y3 >= 1.  With base = x1*y2 + x2*y1 the cubic reads
@@ -122,10 +134,12 @@ def _octant_solutions(P: int, y1s: range):
 
 
 def _count_chunk(P: int, count, k: int, T: int):
-    """Sum of count(y1, y2, y3, x1, x2, x3) over the octant solutions with
-    y1 = 1 + k (mod T), an int or an array summed elementwise; count is
-    module-level so the pool can pickle it."""
-    return sum(count(*sol) for sol in _octant_solutions(P, range(1 + k, P + 1, T)))
+    """Sum of count(y1, y2, y3, x1, x2, x3) over the octant solutions of
+    share k of T, the y1 with y1 - 1 = k or 2T - 1 - k (mod 2T), an int or
+    an array summed elementwise; count is module-level so the pool can
+    pickle it."""
+    y1s = sorted(itertools.chain(range(1 + k, P + 1, 2 * T), range(2 * T - k, P + 1, 2 * T)))
+    return sum(count(*sol) for sol in _octant_solutions(P, y1s))
 
 
 def _count_all(y1, y2, y3, x1, x2, x3) -> int:
@@ -134,8 +148,12 @@ def _count_all(y1, y2, y3, x1, x2, x3) -> int:
 
 def _is_primitive(y1, y2, y3, x1, x2, x3) -> np.ndarray:
     """Mask of the solutions whose six coordinates have gcd 1 (np.gcd ignores
-    signs)."""
-    return np.gcd(np.gcd(np.gcd(x1, x2), x3), np.gcd(y3, math.gcd(y1, y2))) == 1
+    signs): all of the plane when gcd(y1, y2) = 1, and otherwise that gcd
+    folded into x1 first, so that the array gcds start small."""
+    g = math.gcd(y1, y2)
+    if g == 1:
+        return np.ones(len(x1), dtype=bool)
+    return np.gcd(np.gcd(np.gcd(np.gcd(x1, g), x2), x3), y3) == 1
 
 
 def _count_primitive(*sol) -> int:
@@ -163,29 +181,40 @@ def iter_box_solutions(P: int):
                 yield (s1 * x1, s2 * x2, s3 * x3, s1 * y1, s2 * y2, s3 * y3)
 
 
-def _run_partitioned(jobs: list, threads: int):
-    """Sum of fn(*args) over the jobs, a list of (fn, args) pairs whose fn is
-    module-level so the pool can pickle it.  One thread, or one job, runs in
-    this process; otherwise one pool of ``threads`` workers takes every job,
-    and the results are summed in submission order, so the sum does not
-    depend on which worker ran what."""
+def _run_partitioned(deal, threads: int, serial_s: float):
+    """Sum of fn(*args) over the jobs deal(T), a list of (fn, args) pairs
+    that split one count into T shares, fn module-level so the pool can
+    pickle it.  A count whose estimated serial time ``serial_s`` does not
+    exceed the cost of starting ``threads`` workers runs in this process as
+    deal(1); otherwise one pool of ``threads`` workers takes every job of
+    deal(threads), and the results are summed in submission order, so the
+    sum does not depend on which worker ran what."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if threads == 1 or len(jobs) < 2:
+    if serial_s <= threads * _WORKER_START_S:
+        threads = 1
+    jobs = deal(threads)
+    if threads == 1:
         return sum(fn(*args) for fn, args in jobs)
     with ProcessPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, *args) for fn, args in jobs]
         return sum(f.result() for f in futures)
 
 
-def _y1_jobs(P: int, count, threads: int) -> list:
-    """The naive kernel's jobs: y1 in 1..P dealt out by stride to ``threads``
-    shares, or one share below P = 2 * threads, where a pool would not pay.
-    Small y1 own the most solutions (their y3 step y1*y2 // g is small), and
-    a stride spreads them over every share, where equal ranges would hand
-    them all to the first."""
-    parts = threads if P >= 2 * threads else 1
-    return [(_count_chunk, (P, count, k, parts)) for k in range(parts)]
+def _y1_jobs(P: int, count, T: int) -> list:
+    """The naive kernel's jobs: y1 in 1..P dealt to T shares in snake order,
+    worker k taking y1 - 1 = k or 2T - 1 - k (mod 2T).  Small y1 own the
+    most solutions (their y3 step y1*y2 // g is small), so a plain stride
+    would hand worker 0 the heavier y1 of every round (and split by parity
+    at T = 2, where even y1 own 62% of the solutions at R = 40); the snake
+    gives each worker one light and one heavy y1 per two rounds."""
+    return [(_count_chunk, (P, count, k, T)) for k in range(T)]
+
+
+def _naive_serial_s(P: int) -> float:
+    """The naive kernel's estimated serial time on the box of radius P: its
+    P^2 (y1, y2) planes of (2P+1)^2 grid cells each."""
+    return P * P * (2 * P + 1) ** 2 * _NAIVE_CELL_S
 
 
 def naive_count_V(P: int, threads: int = 1) -> CountReport:
@@ -193,7 +222,7 @@ def naive_count_V(P: int, threads: int = 1) -> CountReport:
     with y1*y2*y3 != 0 (no coprimality, both signs)."""
     _check_box_bound(P)
     t0 = time.perf_counter()
-    total = 8 * _run_partitioned(_y1_jobs(P, _count_all, threads), threads)
+    total = 8 * _run_partitioned(partial(_y1_jobs, P, _count_all), threads, _naive_serial_s(P))
     return CountReport(P, "naive", total, time.perf_counter() - t0)
 
 
@@ -206,7 +235,7 @@ def count_N(B: int, threads: int = 1) -> CountReport:
     R = integer_cube_root(B)
     _check_box_bound(R)
     t0 = time.perf_counter()
-    total = 4 * _run_partitioned(_y1_jobs(R, _count_primitive, threads), threads)
+    total = 4 * _run_partitioned(partial(_y1_jobs, R, _count_primitive), threads, _naive_serial_s(R))
     return CountReport(B, "naive-primitive", total, time.perf_counter() - t0)
 
 
@@ -223,7 +252,8 @@ def mobius_check(B: int, threads: int = 1) -> list[tuple[int, bool, int]]:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)
     _check_box_bound(R)
-    bins = _run_partitioned(_y1_jobs(R, partial(_count_by_height, R), threads), threads)
+    deal = partial(_y1_jobs, R, partial(_count_by_height, R))
+    bins = _run_partitioned(deal, threads, _naive_serial_s(R))
     V, N2 = (8 * np.cumsum(bins, axis=1)).tolist()
     ladder = []
     for r in range(1, R + 1):

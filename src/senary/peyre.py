@@ -412,9 +412,10 @@ def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> Con
     """
     if prime_limit < 1000:
         raise ValueError("prime_limit must be at least 1000")
+    # the sieve refuses a prime limit above its cap before any quadrature
+    product, product_tail = _euler_product_local(prime_limit)
     alpha = alpha_invariant()
     mu = archimedean_density(quad_tolerance)
-    product, product_tail = _euler_product_local(prime_limit)
     assembled = float(alpha) * mu.value * product
     closed = (TWO_PI_LOG_CONSTANT / 324.0) * product
     combined = float(alpha) * mu.tolerance * product + (closed / product) * product_tail

@@ -14,7 +14,9 @@ from senary.cubic import (
     _count_by_height,
     _count_chunk,
     _count_primitive,
+    _is_primitive,
     _moebius_weights,
+    _octant_solutions,
     _y1_jobs,
     CountReport,
     SolutionSextuple,
@@ -104,11 +106,30 @@ def test_height_bins_match_the_oracles():
     ids=["naive_count_V", "count_N", "mobius_check"],
 )
 def test_stride_shares_sum_to_the_serial_pass(count):
-    # the jobs of naive_count_V, count_N and mobius_check at threads = 3
+    # the jobs of naive_count_V, count_N and mobius_check at threads = 3,
+    # dealt in snake order
     R = 12
     shares = [_count_chunk(*args) for _, args in _y1_jobs(R, count, 3)]
     assert len(shares) == 3
     assert np.array_equal(sum(shares), _count_chunk(R, count, 0, 1))
+
+
+def test_the_y1_deal_is_a_snake():
+    # worker k of T takes y1 - 1 = k or 2T - 1 - k (mod 2T): at T = 3 the
+    # rounds go 0 1 2 2 1 0, and each y1 goes to exactly one worker
+    R, T = 14, 3
+    taken = {}
+    for k in range(T):
+        share = _count_chunk(R, lambda y1, *_: np.bincount([y1], minlength=R + 1), k, T)
+        taken[k] = np.flatnonzero(share).tolist()
+    assert taken == {0: [1, 6, 7, 12, 13], 1: [2, 5, 8, 11, 14], 2: [3, 4, 9, 10]}
+
+
+def test_primitive_mask_is_the_six_coordinate_gcd():
+    for R in range(1, 21):
+        for y1, y2, y3, x1, x2, x3 in _octant_solutions(R, range(1, R + 1)):
+            six = np.gcd.reduce([x1, x2, x3, y3, np.full_like(y3, y1), np.full_like(y3, y2)]) == 1
+            assert np.array_equal(_is_primitive(y1, y2, y3, x1, x2, x3), six)
 
 
 def test_mobius_ladder_matches_the_per_radius_check():

@@ -314,6 +314,15 @@ def test_peyre_theta_two_paths_agree():
     assert abs(prov["assembled"] - prov["closed_form"]) <= allow
 
 
+def test_peyre_theta_refuses_a_large_prime_limit_before_the_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("the quadrature ran first")
+
+    monkeypatch.setattr(peyre, "archimedean_density", no_quadrature)
+    with pytest.raises(ValueError, match="prime limit must be <= 100000000"):
+        peyre_theta(10**11, 0.003)
+
+
 def test_euler_product_drift_between_prime_limits():
     v1, t1 = _euler_product_local(100_000)
     v2, t2 = _euler_product_local(1_000_000)
