@@ -235,7 +235,8 @@ def count_N(B: int, threads: int = 1) -> CountReport:
     R = integer_cube_root(B)
     _check_box_bound(R)
     t0 = time.perf_counter()
-    total = 4 * _run_partitioned(partial(_y1_jobs, R, _count_primitive), threads, _naive_serial_s(R))
+    deal = partial(_y1_jobs, R, _count_primitive)
+    total = 4 * _run_partitioned(deal, threads, _naive_serial_s(R))
     return CountReport(B, "naive-primitive", total, time.perf_counter() - t0)
 
 

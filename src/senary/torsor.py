@@ -315,7 +315,8 @@ def _row_costs(P: int, planes: list) -> list:
         # a w2 counts runs[L] - runs[s3 - 1] runs: s3 = w2 when u3 = u2, else 1
         before = np.where(u3 == u2, summed[s2 + n2 - 1] - summed[s2 - 1], 0)
         work = n2 * (L + _PAIR_CELLS * runs[L]) - _PAIR_CELLS * before
-        group = np.flatnonzero(np.concatenate(([True], (u3[1:] != u3[:-1]) | (P // w1[1:] != P // w1[:-1]))))
+        q1 = P // w1
+        group = np.flatnonzero(np.concatenate(([True], (u3[1:] != u3[:-1]) | (q1[1:] != q1[:-1]))))
         size = np.diff(np.append(group, len(u3)))
         keys = (runs[P // (u1 * u3)] - runs[s2] + 1) * runs[L] // np.repeat(size, size)
         costs.append(work * phi[u2 * w1] // (u2 * w1) + _KEY_CELLS * keys)
