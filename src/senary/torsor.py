@@ -177,13 +177,6 @@ _PLANE_CAP = 1 << 13
 # so the line sits near P = 146.
 _DESCENT_CELL_S = 1.6e-8
 
-# The grid cells that one (row, q3-run) count and one kernel key weigh in
-# ``_row_costs``, least squares over the times of 16 runs of rows of equal
-# cells at P = 300 and 1000 (about 4 ns a cell, 30-37 ns a run count and
-# 95-125 ns an estimated key; residual 5%).
-_PAIR_CELLS = 8
-_KEY_CELLS = 24
-
 
 def _check_torsor_bound(P: int):
     if P < 1:
@@ -272,95 +265,38 @@ def _coprime_table(P: int) -> np.ndarray:
     return T
 
 
-def _w1_rows(P: int, T: np.ndarray):
-    """The (u3, w1) level of every coprime (u1, u2) plane, in the order of
-    ``_uw_tuples``: per plane a tuple (u1, u2, u3, w1, s2, n2) of two ints
-    and four int64 arrays, one entry per row, whose w2 candidates are the
-    n2 integers from s2 on (s2 = w1 when u2 == u1, 1 otherwise, up to
-    P // (u1*u3)).  T is ``_coprime_table(P)``."""
-    for u1, u2 in itertools.combinations_with_replacement(range(1, math.isqrt(P) + 1), 2):
-        if math.gcd(u1, u2) != 1:
-            continue
-        u3 = np.arange(u2, P // u2 + 1)
-        u3 = u3[T[u3, u1 * u2]]
-        W1 = P // (u2 * u3)
-        u3, w1 = np.repeat(u3, W1), _ranges(np.ones_like(W1), W1)
-        keep = T[w1, u1]
-        u3, w1 = u3[keep], w1[keep]
-        # the orbit ordering: w2 >= w1 when u2 == u1
-        s2 = w1 if u2 == u1 else np.ones_like(w1)
-        yield u1, u2, u3, w1, s2, P // (u1 * u3) - s2 + 1
-
-
-def _row_costs(P: int, planes: list) -> list:
-    """The cost of each (u3, w1) row of the ``_w1_rows`` planes, one int64
-    array per plane, in grid cells: the cells the row lays out,
-    ``_PAIR_CELLS`` per (row, q3-run) count and ``_KEY_CELLS`` per distinct
-    key it hands the kernel, each estimated from the row alone.
-
-    About phi(u2 w1) / (u2 w1) of its n2 candidates w2 are coprime to
-    u2 w1 (<= P), and each lays out the L = P // (u1*u2) cells w3 and counts
-    the runs of P // w3 over the w3 from s3 on.  Its (u3, P // w1) group
-    yields at most one key per distinct (P // w2, P // w3), and the group's
-    rows share those keys evenly."""
-    phi = np.arange(P + 1)  # Euler's totient, by the sieve
-    for p in primes_up_to(max(P, 2)).tolist():
-        phi[::p] -= phi[::p] // p
-    q = P // np.arange(1, P + 1)
-    runs = np.cumsum(np.concatenate(([0, 1], q[1:] != q[:-1])))  # distinct P // w, w <= x
-    summed = np.concatenate(([0], np.cumsum(runs)))  # summed[x] = runs[0] + ... + runs[x - 1]
-    costs = []
-    for u1, u2, u3, w1, s2, n2 in planes:
-        L = P // (u1 * u2)
-        # a w2 counts runs[L] - runs[s3 - 1] runs: s3 = w2 when u3 = u2, else 1
-        before = np.where(u3 == u2, summed[s2 + n2 - 1] - summed[s2 - 1], 0)
-        work = n2 * (L + _PAIR_CELLS * runs[L]) - _PAIR_CELLS * before
-        q1 = P // w1
-        group = np.flatnonzero(np.concatenate(([True], (u3[1:] != u3[:-1]) | (q1[1:] != q1[:-1]))))
-        size = np.diff(np.append(group, len(u3)))
-        keys = (runs[P // (u1 * u3)] - runs[s2] + 1) * runs[L] // np.repeat(size, size)
-        costs.append(work * phi[u2 * w1] // (u2 * w1) + _KEY_CELLS * keys)
-    return costs
-
-
-def _deal(P: int, planes: list, k: int, T: int) -> list:
-    """Share k of T of the ``_w1_rows`` planes, a run of consecutive rows:
-    each row goes to the share whose k-th of the total ``_row_costs`` holds
-    the midpoint of its own cost."""
-    costs = _row_costs(P, planes)
-    cost = np.concatenate(costs)
-    owner = np.minimum(T * (2 * np.cumsum(cost) - cost) // (2 * int(cost.sum())), T - 1)
-    shares = np.split(owner == k, np.cumsum([len(c) for c in costs])[:-1])
-    return [
-        (u1, u2, *(x[share] for x in rows))
-        for (u1, u2, *rows), share in zip(planes, shares)
-        if share.any()
-    ]
-
-
-def _w_chunks(P: int, T: np.ndarray, u1: int, u2: int, u3, w1, s2, n2):
-    """The distinct keys of the orbit representatives of these (u3, w1) rows
-    of the plane (u1, u2) (the tuples of ``_uw_tuples``, rows as
-    ``_w1_rows`` lays them out) with the sums M of their tuples' orbit
+def _w_chunks(P: int, u1: int, u2: int, T: np.ndarray, mine):
+    """The distinct keys of the orbit representatives with this (u1, u2)
+    (the tuples of ``_uw_tuples``) with the sums M of their tuples' orbit
     sizes, in int64 blocks (keys, M), a key in one block only; a key packs
     u1, u2 base 64 over u3, P - P // w1, P - P // w2, P - P // w3 base P + 1.
-    T is ``_coprime_table(P)``.
+    T is ``_coprime_table(P)``; ``mine`` yields one bool per grid slice, in
+    cut order across calls, and a False slice is skipped before its grid.
 
     Each level is built from the last and masked by its coprimality
-    conditions: the (u3, w1, w2) rows (by ``_ranges``, in slices of about
-    ``_PLANE_CAP`` candidates), and grids of about ``_PLANE_CAP`` cells of
-    these rows by the w3 in 1..P // (u1*u2), summed over each run of
-    constant q3 = P // w3.  The keys of these (row, run) counts join the
-    open keys ``_PLANE_CAP`` at a time; they rise with the rows within each
-    (u3, P // w1) group, and the groups with the rows, so only the last
-    row's group stays open, at most the distinct (P // w2, P // w3), about
-    4P keys.
+    conditions: the u3, the (u3, w1) rows, the (u3, w1, w2) rows (by
+    ``_ranges``, in slices of about ``_PLANE_CAP`` candidates), and grids of
+    about ``_PLANE_CAP`` cells of these rows by the w3 in 1..P // (u1*u2),
+    summed over each run of constant q3 = P // w3.  The keys of these
+    (row, run) counts join the open keys ``_PLANE_CAP`` at a time; they rise
+    with the rows within each (u3, P // w1) group, and the groups with the
+    rows, so only the last row's group stays open, at most the distinct
+    (P // w2, P // w3), about 4P keys.
 
     A tie w_i = w_j with gcd(w_i, w_j) = 1 forces w_i = w_j = 1, and with it
     u_i = u_j, coprime, forces u_i = u_j = 1.  So only the rows w1 = w2 = 1
     of the plane u1 = u2 = 1 have orbit size 3, and in them the first tuple,
     u = w = (1, 1, 1), orbit size 1; every other tuple counts 6."""
     base, digit = P + 1, P - P // np.arange(1, P + 1)  # digit[w - 1] = P - P // w
+    u3 = np.arange(u2, P // u2 + 1)
+    u3 = u3[T[u3, u1 * u2]]
+    W1 = P // (u2 * u3)
+    u3, w1 = np.repeat(u3, W1), _ranges(np.ones_like(W1), W1)
+    keep = T[w1, u1]
+    u3, w1 = u3[keep], w1[keep]
+    # the orbit ordering: w2 >= w1 when u2 == u1, w3 >= w2 when u3 == u2
+    s2 = w1 if u2 == u1 else np.ones_like(w1)
+    n2 = P // (u1 * u3) - s2 + 1
     w3 = np.arange(1, P // (u1 * u2) + 1)
     T3 = T[:, 1 : len(w3) + 1]  # the columns w3
     q3 = P // w3
@@ -376,12 +312,14 @@ def _w_chunks(P: int, T: np.ndarray, u1: int, u2: int, u3, w1, s2, n2):
         row_key = (((u1 * 64 + u2) * base + y3) * base + digit[z1 - 1]) * base + digit[z2 - 1]
         orbit = np.where((z1 == z2) & (u2 == u1), 3, 6)[:, None]  # the ties
         for c, d in _chunks(len(w3) - s3 + 1):
+            if not next(mine):
+                continue
             # u3*w1 <= P, and w3 is coprime to u3 and w1 when it is to u3*w1
             grid = T3[y3[c:d] * z1[c:d]] & T3[z2[c:d]]
             if y3[c] == u2:  # u3 = u2 = 1: the ordering w3 >= w2
                 grid &= w3 >= s3[c:d, None]
             counts = np.add.reduceat(grid, starts, axis=1, dtype=np.int64) * orbit[c:d]
-            if u2 == u1 and y3[c] == z1[c] == z2[c] == 1:  # the tuple u = w = (1, 1, 1)
+            if u2 == u1 and a == c == 0:  # the tuple u = w = (1, 1, 1)
                 counts[0, 0] -= 2
             row, run = np.nonzero(counts)
             pending.append((row_key[row + c] * base + digit[starts[run]], counts[row, run]))
@@ -509,33 +447,36 @@ def _keyed_sum(P: int, keys: np.ndarray, M: np.ndarray, inv: np.ndarray) -> int:
 
 
 def _torsor_V_chunk(P: int, k: int, T: int) -> int:
-    """Share k of T of V(P) / 8: the sum of n*M*K over the keys of the
-    (u3, w1) rows that ``_deal`` gives share k; T = 1, k = 0 gives all of
-    V(P) / 8 and costs no row.
+    """Worker k's share of V(P) / 8 when T workers split it: the sum of
+    n*M*K over the keys of the grid slices k, k + T, k + 2T, ... of the one
+    slice sequence ``_w_chunks`` cuts over all (u1, u2) planes in turn;
+    T = 1, k = 0 gives all of V(P) / 8.
 
     A tuple's number n of admissible u and its lattice count K depend only
     on its key (u3, q1, q2, q3), q_j = P // w_j, so each worker counts each
-    of its keys once (at P = 300, 3.7M tuples give 0.62M (row, q3-run)
-    counts and 0.30M keys), in kernel calls the keys of consecutive planes
-    fill.
-    Every worker lays out the (u3, w1) level of every plane to cost its
-    rows, and the (u3, w1, w2) rows and grids only of its own.  A key whose
-    rows two shares split gets part of its M from each, and n*M*K adds up."""
+    of its keys once (at P = 300, 3.8M tuples give 1.9M (row, q3-run) counts
+    and 0.3M keys), in kernel calls the keys of consecutive planes fill.
+    Every worker lays out the rows of every plane (9% more work than one
+    pass at P = 300, T = 2)."""
     coprime, inv = _coprime_table(P), _inverses(math.isqrt(P))
-    planes = _w1_rows(P, coprime)
-    if T > 1:
-        planes = _deal(P, list(planes), k, T)
-    blocks = itertools.chain.from_iterable(_w_chunks(P, coprime, *plane) for plane in planes)
+    mine = itertools.cycle([j == k for j in range(T)])
+    blocks = itertools.chain.from_iterable(
+        _w_chunks(P, u1, u2, coprime, mine)
+        for u1, u2 in itertools.combinations_with_replacement(range(1, math.isqrt(P) + 1), 2)
+        if math.gcd(u1, u2) == 1
+    )
     return sum(_keyed_sum(P, keys, M, inv) for keys, M in _calls(blocks))
 
 
 def _weighted_V_chunk(c: int, P: int, k: int, T: int) -> int:
-    """c times share k of T of V(P) / 8: one job of a term c V(P)."""
+    """c times worker k's share of V(P) / 8: one stride job of a Moebius
+    term c V(P)."""
     return c * _torsor_V_chunk(P, k, T)
 
 
 def _V_jobs(terms, T: int) -> list:
-    """The jobs of sum c V(m) / 8 over the (m, c) terms, T shares per term."""
+    """The jobs of sum c V(m) / 8 over the (m, c) terms, T stride jobs per
+    term."""
     return [(_weighted_V_chunk, (c, m, k, T)) for m, c in terms for k in range(T)]
 
 
@@ -557,8 +498,8 @@ def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     P // w3, and the kernel counts the lattice parameters of each distinct
     key (u3, P // w1, P // w2, P // w3) once (``_torsor_V_chunk``).  With
     threads = T > 1 and a count above the pool's cost line
-    (``cubic._run_partitioned``), one pool of T workers takes T shares of
-    equal grid cost.  Bounds above ``_MAX_TORSOR_BOUND`` raise OverflowError
+    (``cubic._run_partitioned``), one pool of T workers takes the grid
+    slices by stride.  Bounds above ``_MAX_TORSOR_BOUND`` raise OverflowError
     before any work, since the int64 sums could wrap there."""
     _check_torsor_bound(P)
     t0 = time.perf_counter()
@@ -576,9 +517,9 @@ def torsor_count_N(B: int, threads: int = 1) -> CountReport:
     The terms are grouped by m = R // d into c_m V(m), c_m the sum of the
     mu(d) with R // d = m (8 values of V in place of 19 at R = 30, 63 in
     place of 1,309 at R = 2154).  With threads = T > 1 and a count above
-    the pool's cost line, every V(m) with c_m != 0 is split into T shares of
-    equal grid cost (``_torsor_V_chunk``), and one pool of T workers takes
-    the jobs of all the terms."""
+    the pool's cost line, every V(m) with c_m != 0 is split into T stride
+    jobs (``_torsor_V_chunk``), and one pool of T workers takes the jobs of
+    all the terms."""
     if B < 1:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)

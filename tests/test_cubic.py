@@ -107,7 +107,7 @@ def test_height_bins_match_the_oracles():
 )
 def test_stride_shares_sum_to_the_serial_pass(count):
     # the jobs of naive_count_V, count_N and mobius_check at threads = 3,
-    # dealt in snake order
+    # dealt in snake order: two strides of 2T per worker
     R = 12
     shares = [_count_chunk(*args) for _, args in _y1_jobs(R, count, 3)]
     assert len(shares) == 3

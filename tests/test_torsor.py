@@ -29,15 +29,12 @@ from senary.torsor import (
     TorsorTupleA,
     TriProjectivePoint,
     _coprime_table,
-    _deal,
     _floor_sums,
-    _row_costs,
     _inverses,
     _lattice_counts,
     _lattice_runs,
     _torsor_V_chunk,
     _uw_tuples,
-    _w1_rows,
     _w_chunks,
     count_O_Fp,
     count_X_Fp,
@@ -265,29 +262,25 @@ def _unpack(P, key):
     return (*divmod(plane, 64), u3, P - d1, P - d2, P - d3)
 
 
-def _share(P, k, T):
-    """Share k of T of the (u3, w1) rows of V(P), as ``_torsor_V_chunk``
-    deals them."""
-    planes = _w1_rows(P, _coprime_table(P))
-    return list(planes) if T == 1 else _deal(P, list(planes), k, T)
-
-
 def _layer_M(P, T, k):
-    """Share k of T of the (row, run) layer of V(P): M per
-    (u1, u2, u3, q1, q2, q3); each key comes once in the share's blocks."""
+    """Worker k's (row, run) layer of V(P) out of T stride shares: M per
+    (u1, u2, u3, q1, q2, q3); each key comes once in the worker's blocks."""
+    mine = itertools.cycle([j == k for j in range(T)])
     M = {}
-    for plane in _share(P, k, T):
-        for keys, m in _w_chunks(P, _coprime_table(P), *plane):
-            for key, value in zip(keys.tolist(), m.tolist()):
-                assert _unpack(P, key) not in M
-                M[_unpack(P, key)] = value
+    for u1 in range(1, math.isqrt(P) + 1):
+        for u2 in range(u1, math.isqrt(P) + 1):
+            if math.gcd(u1, u2) == 1:
+                for keys, m in _w_chunks(P, u1, u2, _coprime_table(P), mine):
+                    for key, value in zip(keys.tolist(), m.tolist()):
+                        assert _unpack(P, key) not in M
+                        M[_unpack(P, key)] = value
     return M
 
 
 @pytest.mark.parametrize("cap", [3, 1 << 13])
 def test_w_chunks_sum_the_scalar_orbit_sizes_per_key(monkeypatch, cap):
     # the (row, q3-run) counts against the orbit sizes of the scalar
-    # representatives, summed per key, serially and in dealt shares
+    # representatives, summed per key, serially and in stride shares
     monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
     for P in (1, 2, 9, 25, 45):
         oracle = Counter()
@@ -439,8 +432,8 @@ def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
 
 
 def test_torsor_V_strided_shares_add_up():
-    # worker k of T takes the k-th run of rows by cost; at the small boxes
-    # some workers get no row at all
+    # worker k of T takes the grid slices k, k + T, ...; at the small boxes
+    # some workers get no slice at all
     for P in range(1, 41):
         whole = _torsor_V_chunk(P, 0, 1)
         for T in range(1, 5):
@@ -455,10 +448,10 @@ def test_torsor_primitive_count_matches_naive(B):
 # Every counter that splits its work over worker processes, at two bounds.
 # At these bounds no count is worth a pool, so the tests that deal them out
 # set the pool's start-up cost to 0.  The naive counters deal out y1 in snake
-# order, so at the lower bound some workers get no y1 at 3 threads.  The
-# torsor counters deal out runs of (u3, w1) rows by cost: V(3) and the V(m)
-# of the height counter at 27 have few rows, so some workers get none.  The
-# height counters work on the box of radius floor(B^(1/3)).
+# order, so at the lower bound, radius 3, each of 3 workers gets one y1.  The
+# torsor counters deal out grid slices by stride: V(3) and the V(m) of the
+# height counter at 27 have one slice, and V(8) two, so some workers get
+# none.  The height counters work on the box of radius floor(B^(1/3)).
 _PARTITIONED = [
     ("naive_count_V", naive_count_V, 3, 6),
     ("count_N", count_N, 27, 216),
@@ -503,7 +496,7 @@ def test_no_workers_is_an_error(counter, bound):
 @pytest.mark.parametrize("P", range(1, 61))
 def test_aggregated_shares_match_the_scalar_oracle(P):
     # one scalar kernel call per representative, against the kernel run
-    # once per distinct key, serially and in dealt shares
+    # once per distinct key, serially and in stride shares
     expected = torsor_V_chunk(P, 1, P + 1)
     for T in (1, 2, 3):
         assert sum(_torsor_V_chunk(P, k, T) for k in range(T)) == expected
@@ -549,13 +542,8 @@ def test_torsor_count_V_300_is_pinned():
 
 
 def test_some_stride_workers_get_no_slice():
-    # V(1) has one (u3, w1) row, and it goes to the share that holds its
-    # midpoint; V(2) has three, one per share at T = 3, but the middle one,
-    # (u3, w1) = (1, 2), keeps no w2: its one candidate, 2, shares a factor
-    # with w1
-    assert [_torsor_V_chunk(1, k, 3) > 0 for k in range(3)] == [False, True, False]
-    assert [len(_rows(_share(2, k, 3))) for k in range(3)] == [1, 1, 1]
-    assert [_torsor_V_chunk(2, k, 3) > 0 for k in range(3)] == [True, False, True]
+    # V(8) has two grid slices, one per (u1, u2) plane: a third worker idles
+    assert [_torsor_V_chunk(8, k, 3) > 0 for k in range(3)] == [True, True, False]
 
 
 @pytest.fixture
@@ -577,11 +565,10 @@ def pools_opened(monkeypatch):
     [(torsor_count_N, 27000, 11217988), (torsor_count_V, 100, 1866628352)],
 )
 def test_a_counter_call_opens_one_pool(monkeypatch, pools_opened, counter, bound, expected):
-    # below the cost line the count runs in this process; above it, N(27000)
-    # sends the jobs of all its eight Moebius terms to one pool.  The counts
-    # are the naive pins of bench/expected.json
-    assert counter(bound, threads=2).count == expected
-    assert len(pools_opened) == 0
+    # with the pool's start-up cost set to 0 both counts are above the cost
+    # line, and N(27000) takes the jobs of all its eight Moebius terms in one
+    # pool (below the line they open none: ``test_the_cost_line``); the
+    # counts are the naive pins of bench/expected.json
     monkeypatch.setattr(cubic, "_WORKER_START_S", 0.0)
     assert counter(bound, threads=2).count == expected
     assert len(pools_opened) == 1
@@ -615,70 +602,6 @@ def test_the_cost_line(monkeypatch, count, pool):
             count()
     else:
         count()
-
-
-def _rows(planes):
-    """The (u1, u2, u3, w1) of every row of the planes, in order."""
-    return [
-        (u1, u2, a, b)
-        for u1, u2, u3, w1, *_ in planes
-        for a, b in zip(u3.tolist(), w1.tolist())
-    ]
-
-
-@pytest.mark.parametrize("P", [1, 2, 45, 300])
-@pytest.mark.parametrize("T", [2, 3])
-def test_the_shares_are_consecutive_runs_of_rows(monkeypatch, P, T):
-    # every worker hands _w_chunks only its own rows, so no worker builds a
-    # (u3, w1, w2) row outside its share, and the shares in worker order
-    # are the rows of _w1_rows in order
-    built = {}
-    w_chunks = torsor._w_chunks
-
-    def recording(P, coprime, *plane):
-        built.setdefault(k, []).extend(_rows([plane]))
-        return w_chunks(P, coprime, *plane)
-
-    monkeypatch.setattr(torsor, "_w_chunks", recording)
-    for k in range(T):
-        _torsor_V_chunk(P, k, T)
-    assert sum((built.get(k, []) for k in range(T)), []) == _rows(_share(P, 0, 1))
-
-
-@pytest.mark.parametrize("T", [2, 3])
-def test_each_share_costs_a_T_th_of_the_rows(T):
-    # the shares, consecutive runs of rows, cut the rows' costs into T parts
-    # that differ from equal by less than 2%
-    P = 300
-    cost = np.concatenate(_row_costs(P, _share(P, 0, 1)))
-    sizes = [len(_rows(_share(P, k, T))) for k in range(T)]
-    parts = [int(c.sum()) for c in np.split(cost, np.cumsum(sizes)[:-1])]
-    assert len(parts) == T and sum(parts) == int(cost.sum())
-    assert max(abs(T * part / sum(parts) - 1) for part in parts) < 0.02
-
-
-def _grid_cells(P, rows):
-    """The grid cells each row lays out, by gcd: each w2 from s2 to
-    P // (u1*u3) coprime to u2*w1 takes the P // (u1*u2) cells w3."""
-    return [
-        sum(math.gcd(w2, u2 * w1) == 1 for w2 in range(w1 if u2 == u1 else 1, P // (u1 * u3) + 1))
-        * (P // (u1 * u2))
-        for u1, u2, u3, w1 in rows
-    ]
-
-
-def test_row_costs_estimate_the_grid_cells(monkeypatch):
-    # with the runs and keys weighed at 0, a row costs its grid cells, exactly
-    # where u2 w1 = 1 (every w2 is coprime to it), and 1.1% too many in all
-    monkeypatch.setattr(torsor, "_PAIR_CELLS", 0)
-    monkeypatch.setattr(torsor, "_KEY_CELLS", 0)
-    P = 300
-    planes = _share(P, 0, 1)
-    cost = np.concatenate(_row_costs(P, planes)).tolist()
-    rows = _rows(planes)
-    cells = _grid_cells(P, rows)
-    assert all(c == g for c, g, (_, u2, _, w1) in zip(cost, cells, rows) if u2 * w1 == 1)
-    assert abs(sum(cost) / sum(cells) - 1) < 0.02
 
 
 @pytest.mark.parametrize(
