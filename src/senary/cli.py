@@ -213,8 +213,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.pmax > torsor._MAX_FP_PRIME:  # refused before the first count
             raise ValueError(f"prime limit must be <= {torsor._MAX_FP_PRIME}, got {args.pmax}")
         for p in primes_up_to(args.pmax).tolist():
-            formula = (p - 1) ** 5 * (p * p + p + 1) * (p * p + 4 * p + 1)
-            good = torsor.count_O_Fp(p) == formula
+            # theta's local density times p^9, the polynomial of its Euler factor
+            good = torsor.count_O_Fp(p) == peyre._euler_factor_polynomials(p)[0]
             _verify_line(out, "fp-descent-scheme", good, p=p)
             ok = ok and good
             if p <= 5:
@@ -277,12 +277,18 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     G = graphs.CoprimalityGraph.parse(args.graph)
     action = args.action
     if action == "b-vector":
-        out.emit(json.dumps({"graph": args.graph, "b": list(graphs.b_coefficients(G).b)}))
+        out.emit(json.dumps({"graph": args.graph, "b": list(graphs.b_coefficients(G))}))
     elif action == "euler":
         s = _parse_s(args.s) or (1.0,) * G.r
         value = graphs.euler_factor(G, args.p, s)
         obj = {"graph": args.graph, "p": args.p, "s": list(s), "factor": value}
-        if all(float(x).is_integer() for x in s):
+        # the exact factor's numerator and denominator have at most
+        # sum |s_j| log10 p digits, plus those of the sum of its 2^|E| terms;
+        # one that could pass Python's int-to-str limit is left out before
+        # any power is taken
+        digits = sum(abs(x) for x in s) * math.log10(args.p) + len(G.edges) + 1
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if all(float(x).is_integer() for x in s) and digits < limit:
             exact = graphs.euler_factor_exact(G, args.p, [int(x) for x in s])
             obj["exact"] = f"{exact.numerator}/{exact.denominator}"
         out.emit(json.dumps(obj, sort_keys=True))

@@ -4,16 +4,18 @@ A finite simple graph on vertices 1..r encodes which pairs of summation
 variables must be coprime.  Dividing the constrained series by the product of
 the r zeta factors leaves an Euler product whose p-factor is the multilinear
 subset polynomial S_G evaluated at (p^-s1, ..., p^-sr); at s = 1 the factor
-collapses to an integer combination sum_k b_k p^-k.  This module computes the
-polynomial and the b-vector exactly, evaluates the Euler product with a
-rigorous tail bound, and cross-checks the identity against direct truncation
-of the constrained series.
+collapses to an integer combination sum_k b_k p^-k.  This module builds the
+polynomial edge by edge, as a dict from vertex bitmask to coefficient, reads
+the b-vector off it exactly, evaluates the Euler product with a rigorous tail
+bound, and cross-checks the identity against direct truncation of the
+constrained series.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,9 +23,14 @@ import numpy as np
 
 from senary.arith import is_prime, primes_up_to
 
-_MAX_EDGES = 24  # 2^|E| subset enumeration cap
+# ``sg_polynomial`` folds in one edge at a time and touches every mask it
+# holds, so its cost is |E| x masks, not 2^|E| subsets; the masks are capped
+# (2^20 of them take about 200 MiB), and so are the edges.
+_MAX_EDGES = 24
+_MAX_MASKS = 1 << 20
 # The most edges ``sg_polynomial`` takes touch at most twice as many vertices,
-# so past this r some vertex is isolated and only scales D_G by a zeta factor.
+# so past this r some vertex is isolated and only scales D_G by a zeta factor
+# (and the masks, one bit per vertex, could number 2^r; ``_MAX_MASKS`` holds).
 # Every action builds at least one entry per vertex (the b-vector, the default
 # exponents, the weight vectors), so a huge r is refused before it allocates.
 _MAX_VERTICES = 2 * _MAX_EDGES
@@ -89,52 +96,6 @@ SENARY_GRAPH = CoprimalityGraph.from_edges(
 )
 
 
-@dataclass(frozen=True)
-class SubsetPolynomial:
-    """Multilinear integer polynomial, stored as bitmask -> coefficient.
-
-    Bit j-1 of a mask stands for the variable attached to vertex j.
-    """
-
-    r: int
-    terms: tuple[tuple[int, int], ...]  # sorted (mask, coefficient) pairs
-
-    def __post_init__(self):
-        d = dict(self.terms)
-        if d.get(0) != 1:
-            raise ValueError("the empty-set coefficient must be 1")
-
-    def evaluate(self, values):
-        """Evaluate at one value per vertex (floats, Fractions, ...)."""
-        if len(values) != self.r:
-            raise ValueError("need one value per vertex")
-        total = 0
-        for mask, coeff in self.terms:
-            prod = coeff
-            m = mask
-            j = 0
-            while m:
-                if m & 1:
-                    prod = prod * values[j]
-                m >>= 1
-                j += 1
-            total = total + prod
-        return total
-
-
-@dataclass(frozen=True)
-class BVector:
-    """Coefficients b_0..b_r of the Euler factor at s = (1, ..., 1)."""
-
-    b: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.b[0] != 1:
-            raise ValueError("b_0 must be 1")
-        if len(self.b) >= 2 and self.b[1] != 0:
-            raise ValueError("b_1 must be 0")
-
-
 def _exponents(G: CoprimalityGraph, s) -> tuple[float, ...]:
     s = tuple(float(v) for v in s)
     if len(s) != G.r:
@@ -144,55 +105,79 @@ def _exponents(G: CoprimalityGraph, s) -> tuple[float, ...]:
     return s
 
 
-def sg_polynomial(G: CoprimalityGraph) -> SubsetPolynomial:
+def sg_polynomial(G: CoprimalityGraph) -> dict[int, int]:
     """S_G = sum over edge subsets U of (-1)^|U| * prod of x_j over the
-    vertices touched by U, by direct 2^|E| enumeration."""
+    vertices touched by U, as {vertex bitmask: nonzero coefficient} with the
+    masks ascending; bit j-1 stands for vertex j.
+
+    It is built edge by edge from {0: 1}: the subsets with edge e are those
+    without it, each with e's vertices joined to its mask and its sign
+    flipped.  More than ``_MAX_MASKS`` masks are refused."""
     edges = G.edge_list
     if len(edges) > _MAX_EDGES:
         raise ValueError(f"too many edges ({len(edges)} > {_MAX_EDGES})")
-    # vertex bitmask of each edge
-    emasks = [(1 << (k - 1)) | (1 << (l - 1)) for k, l in edges]
-    coeffs: dict[int, int] = {}
-    for bits in range(1 << len(edges)):
-        vmask = 0
-        m = bits
-        i = 0
-        sign = 1
-        while m:
-            if m & 1:
-                vmask |= emasks[i]
-                sign = -sign
-            m >>= 1
-            i += 1
-        coeffs[vmask] = coeffs.get(vmask, 0) + sign
-    terms = tuple(sorted((m, c) for m, c in coeffs.items() if c != 0))
-    return SubsetPolynomial(G.r, terms)
+    poly = {0: 1}
+    for k, l in edges:
+        e = (1 << (k - 1)) | (1 << (l - 1))
+        grown = dict(poly)
+        for m, c in poly.items():
+            grown[m | e] = grown.get(m | e, 0) - c
+            if len(grown) > _MAX_MASKS:
+                raise ValueError(f"the subset polynomial has more than {_MAX_MASKS} terms")
+        poly = grown
+    return {m: poly[m] for m in sorted(poly) if poly[m]}
 
 
-def b_coefficients(G: CoprimalityGraph) -> BVector:
-    """b_k = sum over edge subsets touching exactly k vertices of (-1)^|U|:
-    the coefficients of S_G summed by the degree of their monomials."""
+def b_coefficients(G: CoprimalityGraph) -> tuple[int, ...]:
+    """b_0..b_r: b_k = sum over edge subsets touching exactly k vertices of
+    (-1)^|U|, the coefficients of S_G summed by the degree of their
+    monomials."""
     b = [0] * (G.r + 1)
-    for mask, coeff in sg_polynomial(G).terms:
-        b[bin(mask).count("1")] += coeff
-    return BVector(tuple(b))
+    for mask, coeff in sg_polynomial(G).items():
+        b[mask.bit_count()] += coeff
+    return tuple(b)
+
+
+def _at_prime(G: CoprimalityGraph, p: int, powers):
+    """S_G at x = powers(), called once p is known to be a prime.  Each term
+    multiplies its coefficient by its x_j from the lowest bit up, and the
+    terms are added in ascending mask order: a float factor's bytes depend
+    on both orders."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+    x = powers()
+    if len(x) != G.r:
+        raise ValueError(f"need one exponent per vertex ({G.r}), got {len(x)}")
+    total = 0
+    for mask, coeff in sg_polynomial(G).items():
+        term = coeff
+        for j in range(mask.bit_length()):
+            if mask >> j & 1:
+                term = term * x[j]
+        total = total + term
+    return total
 
 
 def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
-    """One Euler factor: S_G evaluated at x_j = p^-s_j."""
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
-    return sg_polynomial(G).evaluate([p ** (-sj) for sj in _exponents(G, s)])
+    """One Euler factor: S_G evaluated at x_j = p^-s_j.  A factor, or a
+    power p^-s_j, past the largest float is refused."""
+    try:
+        value = _at_prime(G, p, lambda: [p ** (-sj) for sj in _exponents(G, s)])
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            f"the Euler factor at p = {p}, or one of its powers p^-s_j, passes "
+            f"the largest float, {sys.float_info.max:.4g}"
+        )
+    return value
 
 
 def euler_factor_exact(G: CoprimalityGraph, p: int, s) -> Fraction:
-    """Exact rational Euler factor for integer exponents."""
-    if not is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
+    """Exact rational Euler factor for integer exponents of either sign."""
     if any(int(sj) != sj for sj in s):
         raise ValueError("exact evaluation needs integer exponents")
-    vals = [Fraction(1, p ** int(sj)) for sj in s]
-    return sg_polynomial(G).evaluate(vals)
+    return _at_prime(G, p, lambda: [Fraction(1, p) ** int(sj) for sj in s])
 
 
 def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
@@ -210,10 +195,9 @@ def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     m = min((s[k - 1] + s[l - 1] for k, l in G.edges), default=math.inf)
     if m <= 1:
         raise ValueError("every edge's exponent sum must exceed 1")
-    poly = sg_polynomial(G)
     primes = primes_up_to(prime_limit)
     product = np.ones(len(primes))
-    for mask, coeff in poly.terms:
+    for mask, coeff in sg_polynomial(G).items():
         if mask == 0:
             continue
         expo = sum(s[j] for j in range(G.r) if mask >> j & 1)
@@ -241,15 +225,13 @@ def _euler_tail(C: int, m: float, prime_limit: int) -> float:
         ) from None
 
 
-def _radical_table(N: int) -> tuple[np.ndarray, list[int]]:
-    """Map each n in 1..N to the index of its radical; return also the list of
-    distinct radicals."""
+def _radical_table(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Map each n in 1..N to the index of its radical; return also the
+    ascending distinct radicals."""
     rads = np.ones(N + 1, dtype=np.int64)
     for p in primes_up_to(max(N, 2)).tolist():  # at N = 1 the slice of p = 2 is empty
         rads[p::p] *= p
-    radicals = sorted(set(int(v) for v in rads[1:]))
-    index = {v: i for i, v in enumerate(radicals)}
-    idx = np.array([index[int(v)] for v in rads[1:]], dtype=np.int64)
+    radicals, idx = np.unique(rads[1:], return_inverse=True)
     return idx, radicals
 
 
@@ -314,11 +296,10 @@ def truncated_DG(G: CoprimalityGraph, s, N: int) -> tuple[float, float]:
         np.add.at(wj, idx, ns ** (-s[j]))
         factors.append(((j + 1,), wj))
     if G.edges:
-        rad_arr = np.array(radicals, dtype=np.int64)
         coprime = np.empty((R, R), dtype=bool)
         step = max(1, 2_000_000 // R)
         for lo in range(0, R, step):
-            coprime[lo : lo + step] = np.gcd.outer(rad_arr[lo : lo + step], rad_arr) == 1
+            coprime[lo : lo + step] = np.gcd.outer(radicals[lo : lo + step], radicals) == 1
         factors += [(e, coprime) for e in G.edge_list]
     total = 1.0
     for v, scope in order:
@@ -439,7 +420,7 @@ def tg_series_check(G: CoprimalityGraph, degree_cap: int) -> bool:
         prod = new
     lhs = {e: c for e, c in prod.items() if c != 0 and sum(e) <= degree_cap}
     rhs: dict[tuple[int, ...], int] = {}
-    for mask, coeff in sg_polynomial(G).terms:
+    for mask, coeff in sg_polynomial(G).items():
         expo = tuple(1 if mask >> j & 1 else 0 for j in range(r))
         if sum(expo) <= degree_cap:
             rhs[expo] = coeff

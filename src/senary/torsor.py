@@ -185,7 +185,7 @@ def _check_torsor_bound(P: int):
         raise OverflowError(f"box bound {P} exceeds the int64-checked torsor range")
 
 
-def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
+def _uw_tuples(P: int, w_coprime: bool = True):
     """One representative (n, m, u1, u2, u3, w1, w2, w3) per orbit of the
     tuples with positive entries, u pairwise coprime, (u_j; w_j) = 1 and w
     pairwise coprime (these w conditions only when w_coprime), and the u = 1
@@ -194,10 +194,10 @@ def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
 
     The cubic is symmetric under permuting the indices 1, 2, 3, and so are
     these constraints, the x-box and the lattice count.  The representative
-    is the ordered one, (u1, w1) <= (u2, w2) <= (u3, w3) lexicographically,
-    with u1 in [u1_lo, u1_hi); u1 <= u2 <= u3 and u2*u3 <= P give
-    u1 <= u2 <= isqrt(P).  m = 6, 3 or 1 is the orbit size, the number of
-    distinct permutations of the three pairs.
+    is the ordered one, (u1, w1) <= (u2, w2) <= (u3, w3) lexicographically;
+    u1 <= u2 <= u3 and u2*u3 <= P give u1 <= u2 <= isqrt(P).  m = 6, 3 or 1
+    is the orbit size, the number of distinct permutations of the three
+    pairs.
 
     u enters neither the x-box nor the coprimality system, so it is summed
     out: n = P // max(u2*u3*w1, u1*u3*w2, u1*u2*w3) is the number of u >= 1
@@ -206,7 +206,7 @@ def _uw_tuples(P: int, u1_lo: int, u1_hi: int, w_coprime: bool = True):
     This scalar generator is the reference enumeration: ``verify_bijection``
     walks its tuples and the lattice points ``_lattice_runs`` yields for
     each, and the tests check the array build ``_w_chunks`` against it."""
-    for u1 in range(u1_lo, u1_hi):
+    for u1 in range(1, math.isqrt(P) + 1):
         for u2 in range(u1, math.isqrt(P) + 1):
             if math.gcd(u1, u2) != 1:
                 continue
@@ -541,7 +541,7 @@ def verify_bijection(P: int, drop_w_coprimality: bool = False) -> bool:
     from senary.cubic import naive_count_V
 
     images: dict[tuple, int] = {}
-    for n, _, *uw in _uw_tuples(P, 1, P + 1, not drop_w_coprimality):
+    for n, _, *uw in _uw_tuples(P, not drop_w_coprimality):
         # every distinct permutation of the representative's pairs (u_j, w_j)
         orbit = dict.fromkeys(itertools.permutations(zip(uw[:3], uw[3:])))
         for ((u1, w1), (u2, w2), (u3, w3)), u, s1, s2, s3 in itertools.product(

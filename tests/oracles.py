@@ -126,14 +126,13 @@ def r_pair_count(u1, u2, u3, q1, q2, q3):
     return sum(len(r2s) * len(r3s) for _, r2s, r3s in _lattice_runs(u1, u2, u3, q1, q2, q3))
 
 
-def torsor_V_chunk(P, u1_lo, u1_hi):
-    """Sum of n*m*K over the orbit representatives with u1 in [u1_lo, u1_hi),
-    one scalar kernel call per representative; V(P) = 8 * torsor_V_chunk(P,
-    1, P + 1)."""
+def torsor_V_chunk(P):
+    """Sum of n*m*K over the orbit representatives, one scalar kernel call
+    per representative; V(P) = 8 * torsor_V_chunk(P)."""
     from senary.torsor import _uw_tuples
 
     total = 0
-    for n, m, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, u1_lo, u1_hi):
+    for n, m, u1, u2, u3, w1, w2, w3 in _uw_tuples(P):
         total += n * m * r_pair_count(u1, u2, u3, P // w1, P // w2, P // w3)
     return total
 

@@ -276,6 +276,17 @@ USAGE_MESSAGES = [
         ("graph", "b-vector", "--graph", "r=1000000000000"),
         "a graph has at most 48 vertices, got 1000000000000",
     ),
+    # and a subset polynomial of more than 2^20 terms: 21 disjoint edges have
+    # 2^21, refused at the first past 2^20
+    (
+        (
+            "graph",
+            "b-vector",
+            "--graph",
+            "r=42;edges=" + ",".join(f"{2 * i + 1}-{2 * i + 2}" for i in range(21)),
+        ),
+        "the subset polynomial has more than 1048576 terms",
+    ),
     # constants and graph actions refuse a flag they do not read, like verify
     # suites, whatever its value
     (("constants", "euler", "--tolerance", "-1"), "constants euler does not read --tolerance"),
@@ -303,6 +314,12 @@ USAGE_MESSAGES = [
         ("graph", "xi", "--graph", "r=2;edges=1-2", "--s", "0.5005,0.5005"),
         "the Euler tail bound at prime limit 100000 and exponent sum 1.001 is not finite; "
         "raise the prime limit or the exponents",
+    ),
+    # an Euler factor past the largest float: 2^2000.5 at s_1 = -2000.5
+    (
+        ("graph", "euler", "--s=-2000.5,1,1,1,1,1"),
+        "the Euler factor at p = 2, or one of its powers p^-s_j, passes the largest float, "
+        "1.798e+308",
     ),
     # boxes whose naive kernel would not fit in memory, refused before any work
     (
@@ -498,6 +515,24 @@ def test_graph_euler_exact(capsys):
     code, out = run(capsys, "graph", "euler", "--p", "2", "--s", "1,1,1,1,1,1")
     assert code == EXIT_OK
     assert json.loads(out)["exact"] == "13/64"
+
+
+@pytest.mark.parametrize(
+    "argv, exact",
+    [
+        # a negative exponent is exact too
+        (("--s=-1,1,1,1,1,1", "--p", "2"), "-1/8"),
+        # p^(10^12) and 3^10000 pass Python's int-to-str limit: left out
+        # before any power is taken
+        (("--s", "1e12,1,1,1,1,1", "--p", "2"), None),
+        (("--p", "3", "--s", "10000,1,1,1,1,1"), None),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_graph_euler_prints_exact_while_it_fits(capsys, argv, exact):
+    code, out = run(capsys, "graph", "euler", *argv)
+    assert code == EXIT_OK
+    assert json.loads(out).get("exact") == exact
 
 
 def test_graph_xi(capsys):

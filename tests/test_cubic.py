@@ -105,7 +105,7 @@ def test_height_bins_match_the_oracles():
     [_count_all, _count_primitive, partial(_count_by_height, 12)],
     ids=["naive_count_V", "count_N", "mobius_check"],
 )
-def test_stride_shares_sum_to_the_serial_pass(count):
+def test_snake_shares_sum_to_the_serial_pass(count):
     # the jobs of naive_count_V, count_N and mobius_check at threads = 3,
     # dealt in snake order: two strides of 2T per worker
     R = 12

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from senary import graphs
 from senary.graphs import (
     SENARY_GRAPH,
-    BVector,
     CoprimalityGraph,
     b_coefficients,
     euler_factor,
@@ -46,16 +45,16 @@ def test_graph_parse():
 
 
 def test_sg_polynomial_single_edge():
-    poly = dict(sg_polynomial(SINGLE_EDGE).terms)
+    poly = sg_polynomial(SINGLE_EDGE)
     assert poly == {0: 1, 0b11: -1}  # 1 - x1 x2
 
 
 def test_sg_polynomial_empty():
-    assert dict(sg_polynomial(EMPTY2).terms) == {0: 1}
+    assert sg_polynomial(EMPTY2) == {0: 1}
 
 
 def test_sg_polynomial_triangle():
-    poly = dict(sg_polynomial(TRIANGLE).terms)
+    poly = sg_polynomial(TRIANGLE)
     assert poly == {0: 1, 0b011: -1, 0b101: -1, 0b110: -1, 0b111: 2}
 
 
@@ -72,29 +71,32 @@ def _sg_brute(G):
     return {m: c for m, c in coeffs.items() if c != 0}
 
 
-@settings(max_examples=40)
-@given(st.integers(2, 6), st.data())
-def test_sg_polynomial_against_brute_force(r, data):
+@st.composite
+def _graphs(draw):
+    """A graph on at most 7 vertices with at most 14 edges."""
+    r = draw(st.integers(2, 7))
     all_edges = list(itertools.combinations(range(1, r + 1), 2))
-    edges = data.draw(st.sets(st.sampled_from(all_edges), max_size=min(8, len(all_edges))))
-    G = CoprimalityGraph.from_edges(r, edges)
-    assert dict(sg_polynomial(G).terms) == _sg_brute(G)
+    edges = draw(st.sets(st.sampled_from(all_edges), max_size=min(14, len(all_edges))))
+    return CoprimalityGraph.from_edges(r, edges)
+
+
+@settings(max_examples=40)
+@given(_graphs())
+@example(CoprimalityGraph.from_edges(6, itertools.combinations(range(1, 7), 2)))  # K6
+def test_sg_polynomial_against_brute_force(G):
+    poly = sg_polynomial(G)
+    assert poly == _sg_brute(G)
+    # xi's and euler_factor's float bytes depend on this order
+    assert list(poly) == sorted(poly)
 
 
 def test_b_vector_paper_graph():
-    assert b_coefficients(SENARY_GRAPH).b == (1, 0, -9, 16, -9, 0, 1)
+    assert b_coefficients(SENARY_GRAPH) == (1, 0, -9, 16, -9, 0, 1)
 
 
 def test_b_vector_small_graphs():
-    assert b_coefficients(SINGLE_EDGE).b == (1, 0, -1)
-    assert b_coefficients(TRIANGLE).b == (1, 0, -3, 2)
-
-
-def test_b_vector_type_invariants():
-    with pytest.raises(ValueError):
-        BVector((2, 0))
-    with pytest.raises(ValueError):
-        BVector((1, 5))
+    assert b_coefficients(SINGLE_EDGE) == (1, 0, -1)
+    assert b_coefficients(TRIANGLE) == (1, 0, -3, 2)
 
 
 def _random_graph(rng, r_max=8, e_max=12):
@@ -108,7 +110,7 @@ def test_b_vector_structure_on_random_graphs():
     rng = random.Random(0)
     for _ in range(100):
         G = _random_graph(rng)
-        b = b_coefficients(G).b
+        b = b_coefficients(G)
         assert b[0] == 1 and b[1] == 0
         assert b[2] == -len(G.edges)
         assert sum(b) == 0  # any graph with at least one edge
@@ -123,7 +125,7 @@ def test_b_vector_isomorphism_invariance():
         relabeled = CoprimalityGraph.from_edges(
             G.r, [(perm[a - 1], perm[b - 1]) for a, b in G.edges]
         )
-        assert b_coefficients(relabeled).b == b_coefficients(G).b
+        assert b_coefficients(relabeled) == b_coefficients(G)
 
 
 def test_euler_factor_examples():
@@ -134,7 +136,7 @@ def test_euler_factor_examples():
 
 def test_euler_factor_via_b_vector():
     for p in (2, 3, 5, 7):
-        b = b_coefficients(SENARY_GRAPH).b
+        b = b_coefficients(SENARY_GRAPH)
         closed = sum(Fraction(bk, p**k) for k, bk in enumerate(b))
         assert euler_factor_exact(SENARY_GRAPH, p, [1] * 6) == closed
 

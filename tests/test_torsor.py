@@ -196,7 +196,7 @@ def test_descent_tuple_multiplicities_cover_every_y_triple():
     # multiplicities n (the admissible u per tuple) times the orbit sizes m
     # (the tuples each representative stands for) sum to P^3
     for P in range(1, 31):
-        assert sum(n * m for n, m, *_ in _uw_tuples(P, 1, P + 1)) == P**3
+        assert sum(n * m for n, m, *_ in _uw_tuples(P)) == P**3
 
 
 @pytest.mark.parametrize("w_coprime", [True, False])
@@ -205,7 +205,7 @@ def test_orbit_representatives_expand_to_every_descent_tuple(w_coprime):
     # give each tuple of the brute-force list once, and their number is m
     for P in range(1, 21):
         expanded = Counter()
-        for _, m, *uw in _uw_tuples(P, 1, P + 1, w_coprime):
+        for _, m, *uw in _uw_tuples(P, w_coprime):
             orbit = set(itertools.permutations(zip(uw[:3], uw[3:])))
             assert len(orbit) == m
             expanded.update(tuple(u for u, _ in o) + tuple(w for _, w in o) for o in orbit)
@@ -235,7 +235,7 @@ def test_torsor_count_matches_the_scalar_oracle():
     # the array build and kernel against one scalar kernel call per
     # representative, at every box up to 40
     for P in range(1, 41):
-        assert torsor_count_V(P).count == 8 * torsor_V_chunk(P, 1, P + 1)
+        assert torsor_count_V(P).count == 8 * torsor_V_chunk(P)
 
 
 @pytest.mark.parametrize("cap", [1, 5, 64])
@@ -284,7 +284,7 @@ def test_w_chunks_sum_the_scalar_orbit_sizes_per_key(monkeypatch, cap):
     monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
     for P in (1, 2, 9, 25, 45):
         oracle = Counter()
-        for _, m, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, 1, P + 1):
+        for _, m, u1, u2, u3, w1, w2, w3 in _uw_tuples(P):
             oracle[u1, u2, u3, P // w1, P // w2, P // w3] += m
         for T in (1, 2, 3):
             shares = Counter()
@@ -497,7 +497,7 @@ def test_no_workers_is_an_error(counter, bound):
 def test_aggregated_shares_match_the_scalar_oracle(P):
     # one scalar kernel call per representative, against the kernel run
     # once per distinct key, serially and in stride shares
-    expected = torsor_V_chunk(P, 1, P + 1)
+    expected = torsor_V_chunk(P)
     for T in (1, 2, 3):
         assert sum(_torsor_V_chunk(P, k, T) for k in range(T)) == expected
 
@@ -506,7 +506,7 @@ def test_aggregated_shares_match_the_scalar_oracle(P):
 def test_aggregated_shares_do_not_depend_on_the_cap(monkeypatch, cap):
     # small caps flush the final keys after almost every chunk, while the
     # open (u3, q1) group carries over
-    expected = {P: torsor_V_chunk(P, 1, P + 1) for P in (1, 7, 24)}
+    expected = {P: torsor_V_chunk(P) for P in (1, 7, 24)}
     monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
     for P, value in expected.items():
         for T in (1, 2, 3):
@@ -530,7 +530,7 @@ def test_the_kernel_sees_each_distinct_key_once(monkeypatch, cap):
     _torsor_V_chunk(P, 0, 1)
     keys = {
         (u1, u2, u3, P // w1, P // w2, P // w3)
-        for _, _, u1, u2, u3, w1, w2, w3 in _uw_tuples(P, 1, P + 1)
+        for _, _, u1, u2, u3, w1, w2, w3 in _uw_tuples(P)
     }
     assert set(seen) == keys and set(seen.values()) == {1}
     size = (cap + 3) // 4
