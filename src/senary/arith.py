@@ -36,9 +36,9 @@ def primes_up_to(limit: int) -> np.ndarray:
     return _sieve(limit)
 
 
-# One table kept: callers ask for one limit many times in a row (graphs.xi
-# and each zeta_truncated of verify_theorem3), and a table to 10^6 is 78,498
-# primes that should not outlive the next limit asked for.
+# One table kept: callers may ask for one limit twice in a row (graphs.xi
+# under ``constants theta`` and ``leading-v`` in one process), and a table to
+# 10^6 is 78,498 primes that should not outlive the next limit asked for.
 @functools.lru_cache(maxsize=1)
 def _sieve(limit: int) -> np.ndarray:
     sieve = np.ones(limit + 1, dtype=bool)

@@ -6,9 +6,10 @@ the r zeta factors leaves an Euler product whose p-factor is the multilinear
 subset polynomial S_G evaluated at (p^-s1, ..., p^-sr); at s = 1 the factor
 collapses to an integer combination sum_k b_k p^-k.  This module builds the
 polynomial edge by edge, as a dict from vertex bitmask to coefficient, reads
-the b-vector off it exactly, evaluates the Euler product with a rigorous tail
-bound, and cross-checks the identity against direct truncation of the
-constrained series.
+the b-vector off it exactly, evaluates the Euler product with a tail bound
+read off the factor's own terms (the package's one truncated Euler product;
+zeta comes whole from ``_zeta``), and cross-checks the identity against
+direct truncation of the constrained series.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import numpy as np
 from senary.arith import is_prime, primes_up_to
 
 # ``sg_polynomial`` folds in one edge at a time and touches every mask it
-# holds, so its cost is |E| x masks, not 2^|E| subsets; the masks are capped
-# (2^20 of them take about 200 MiB), and so are the edges.
+# holds, so its cost is |E| x masks; the masks are capped (2^20 of them take
+# about 200 MiB).  No bound uses 2^|E|, but the edge cap still bounds the
+# build: K16 (120 edges) builds 65,520 masks in 2 s, 6x more per two vertices.
 _MAX_EDGES = 24
 _MAX_MASKS = 1 << 20
 # The most edges ``sg_polynomial`` takes touch at most twice as many vertices,
@@ -138,31 +140,23 @@ def b_coefficients(G: CoprimalityGraph) -> tuple[int, ...]:
     return tuple(b)
 
 
-def _at_prime(G: CoprimalityGraph, p: int, powers):
-    """S_G at x = powers(), called once p is known to be a prime.  Each term
-    multiplies its coefficient by its x_j from the lowest bit up, and the
-    terms are added in ascending mask order: a float factor's bytes depend
-    on both orders."""
+def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
+    """One Euler factor: S_G evaluated at x_j = p^-s_j.  Each term multiplies
+    its coefficient by its x_j from the lowest bit up, and the terms are added
+    in ascending mask order: a float factor's bytes depend on both orders.  A
+    factor, or a power p^-s_j, past the largest float is refused."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    x = powers()
-    if len(x) != G.r:
-        raise ValueError(f"need one exponent per vertex ({G.r}), got {len(x)}")
-    total = 0
-    for mask, coeff in sg_polynomial(G).items():
-        term = coeff
-        for j in range(mask.bit_length()):
-            if mask >> j & 1:
-                term = term * x[j]
-        total = total + term
-    return total
-
-
-def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
-    """One Euler factor: S_G evaluated at x_j = p^-s_j.  A factor, or a
-    power p^-s_j, past the largest float is refused."""
+    s = _exponents(G, s)
     try:
-        value = _at_prime(G, p, lambda: [p ** (-sj) for sj in _exponents(G, s)])
+        x = [p ** (-sj) for sj in s]
+        value = 0
+        for mask, coeff in sg_polynomial(G).items():
+            term = coeff
+            for j in range(mask.bit_length()):
+                if mask >> j & 1:
+                    term = term * x[j]
+            value = value + term
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
@@ -174,19 +168,34 @@ def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
 
 
 def euler_factor_exact(G: CoprimalityGraph, p: int, s) -> Fraction:
-    """Exact rational Euler factor for integer exponents of either sign."""
+    """Exact rational Euler factor for integer exponents of either sign, as one
+    integer sum sum_m c_m p^(S - S_m) over p^S, where S_m is the exponent sum
+    of mask m and S >= 0 the largest S_m (the empty mask has S_m = 0)."""
     if any(int(sj) != sj for sj in s):
         raise ValueError("exact evaluation needs integer exponents")
-    return _at_prime(G, p, lambda: [Fraction(1, p) ** int(sj) for sj in s])
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+    s = [int(sj) for sj in s]
+    if len(s) != G.r:
+        raise ValueError(f"need one exponent per vertex ({G.r}), got {len(s)}")
+    poly = sg_polynomial(G)
+    sums = {m: sum(s[j] for j in range(G.r) if m >> j & 1) for m in poly}
+    S = max(sums.values())
+    return Fraction(sum(c * p ** (S - sums[m]) for m, c in poly.items()), p**S)
 
 
 def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     """Euler product of the S_G factors over p <= prime_limit, with a rigorous
-    absolute tail bound.
+    absolute bound on what the primes past it change.
 
-    The log of each omitted factor is bounded by 2 * C * p^-m with C = 2^|E|
-    and m the minimal exponent sum over edges; summing over p > L is bounded
-    by the integral of t^-m scaled by 1/log 2.
+    The terms of S_G are merged by exponent: f(p) = 1 + sum_e b_e p^-e (at
+    s = 1 the b-vector).  With L = prime_limit and a = sum_e |b_e| (L+1)^-e,
+    each omitted |log f(p)| is at most sum_e |b_e| p^-e / (1 - a), and a >= 1/2
+    is refused.  Partial summation with pi(x) < 1.25506 x / ln x (Rosser and
+    Schoenfeld, Illinois J. Math. 6, 1962) bounds sum_{p > L} p^-e by
+    1.25506 e / ((e - 1) L^(e-1) ln L); the bound is |value| times expm1 of
+    the summed logs, refused if not finite.  It covers the omitted primes, not
+    float rounding: at 10^6 primes two summation orders differ by 6e-12.
     """
     s = _exponents(G, s)
     # the region of absolute convergence
@@ -196,31 +205,31 @@ def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     if m <= 1:
         raise ValueError("every edge's exponent sum must exceed 1")
     primes = primes_up_to(prime_limit)
-    product = np.ones(len(primes))
+    merged: dict[float, int] = {}
     for mask, coeff in sg_polynomial(G).items():
-        if mask == 0:
-            continue
         expo = sum(s[j] for j in range(G.r) if mask >> j & 1)
-        product += coeff * primes ** (-expo)
+        merged[expo] = merged.get(expo, 0) + coeff
+    terms = sorted((e, b) for e, b in merged.items() if e and b)  # e = 0: the empty mask
+    product = np.ones(len(primes))
+    for e, b in terms:
+        product += b * primes ** (-e)
     value = float(np.prod(product))
-    if math.isinf(m):
-        return value, 0.0
-    C = 2 ** len(G.edges)
-    if C * prime_limit ** (-m) > 0.5:
-        raise ValueError("prime_limit too small for a rigorous tail bound")
-    return value, abs(value) * _euler_tail(C, m, prime_limit)
-
-
-def _euler_tail(C: int, m: float, prime_limit: int) -> float:
-    """expm1 of 2 C L^(1-m) / ((m-1) ln 2), L = prime_limit: the relative
-    tail bound of ``xi`` and ``zeta_truncated``.  A bound too large for a
-    float is refused."""
-    tail_log = 2.0 * C * prime_limit ** (1.0 - m) / ((m - 1.0) * math.log(2.0))
+    L = prime_limit
+    a = sum(abs(b) * (L + 1.0) ** (-e) for e, b in terms)
+    if a >= 0.5:
+        raise ValueError(
+            f"the Euler tail bound at prime limit L = {L} needs "
+            f"a(L+1) = sum |b_e| (L+1)^-e below 1/2, got {a:.4g}; raise the prime limit"
+        )
+    # e / (e - 1) written as 1 + 1 / (e - 1), which stays finite at e = inf
+    tail_log = 1.25506 / ((1.0 - a) * math.log(L)) * sum(
+        abs(b) * (1.0 + 1.0 / (e - 1.0)) * L ** (1.0 - e) for e, b in terms
+    )
     try:
-        return math.expm1(tail_log)
+        return value, abs(value) * math.expm1(tail_log)
     except OverflowError:
         raise ValueError(
-            f"the Euler tail bound at prime limit {prime_limit} and exponent sum {m} "
+            f"the Euler tail bound at prime limit {L} and exponent sum {m} "
             "is not finite; raise the prime limit or the exponents"
         ) from None
 
@@ -356,35 +365,20 @@ def _dg_tail(G: CoprimalityGraph, s, N: int) -> float:
     return tail
 
 
-def zeta_truncated(s: float, prime_limit: int) -> tuple[float, float]:
-    """Euler product for zeta(s) over p <= prime_limit with a tail bound on
-    the multiplicative error."""
-    if s <= 1:
-        raise ValueError("need s > 1")
-    value = float(np.prod(1.0 / (1.0 - primes_up_to(prime_limit) ** -float(s))))
-    return value, value * _euler_tail(1, s, prime_limit)
-
-
 def verify_theorem3(G: CoprimalityGraph, s, N: int, prime_limit: int):
-    """Compare the truncated constrained series against the product of
-    truncated zeta factors and the Euler product, within the combined tails.
+    """Compare the truncated constrained series against the product of the
+    zeta factors (``_zeta``, to rounding) and the truncated Euler product,
+    within the series' union bound and the Euler tail.
 
     Returns (ok, residual, allowance).  The Euler side runs first, so a bad
     ``prime_limit`` or exponent fails before the costlier truncation.
     """
     s = _exponents(G, s)
     xi_val, xi_tail = xi(G, s, prime_limit)
-    zfac = 1.0
-    zrel = 1.0
-    for sj in s:
-        zv, zt = zeta_truncated(sj, prime_limit)
-        zfac *= zv
-        zrel *= 1.0 + zt / zv
     lhs, lhs_tail = truncated_DG(G, s, N)
-    rhs = zfac * xi_val
-    rhs_err = zfac * (zrel * (abs(xi_val) + xi_tail) - abs(xi_val))
-    residual = lhs - rhs
-    allowance = lhs_tail + rhs_err
+    zfac = math.prod(_zeta(sj) for sj in s)
+    residual = lhs - zfac * xi_val
+    allowance = lhs_tail + zfac * xi_tail
     return abs(residual) <= allowance, residual, allowance
 
 

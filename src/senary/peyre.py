@@ -6,7 +6,8 @@ Three ingredients are computed here and cross-tied:
 * the archimedean density, a 4-dimensional improper integral evaluated by
   orthant decomposition, closed-form integration of the innermost variable,
   and a deterministic midpoint grid in log coordinates for the outer three;
-* the Euler products of the local factors, assembling everything into the
+* the Euler products of the local factors, both read off ``graphs.xi`` (the
+  local density's is xi over zeta(3)), assembling everything into the
   leading constants, with per-prime algebraic identities verified exactly.
 """
 
@@ -20,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from senary.arith import Rational, primes_up_to
-from senary.graphs import SENARY_GRAPH, xi
+from senary.arith import Rational
+from senary.graphs import SENARY_GRAPH, _zeta, xi
 
 TWO_PI_LOG_CONSTANT = math.pi**2 + 24.0 * math.log(2.0) - 3.0  # appears as 12*(...) and (1/2)*(...)
 
@@ -391,16 +392,13 @@ def factor_identity_check(p: int) -> bool:
 
 
 def _euler_product_local(prime_limit: int) -> tuple[float, float]:
-    """prod over p <= limit of the local-density factor, with tail bound.
-
-    |factor - 1| <= 21/p^2 for p >= 2, so the omitted log-mass is at most
-    sum_{p > L} 42/p^2 <= 42/L.
-    """
-    q = 1.0 / primes_up_to(prime_limit)
-    factors = (1 - q) ** 5 * (1 + 5 * q + 6 * q**2 + 5 * q**3 + q**4)
-    value = float(np.prod(factors))
-    tail = value * math.expm1(42.0 / prime_limit)
-    return value, tail
+    """The product over all primes of the local-density factor, with an
+    absolute error bound.  The factor is (1 - 1/p^3) times the senary graph's
+    factor at s = 1 (the first identity of ``factor_identity_check``), so the
+    product is xi(senary, 1) / zeta(3): xi truncated at ``prime_limit``,
+    zeta(3) whole, and the bound xi's tail bound over zeta(3)."""
+    xi_val, xi_tail = xi(SENARY_GRAPH, (1.0,) * 6, prime_limit)
+    return xi_val / _zeta(3.0), xi_tail / _zeta(3.0)
 
 
 def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> ConstantReport:
@@ -408,7 +406,9 @@ def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> Con
     (alpha x numeric archimedean density x exact local densities) and compared
     against the closed form (1/324)(pi^2 + 24 log 2 - 3) x Euler product.
 
-    Raises if the two paths disagree beyond their combined error bound.
+    Raises if the two paths disagree beyond their combined error bound, which
+    is also the reported tolerance: the quadrature's share plus theta's share
+    of the Euler tail, (closed / product) times the product's tail.
     """
     if prime_limit < 1000:
         raise ValueError("prime_limit must be at least 1000")
@@ -427,7 +427,7 @@ def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> Con
         name="theta",
         value=closed,
         exact=None,
-        tolerance=combined + product_tail,
+        tolerance=combined,
         provenance={
             "assembled": assembled,
             "closed_form": closed,

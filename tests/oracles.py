@@ -8,8 +8,9 @@ Two sections keep the scalar form of a kernel that the package now runs over
 arrays: the descent counter's lattice count (``senary.torsor``), which counts
 the runs of the package's own scalar enumerator, and the archimedean
 density's inner integral (``senary.peyre``).  A last section keeps the
-Fraction form of the per-prime Euler-factor identities, which the package
-checks over the integers, and the scalar prefactor identity of the paper.
+Fraction form of the per-prime Euler-factor identities and of a graph's Euler
+factor, which the package computes over the integers, and the scalar
+prefactor identity of the paper.
 """
 
 import itertools
@@ -273,6 +274,20 @@ def factor_identity_check(p):
     (the reference for ``senary.peyre.factor_identity_check``)."""
     density_factor, zeta_graph_factor, graph_factor, product_form = euler_factors(p)
     return density_factor == zeta_graph_factor and graph_factor == product_form
+
+
+def subset_euler_factor(edges, p, s):
+    """The graph's Euler factor at p for integer exponents s, one Fraction per
+    edge subset U: the sum of (-1)^|U| times the product of p^-s_j over the
+    vertices j that U touches (the reference for
+    ``senary.graphs.euler_factor_exact``)."""
+    x = [Fraction(1, p) ** sj for sj in s]
+    total = Fraction(0)
+    for k in range(len(edges) + 1):
+        for U in itertools.combinations(edges, k):
+            touched = {v for e in U for v in e}
+            total += (-1) ** k * math.prod((x[v - 1] for v in touched), start=Fraction(1))
+    return total
 
 
 def scalar_prefactor_identity():

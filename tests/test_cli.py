@@ -223,10 +223,10 @@ def test_bad_arguments_are_usage_errors(capsys, argv):
             "theorem3",
             [
                 {
-                    "allowance": pytest.approx(1.4471847261965107, rel=1e-9),
+                    "allowance": pytest.approx(1.4451859178408026, rel=1e-9),
                     "check": "theorem3",
                     "ok": True,
-                    "residual": pytest.approx(-0.6477409761602768, rel=1e-9),
+                    "residual": pytest.approx(-0.6477965459837733, rel=1e-9),
                 }
             ],
         ),
@@ -303,17 +303,29 @@ USAGE_MESSAGES = [
     (("constants", "theta", "--tolerance", "0"), "tolerance must be positive"),
     (("constants", "mu-infinity", "--tolerance=-inf"), "tolerance must be positive"),
     (("constants", "theta", "--tolerance", "nan"), "tolerance must be finite"),
-    # an Euler tail bound that overflows a float: at zeta(1.001), and at xi
-    # with exponent sum 1.001
+    # an Euler tail bound that overflows a float: at exponent sum 1.0001 its
+    # log is about 1,090, past the 709 that expm1 takes
     (
-        ("verify", "theorem3", "--graph", "r=2;edges=1-2", "--s", "1.001,40", "--n", "1000"),
-        "the Euler tail bound at prime limit 100000 and exponent sum 1.001 is not finite; "
+        ("verify", "theorem3", "--graph", "r=2;edges=1-2", "--s", "0.50005,0.50005", "--n", "5"),
+        "the Euler tail bound at prime limit 100000 and exponent sum 1.0001 is not finite; "
         "raise the prime limit or the exponents",
     ),
     (
-        ("graph", "xi", "--graph", "r=2;edges=1-2", "--s", "0.5005,0.5005"),
-        "the Euler tail bound at prime limit 100000 and exponent sum 1.001 is not finite; "
+        ("graph", "xi", "--graph", "r=2;edges=1-2", "--s", "0.50005,0.50005"),
+        "the Euler tail bound at prime limit 100000 and exponent sum 1.0001 is not finite; "
         "raise the prime limit or the exponents",
+    ),
+    # a prime limit too small for the tail bound: the senary factor's terms
+    # sum to 0.8479 at p = 4 and to 1.705 at p = 3
+    (
+        ("constants", "euler", "--prime-limit", "3"),
+        "the Euler tail bound at prime limit L = 3 needs a(L+1) = sum |b_e| (L+1)^-e "
+        "below 1/2, got 0.8479; raise the prime limit",
+    ),
+    (
+        ("graph", "xi", "--prime-limit", "2"),
+        "the Euler tail bound at prime limit L = 2 needs a(L+1) = sum |b_e| (L+1)^-e "
+        "below 1/2, got 1.705; raise the prime limit",
     ),
     # an Euler factor past the largest float: 2^2000.5 at s_1 = -2000.5
     (

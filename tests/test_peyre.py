@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from senary import peyre
 from senary.arith import primes_up_to
-from senary.graphs import SENARY_GRAPH, xi
+from senary.graphs import SENARY_GRAPH, _zeta, xi
 from senary.peyre import (
     ALPHA_POLYTOPE,
     TWO_PI_LOG_CONSTANT,
@@ -312,6 +312,11 @@ def test_peyre_theta_two_paths_agree():
     prov = report.provenance
     allow = report.tolerance
     assert abs(prov["assembled"] - prov["closed_form"]) <= allow
+    # the tolerance counts the Euler tail once, at theta's scale
+    product = prov["closed_form"] / (TWO_PI_LOG_CONSTANT / 324.0)
+    quadrature = float(alpha_invariant()) * prov["quadrature_tolerance"] * product
+    euler = prov["closed_form"] / product * prov["euler_tail"]
+    assert allow == pytest.approx(quadrature + euler, rel=1e-12)
 
 
 def test_peyre_theta_refuses_a_large_prime_limit_before_the_quadrature(monkeypatch):
@@ -323,19 +328,20 @@ def test_peyre_theta_refuses_a_large_prime_limit_before_the_quadrature(monkeypat
         peyre_theta(10**11, 0.003)
 
 
-def test_euler_product_drift_between_prime_limits():
-    v1, t1 = _euler_product_local(100_000)
-    v2, t2 = _euler_product_local(1_000_000)
-    assert abs(v1 - v2) <= t1
-    assert abs(v1 - v2) / v2 < 1e-5  # observed rate ~ sum_{p > L} 9/p^2
+@pytest.mark.parametrize("limit", [10**5, 10**6])
+def test_euler_product_drift_between_prime_limits(limit):
+    # the true tail, read off the product over 100 or 10 times more primes
+    value, tail = _euler_product_local(limit)
+    reference, _ = _euler_product_local(10**7)
+    true_tail = abs(value - reference)
+    assert true_tail <= tail <= 10 * true_tail
 
 
 def test_consistency_V_to_N():
-    # (1/162) zeta(3)^-1 x leading_V equals the closed-form theta, with zeta(3)
-    # truncated over the same primes so that the per-prime identity is exact
+    # (1/162) zeta(3)^-1 x leading_V equals the closed-form theta: theta's
+    # Euler product is xi over the whole zeta(3)
     prime_limit = 10_000
-    zeta3_inv = float(np.prod(1.0 - primes_up_to(prime_limit) ** -3.0))  # int64 ** -3 raises
-    lhs = leading_coeff_V(prime_limit).value * zeta3_inv / 162.0
+    lhs = leading_coeff_V(prime_limit).value / _zeta(3.0) / 162.0
     product, _ = _euler_product_local(prime_limit)
     rhs = (TWO_PI_LOG_CONSTANT / 324.0) * product
     assert abs(lhs - rhs) / abs(rhs) < 1e-10
