@@ -1,28 +1,27 @@
 """Ground-truth enumeration of integer points on the senary cubic.
 
-One kernel, ``_octant_solutions``, takes one (y1, y2) plane of the positive
-octant at a time (sign symmetry gives a factor 8), with x1 and x2 free over
-the box as numpy arrays.  For each (x1, x2) the cubic is linear in (y3, x3),
-and its solutions are one arithmetic progression in y3 with step
-y1*y2 / gcd(x1*y2 + x2*y1, y1*y2); the kernel lays out only the terms inside
-the box.  The box and primitive counters, the Moebius ladder of
-``mobius_check`` and ``iter_box_solutions`` all consume it.  It is
-deliberately plain box arithmetic, sharing no descent coordinates, coprimality
-tables or lattice counts with :mod:`senary.torsor`, and serves as the oracle
-that the descent-based counter must reproduce exactly.  Every counter skips
-the degenerate locus y1*y2*y3 = 0: its points of height at most B number on
-the order of B^(4/3) and would swamp the B * Q(log B) the paper proves for
-the open set.
+One kernel, ``_octant_cells``, takes the (y1, y2) planes of the positive
+octant (sign symmetry gives a factor 8) with x1 and x2 free over the box as
+numpy arrays.  For each (x1, x2) cell the cubic is linear in (y3, x3), with
+one progression of solutions t * (y3, x3); the kernel yields each cell with
+the m that gives its count P // m and the heights t*m in closed form.  The
+counters and ``mobius_check`` count cells; only the non-primitive solutions
+and ``iter_box_solutions`` lay out terms.  It is deliberately plain box
+arithmetic, sharing no descent coordinates, coprimality tables or lattice
+counts with :mod:`senary.torsor`, and serves as the oracle that the
+descent-based counter must reproduce exactly.  Every counter skips the
+degenerate locus y1*y2*y3 = 0: its points of height at most B number on the
+order of B^(4/3) and would swamp the B * Q(log B) the paper proves for the
+open set.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -35,16 +34,17 @@ COUNT_METHODS = (
     "torsor-primitive",
 )
 
-# Memory, not int64, bounds the naive kernel: its largest intermediate is
-# base = x1*y2 + x2*y1, at most 2*P^2 (y3 = t*step and |x3| = t*|base/g| are
-# at most P).  One (y1, y2) plane of ``_octant_solutions`` holds seven int64
-# arrays over the (2P+1)^2 grid (X1, X2, base, g, step, b, n) and six over the
-# plane's solutions (i, t and the four it yields).  The plane y1 = y2 = 1 has
-# the most solutions, 4.9, 5.6 and 6.3 per grid cell at P = 100, 200 and 400,
-# and by tracemalloc it peaks at 41, 46 and 51 int64 per grid cell there,
-# about 5 more per doubling of P.  At P = 1000 that is about 57 * 8 * 2001^2
-# bytes, 1.7 GiB; twice the bound would take about 7.4 GiB.
+# Memory, not int64, bounds the naive kernel (its intermediates stay below
+# 2*P^4).  By tracemalloc over y1 = 1, 2, P/2 and P, a one-plane batch peaks at
+# 10-11 int64 per grid cell for ``naive_count_V`` at P = 100, 200 and 400, and
+# at 21, 26 and 32 for ``mobius_check``'s bins (planes y1 = y2 = P/2 lay out
+# the most), so P = 1000 takes about 40 * 8 * 2001^2 bytes, 1.2 GiB.
 _MAX_NAIVE_BOUND = 1000
+
+# Grid cells per numpy pass of ``_octant_cells`` (one plane from P = 45 on):
+# a fresh `count --height 27000 --primitive`, `verify mobius --bmax 8000` ran
+# 10% faster at 2^16 but peaked at 35.1 MiB of RSS, against 32.6 (20 runs).
+_BATCH_CELLS = 1 << 13
 
 # The cost rule of ``_run_partitioned``: a count opens a pool of T workers
 # only when its estimated serial time exceeds T * _WORKER_START_S.  The
@@ -52,11 +52,11 @@ _MAX_NAIVE_BOUND = 1000
 # kernel's R^2 (2R+1)^2 cells below, the descent's sum of m^3 in
 # senary.torsor.  Calibrated on a 2-core Xeon VM, best of three runs in one
 # process: two workers first beat one at about 50 ms of serial work (V(150),
-# N(150^3), mobius_check(15^3)), so a worker costs 25 ms, which covers its
+# N(150^3), the naive counters at R = 22 to 24), so a worker costs 25 ms: its
 # fork, pickling and join and the speed-up that falls short of T-fold.  The
-# naive kernel takes 94-121 ns per cell at R = 20 (mobius_check 117 ns).
+# naive kernel takes 28-49 ns per cell at R = 20 to 28.
 _WORKER_START_S = 0.025
-_NAIVE_CELL_S = 1.2e-7
+_NAIVE_CELL_S = 4.0e-8
 
 
 def cubic_form(x1: int, x2: int, x3: int, y1: int, y2: int, y3: int) -> int:
@@ -112,73 +112,104 @@ def _check_box_bound(P: int):
         )
 
 
-def _octant_solutions(P: int, y1s):
-    """The naive kernel: for each (y1, y2) in the positive quadrant with y1
-    in ``y1s``, yield y1, y2 and the int64 arrays (y3, x1, x2, x3) of every
-    box solution with y3 >= 1.  With base = x1*y2 + x2*y1 the cubic reads
-    y3*base + x3*y1*y2 = 0; for g = gcd(base, y1*y2) it holds exactly when
-    y3 = t * (y1*y2 // g) and x3 = -t * (base // g), so each (x1, x2) of the
-    box owns the t in 1..n that keep y3 and |x3| <= P, laid out directly."""
+def _octant_cells(P: int, y1s):
+    """The naive kernel: for each y1 in ``y1s``, yield y1 and the int64
+    arrays (y2, x1, x2, m) of the (x1, x2) cells of its (y1, y2) planes that
+    own a solution with y3 >= 1.  With base = x1*y2 + x2*y1 and
+    g = gcd(base, y1*y2) these are y3 = t * (y1*y2 // g), x3 = -t * (base // g)
+    for t in 1..P // m, m = max(y1*y2, |base|) // g.  base is y2 * (x1 mod y1)
+    + y1 * (x2 mod y2) modulo y1*y2, so a plane reads y1*y2 // g from a table
+    over these residue pairs; the planes of a y1 go through numpy together."""
     xs = np.arange(-P, P + 1, dtype=np.int64)
     X1, X2 = (X.ravel() for X in np.meshgrid(xs, xs, indexing="ij"))
+    planes = max(1, _BATCH_CELLS // len(X1))
     for y1 in y1s:
-        for y2 in range(1, P + 1):
-            base = X1 * y2 + X2 * y1
-            g = np.gcd(base, y1 * y2)
-            step, b = y1 * y2 // g, base // g
-            n = np.minimum(P // step, P // np.maximum(np.abs(b), 1))
-            # n[i] copies of each index i, numbered t = 1..n[i] (torsor._ranges)
-            i = np.repeat(np.arange(len(n)), n)
-            t = np.arange(1, len(i) + 1) - (np.cumsum(n) - n)[i]
-            yield y1, y2, t * step[i], X1[i], X2[i], -t * b[i]
+        for lo in range(1, P + 1, planes):
+            y2 = np.arange(lo, min(lo + planes, P + 1))
+            q = y1 * y2
+            # step[a, o + b] = q // gcd(a*y2 + b*y1, q) for the plane at offset o
+            o = np.cumsum(y2) - y2
+            Y, b = np.repeat(y2, y2), np.arange(y2.sum()) - np.repeat(o, y2)
+            step = y1 * Y // np.gcd(np.arange(y1)[:, None] * Y + b * y1, y1 * Y)
+            k = ((xs % y1) * len(Y))[:, None] + (o[:, None] + xs % y2[:, None])[:, None, :]
+            mq = (y2[:, None] * xs)[:, :, None] + y1 * xs  # base, then m * q in place
+            np.maximum(np.abs(mq, out=mq), q[:, None, None], out=mq)
+            mq *= step.ravel()[k]
+            i = np.flatnonzero(mq <= (P * q)[:, None, None])
+            j = i // len(X1)  # np.divmod takes three times as long
+            r = i - j * len(X1)
+            yield y1, y2[j], X1[r], X2[r], mq.ravel()[i] // q[j]
 
 
 def _count_chunk(P: int, count, k: int, T: int):
-    """Sum of count(y1, y2, y3, x1, x2, x3) over the octant solutions of
-    share k of T, the y1 with y1 - 1 = k or 2T - 1 - k (mod 2T), an int or
-    an array summed elementwise; count is module-level so the pool can
-    pickle it."""
+    """Sum of count(P, y1, y2, x1, x2, m) over the kernel's cells of share k
+    of T, the y1 with y1 - 1 = k or 2T - 1 - k (mod 2T), an int or an array
+    summed elementwise; count is module-level so the pool can pickle it."""
     y1s = sorted(itertools.chain(range(1 + k, P + 1, 2 * T), range(2 * T - k, P + 1, 2 * T)))
-    return sum(count(*sol) for sol in _octant_solutions(P, y1s))
+    return sum(count(P, *cells) for cells in _octant_cells(P, y1s))
 
 
-def _count_all(y1, y2, y3, x1, x2, x3) -> int:
-    return len(x3)
+def _count_all(P: int, y1, y2, x1, x2, m) -> int:
+    return int((P // m).sum())
 
 
-def _is_primitive(y1, y2, y3, x1, x2, x3) -> np.ndarray:
-    """Mask of the solutions whose six coordinates have gcd 1 (np.gcd ignores
-    signs): all of the plane when gcd(y1, y2) = 1, and otherwise that gcd
-    folded into x1 first, so that the array gcds start small."""
-    g = math.gcd(y1, y2)
-    if g == 1:
-        return np.ones(len(x1), dtype=bool)
-    return np.gcd(np.gcd(np.gcd(np.gcd(x1, g), x2), x3), y3) == 1
+def _terms(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms t = 1..n[i] of each cell i, as arrays (i, t)."""
+    i = np.repeat(np.arange(len(n)), n)
+    return i, np.arange(1, len(i) + 1) - (np.cumsum(n) - n)[i]
 
 
-def _count_primitive(*sol) -> int:
-    return int(_is_primitive(*sol).sum())
+@lru_cache(maxsize=1)
+def _gcd_table(P: int) -> np.ndarray:
+    """gcd(a, b) at a * (P + 1) + b for a, b in 0..P, read-only."""
+    table = np.gcd.outer(np.arange(P + 1), np.arange(P + 1)).ravel()
+    table.flags.writeable = False
+    return table
 
 
-def _count_by_height(R: int, y1, y2, y3, x1, x2, x3) -> np.ndarray:
-    """Solutions binned by height h = max(y1, y2, y3, |x1|, |x2|, |x3|) in
-    0..R: row 0 counts all of them, row 1 the primitive ones."""
-    h = np.maximum(np.maximum(np.abs(x1), np.abs(x2)), np.maximum(np.abs(x3), y3))
-    h = np.maximum(h, max(y1, y2))
-    primitive = _is_primitive(y1, y2, y3, x1, x2, x3)
-    return np.stack([np.bincount(h, minlength=R + 1), np.bincount(h[primitive], minlength=R + 1)])
+def _nonprimitive(P: int, y1, y2, x1, x2, m) -> tuple[np.ndarray, np.ndarray]:
+    """The cell indices and t of the solutions whose six coordinates have
+    gcd > 1.  (y3, x3) / t is coprime, so that gcd is gcd(t, d) with
+    d = gcd(x1, x2, y1, y2), and only cells with d > 1 are laid out; every
+    entry is at most P, so the gcds are read from ``_gcd_table``."""
+    gcd = _gcd_table(P)
+    d = gcd[gcd[np.abs(x1) * (P + 1) + np.abs(x2)] * (P + 1) + gcd[y1 * (P + 1) + y2]]
+    j = np.flatnonzero(d > 1)
+    i, t = _terms(P // m[j])
+    j = j[i]
+    keep = np.flatnonzero(gcd[t * (P + 1) + d[j]] > 1)
+    return j[keep], t[keep]
+
+
+def _count_primitive(P: int, *cells) -> int:
+    return _count_all(P, *cells) - len(_nonprimitive(P, *cells)[1])
+
+
+def _count_by_height(P: int, y1, y2, x1, x2, m) -> np.ndarray:
+    """Rows 0..P: the cells by c = max(|x1|, |x2|, y1, y2) and m, solution t
+    having height max(c, t*m); row P + 1: the non-primitive ones by height."""
+    c = np.maximum(np.maximum(np.abs(x1), np.abs(x2)), np.maximum(y2, y1))
+    j, t = _nonprimitive(P, y1, y2, x1, x2, m)
+    cells = np.bincount(c * (P + 1) + m, minlength=(P + 1) ** 2)
+    heights = np.bincount(np.maximum(c[j], t * m[j]), minlength=P + 1)
+    return np.append(cells, heights).reshape(P + 2, P + 1)
 
 
 def iter_box_solutions(P: int):
     """Every integer sextuple in [-P, P]^6 on the cubic with y1*y2*y3 != 0,
     once each: the sign orbits (s1 x1, s2 x2, s3 x3, s1 y1, s2 y2, s3 y3) of
-    the positive-octant solutions."""
+    the positive-octant solutions, laid out cell by cell."""
     _check_box_bound(P)
     signs = list(itertools.product((1, -1), repeat=3))
-    for y1, y2, y3s, x1s, x2s, x3s in _octant_solutions(P, range(1, P + 1)):
-        for y3, x1, x2, x3 in zip(y3s.tolist(), x1s.tolist(), x2s.tolist(), x3s.tolist()):
+    for y1, y2, x1, x2, m in _octant_cells(P, range(1, P + 1)):
+        i, t = _terms(P // m)
+        x1, x2, y2 = x1[i], x2[i], y2[i]
+        base, q = x1 * y2 + x2 * y1, y1 * y2
+        g = np.gcd(base, q)
+        x3, y3 = -t * (base // g), t * (q // g)
+        for a1, a2, a3, b2, b3 in zip(x1.tolist(), x2.tolist(), x3.tolist(), y2.tolist(), y3.tolist()):
             for s1, s2, s3 in signs:
-                yield (s1 * x1, s2 * x2, s3 * x3, s1 * y1, s2 * y2, s3 * y3)
+                yield (s1 * a1, s2 * a2, s3 * a3, s1 * y1, s2 * b2, s3 * b3)
 
 
 def _run_partitioned(deal, threads: int, serial_s: float):
@@ -204,10 +235,8 @@ def _run_partitioned(deal, threads: int, serial_s: float):
 def _y1_jobs(P: int, count, T: int) -> list:
     """The naive kernel's jobs: y1 in 1..P dealt to T shares in snake order,
     worker k taking y1 - 1 = k or 2T - 1 - k (mod 2T).  Small y1 own the
-    most solutions (their y3 step y1*y2 // g is small), so a plain stride
-    would hand worker 0 the heavier y1 of every round (and split by parity
-    at T = 2, where even y1 own 62% of the solutions at R = 40); the snake
-    gives each worker one light and one heavy y1 per two rounds."""
+    most solutions, so a plain stride would hand worker 0 the heavier y1 of
+    every round; the snake gives each one light and one heavy y1 per two."""
     return [(_count_chunk, (P, count, k, T)) for k in range(T)]
 
 
@@ -244,18 +273,19 @@ def mobius_check(B: int, threads: int = 1) -> list[tuple[int, bool, int]]:
     """Check 2*N(r^3) = sum_{d <= r} mu(d) * V(floor(r/d)) for every cube
     r^3 <= B, the Moebius inversion from box counts to primitive points.
 
-    One naive pass over the box of radius R = floor(B^(1/3)) bins every
-    solution by its height max|coordinate|, all and primitive ones apart; the
-    cumulative bins up to r give V(r) and 2*N(r^3) for every r <= R at once.
-    Returns one (r^3, equal, 2*N - sum) per r = 1..R, in exact integers.
-    """
+    One naive pass over the box of radius R = floor(B^(1/3)) bins its cells
+    by (c, m) into H and its non-primitive solutions by height: V(r) is 8 times
+    the sum of H[c, m] * (r // m) over c <= r, and 2*N(r^3) drops the
+    non-primitive solutions up to r.  Returns one (r^3, equal, 2*N - sum) per r = 1..R, in
+    exact integers."""
     if B < 1:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)
     _check_box_bound(R)
-    deal = partial(_y1_jobs, R, partial(_count_by_height, R))
-    bins = _run_partitioned(deal, threads, _naive_serial_s(R))
-    V, N2 = (8 * np.cumsum(bins, axis=1)).tolist()
+    bins = _run_partitioned(partial(_y1_jobs, R, _count_by_height), threads, _naive_serial_s(R))
+    radii = np.arange(R + 1)
+    V = 8 * (np.cumsum(bins[:-1, 1:], axis=0) * (radii[:, None] // radii[1:])).sum(axis=1)
+    V, N2 = V.tolist(), (V - 8 * np.cumsum(bins[-1])).tolist()
     ladder = []
     for r in range(1, R + 1):
         rhs = sum(c * V[m] for m, c in _moebius_weights(r).items())

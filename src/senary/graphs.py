@@ -179,7 +179,12 @@ def euler_factor_exact(G: CoprimalityGraph, p: int, s) -> Fraction:
     if len(s) != G.r:
         raise ValueError(f"need one exponent per vertex ({G.r}), got {len(s)}")
     poly = sg_polynomial(G)
-    sums = {m: sum(s[j] for j in range(G.r) if m >> j & 1) for m in poly}
+    # S_m byte by byte: tables[b][v] sums the s_j of the bits j of v in byte b
+    s += [0] * (-G.r % 8)
+    tables = [
+        [sum(s[8 * b + j] for j in range(8) if v >> j & 1) for v in range(256)] for b in range(len(s) // 8)
+    ]
+    sums = {m: sum(t[m >> 8 * b & 255] for b, t in enumerate(tables)) for m in poly}
     S = max(sums.values())
     return Fraction(sum(c * p ** (S - sums[m]) for m, c in poly.items()), p**S)
 

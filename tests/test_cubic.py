@@ -1,5 +1,4 @@
 import itertools
-from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +13,9 @@ from senary.cubic import (
     _count_by_height,
     _count_chunk,
     _count_primitive,
-    _is_primitive,
     _moebius_weights,
-    _octant_solutions,
+    _nonprimitive,
+    _octant_cells,
     _y1_jobs,
     CountReport,
     SolutionSextuple,
@@ -92,17 +91,20 @@ def test_mobius_check_small():
 
 
 def test_height_bins_match_the_oracles():
+    # a cell of height c owns r // m solutions of height at most r once
+    # c <= r; the last row bins the non-primitive solutions by height
     R = 12
-    bins = _count_chunk(R, partial(_count_by_height, R), 0, 1)
-    V, N2 = (8 * np.cumsum(bins, axis=1)).tolist()
+    bins = _count_chunk(R, _count_by_height, 0, 1).tolist()
+    assert len(bins) == R + 2 and all(len(row) == R + 1 for row in bins)
     for r in range(1, R + 1):
-        assert V[r] == naive_count_V(r).count
-        assert N2[r] == 2 * count_N(r**3).count
+        V = 8 * sum(bins[c][m] * (r // m) for c in range(r + 1) for m in range(1, R + 1))
+        assert V == naive_count_V(r).count
+        assert V - 8 * sum(bins[R + 1][: r + 1]) == 2 * count_N(r**3).count
 
 
 @pytest.mark.parametrize(
     "count",
-    [_count_all, _count_primitive, partial(_count_by_height, 12)],
+    [_count_all, _count_primitive, _count_by_height],
     ids=["naive_count_V", "count_N", "mobius_check"],
 )
 def test_snake_shares_sum_to_the_serial_pass(count):
@@ -120,16 +122,56 @@ def test_the_y1_deal_is_a_snake():
     R, T = 14, 3
     taken = {}
     for k in range(T):
-        share = _count_chunk(R, lambda y1, *_: np.bincount([y1], minlength=R + 1), k, T)
+        share = _count_chunk(R, lambda P, y1, *_: np.bincount([y1], minlength=R + 1), k, T)
         taken[k] = np.flatnonzero(share).tolist()
     assert taken == {0: [1, 6, 7, 12, 13], 1: [2, 5, 8, 11, 14], 2: [3, 4, 9, 10]}
 
 
-def test_primitive_mask_is_the_six_coordinate_gcd():
+def _laid_out(P, y1, y2, x1, x2, m):
+    """Every solution of the cells as arrays (cell index, t, y3, x3), from
+    the progression y3 = t * y1*y2 // g, x3 = -t * base // g, by plain numpy
+    gcds rather than the kernel's table."""
+    n = P // m
+    j = np.repeat(np.arange(len(m)), n)
+    t = np.arange(1, len(j) + 1) - np.repeat(np.cumsum(n) - n, n)
+    base = x1[j] * y2[j] + x2[j] * y1
+    g = np.gcd(base, y1 * y2[j])
+    return j, t, t * (y1 * y2[j] // g), -t * (base // g)
+
+
+def test_each_plane_matches_the_exhaustive_oracle():
+    # per (y1, y2) plane: the cells' sum of P // m and their laid-out
+    # solutions are the box solutions of that plane with y3 >= 1
+    sols = box_solutions(6)
+    for P in range(1, 7):
+        octant = {s for s in sols if s[3] > 0 and s[4] > 0 and s[5] > 0 and max(map(abs, s)) <= P}
+        planes = {}
+        for y1, y2, x1, x2, m in _octant_cells(P, range(1, P + 1)):
+            for b in np.unique(y2).tolist():
+                plane = y2 == b
+                cells = (y1, y2[plane], x1[plane], x2[plane], m[plane])
+                j, t, y3, x3 = _laid_out(P, *cells)
+                laid = set(zip(x1[plane][j].tolist(), x2[plane][j].tolist(), x3.tolist(), y3.tolist()))
+                assert len(laid) == len(t) == _count_all(P, *cells)
+                planes[y1, b] = laid
+        assert len(planes) == P * P
+        for (y1, y2), laid in planes.items():
+            oracle = {(s[0], s[1], s[2], s[5]) for s in octant if s[3] == y1 and s[4] == y2}
+            assert laid == oracle
+
+
+def test_primitivity_is_the_gcd_of_t_and_the_cell():
+    # (y3, x3) / t is coprime, so solution t of a cell has six-coordinate
+    # gcd gcd(t, d), d = gcd(x1, x2, y1, y2); _nonprimitive lays out exactly
+    # the solutions where that is above 1
     for R in range(1, 21):
-        for y1, y2, y3, x1, x2, x3 in _octant_solutions(R, range(1, R + 1)):
-            six = np.gcd.reduce([x1, x2, x3, y3, np.full_like(y3, y1), np.full_like(y3, y2)]) == 1
-            assert np.array_equal(_is_primitive(y1, y2, y3, x1, x2, x3), six)
+        for y1, y2, x1, x2, m in _octant_cells(R, range(1, R + 1)):
+            j, t, y3, x3 = _laid_out(R, y1, y2, x1, x2, m)
+            six = np.gcd.reduce([x1[j], x2[j], x3, np.full_like(j, y1), y2[j], y3])
+            d = np.gcd.reduce([x1[j], x2[j], np.full_like(j, y1), y2[j]])
+            assert np.array_equal(six, np.gcd(t, d))
+            cells, ts = _nonprimitive(R, y1, y2, x1, x2, m)
+            assert np.array_equal(cells, j[six > 1]) and np.array_equal(ts, t[six > 1])
 
 
 def test_mobius_ladder_matches_the_per_radius_check():

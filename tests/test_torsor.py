@@ -585,10 +585,19 @@ class _PoolReached(Exception):
         (lambda: torsor_count_V(100, threads=2), False),
         (lambda: torsor_count_V(300, threads=2), True),
         (lambda: torsor_count_N(10**9, threads=2), True),
-        (lambda: mobius_check(8000, threads=2), True),
+        (lambda: mobius_check(8000, threads=2), False),
+        (lambda: mobius_check(27000, threads=2), True),
         (lambda: count_N(27000, threads=2), True),
     ],
-    ids=["N(27000)", "V(100)", "V(300)", "N(10^9)", "mobius_check(8000)", "count_N(27000)"],
+    ids=[
+        "N(27000)",
+        "V(100)",
+        "V(300)",
+        "N(10^9)",
+        "mobius_check(8000)",
+        "mobius_check(27000)",
+        "count_N(27000)",
+    ],
 )
 def test_the_cost_line(monkeypatch, count, pool):
     # a pool constructor that raises stops a count above the line before any
