@@ -24,10 +24,11 @@ import numpy as np
 
 from senary.arith import is_prime, primes_up_to
 
-# ``sg_polynomial`` folds in one edge at a time and touches every mask it
-# holds, so its cost is |E| x masks; the masks are capped (2^20 of them take
-# about 200 MiB).  No bound uses 2^|E|, but the edge cap still bounds the
-# build: K16 (120 edges) builds 65,520 masks in 2 s, 6x more per two vertices.
+# ``_sg_terms`` folds in one edge at a time and sorts every mask it holds, so
+# its cost is about |E| x masks; the masks are capped (2^20 of them, a 20-edge
+# matching, take 0.2 s and about 110 MiB at peak).  No bound uses 2^|E|, but
+# the edge cap still bounds the build: K16 (120 edges, past the cap) would
+# build 65,520 masks in 0.8 s, 6x more per two vertices.
 _MAX_EDGES = 24
 _MAX_MASKS = 1 << 20
 # The most edges ``sg_polynomial`` takes touch at most twice as many vertices,
@@ -107,27 +108,35 @@ def _exponents(G: CoprimalityGraph, s) -> tuple[float, ...]:
     return s
 
 
-def sg_polynomial(G: CoprimalityGraph) -> dict[int, int]:
-    """S_G = sum over edge subsets U of (-1)^|U| * prod of x_j over the
-    vertices touched by U, as {vertex bitmask: nonzero coefficient} with the
-    masks ascending; bit j-1 stands for vertex j.
+def _sg_terms(G: CoprimalityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """S_G as int64 arrays (masks ascending, coefficients nonzero).
 
     It is built edge by edge from {0: 1}: the subsets with edge e are those
     without it, each with e's vertices joined to its mask and its sign
-    flipped.  More than ``_MAX_MASKS`` masks are refused."""
+    flipped, and equal masks are merged.  More than ``_MAX_MASKS`` masks,
+    counted before the zero coefficients are dropped, are refused."""
     edges = G.edge_list
     if len(edges) > _MAX_EDGES:
         raise ValueError(f"too many edges ({len(edges)} > {_MAX_EDGES})")
-    poly = {0: 1}
+    masks, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     for k, l in edges:
         e = (1 << (k - 1)) | (1 << (l - 1))
-        grown = dict(poly)
-        for m, c in poly.items():
-            grown[m | e] = grown.get(m | e, 0) - c
-            if len(grown) > _MAX_MASKS:
-                raise ValueError(f"the subset polynomial has more than {_MAX_MASKS} terms")
-        poly = grown
-    return {m: poly[m] for m in sorted(poly) if poly[m]}
+        masks, merged = np.unique(np.concatenate((masks, masks | e)), return_inverse=True)
+        if len(masks) > _MAX_MASKS:
+            raise ValueError(f"the subset polynomial has more than {_MAX_MASKS} terms")
+        grown = np.zeros(len(masks), dtype=np.int64)
+        np.add.at(grown, merged, np.concatenate((coeffs, -coeffs)))
+        coeffs = grown
+    keep = np.flatnonzero(coeffs)
+    return masks[keep], coeffs[keep]
+
+
+def sg_polynomial(G: CoprimalityGraph) -> dict[int, int]:
+    """S_G = sum over edge subsets U of (-1)^|U| * prod of x_j over the
+    vertices touched by U, as {vertex bitmask: nonzero coefficient} with the
+    masks ascending; bit j-1 stands for vertex j (built by ``_sg_terms``)."""
+    masks, coeffs = _sg_terms(G)
+    return dict(zip(masks.tolist(), coeffs.tolist()))
 
 
 def b_coefficients(G: CoprimalityGraph) -> tuple[int, ...]:
@@ -143,22 +152,24 @@ def b_coefficients(G: CoprimalityGraph) -> tuple[int, ...]:
 def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
     """One Euler factor: S_G evaluated at x_j = p^-s_j.  Each term multiplies
     its coefficient by its x_j from the lowest bit up, and the terms are added
-    in ascending mask order: a float factor's bytes depend on both orders.  A
-    factor, or a power p^-s_j, past the largest float is refused."""
+    one by one in ascending mask order: a float factor's bytes depend on both
+    orders.  A factor, or a power p^-s_j, past the largest float is refused."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     s = _exponents(G, s)
+    masks, coeffs = _sg_terms(G)
     try:
         x = [p ** (-sj) for sj in s]
-        value = 0
-        for mask, coeff in sg_polynomial(G).items():
-            term = coeff
-            for j in range(mask.bit_length()):
-                if mask >> j & 1:
-                    term = term * x[j]
-            value = value + term
     except OverflowError:
         value = math.inf
+    else:
+        value = 1  # the empty mask's term, all an edgeless graph has
+        if len(masks) > 1:
+            terms = coeffs.astype(np.float64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, xj in enumerate(x):
+                    terms = np.where(masks >> j & 1, terms * xj, terms)
+                value = float(np.add.accumulate(terms)[-1])  # sequential
     if not math.isfinite(value):
         raise ValueError(
             f"the Euler factor at p = {p}, or one of its powers p^-s_j, passes "
@@ -170,7 +181,8 @@ def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
 def euler_factor_exact(G: CoprimalityGraph, p: int, s) -> Fraction:
     """Exact rational Euler factor for integer exponents of either sign, as one
     integer sum sum_m c_m p^(S - S_m) over p^S, where S_m is the exponent sum
-    of mask m and S >= 0 the largest S_m (the empty mask has S_m = 0)."""
+    of mask m and S >= 0 the largest S_m (the empty mask has S_m = 0).  The
+    coefficients of equal S_m are added first, so each power is taken once."""
     if any(int(sj) != sj for sj in s):
         raise ValueError("exact evaluation needs integer exponents")
     if not is_prime(p):
@@ -178,15 +190,22 @@ def euler_factor_exact(G: CoprimalityGraph, p: int, s) -> Fraction:
     s = [int(sj) for sj in s]
     if len(s) != G.r:
         raise ValueError(f"need one exponent per vertex ({G.r}), got {len(s)}")
-    poly = sg_polynomial(G)
-    # S_m byte by byte: tables[b][v] sums the s_j of the bits j of v in byte b
+    if sum(abs(sj) for sj in s) >= 1 << 62:
+        raise ValueError("the exponents' absolute sum must stay below 2^62")
+    masks, coeffs = _sg_terms(G)
+    # S_m byte by byte: row v of bits @ s[8b : 8b + 8] sums the s_j of the
+    # bits j of v in byte b
     s += [0] * (-G.r % 8)
-    tables = [
-        [sum(s[8 * b + j] for j in range(8) if v >> j & 1) for v in range(256)] for b in range(len(s) // 8)
-    ]
-    sums = {m: sum(t[m >> 8 * b & 255] for b, t in enumerate(tables)) for m in poly}
-    S = max(sums.values())
-    return Fraction(sum(c * p ** (S - sums[m]) for m, c in poly.items()), p**S)
+    bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    sums = np.zeros(len(masks), dtype=np.int64)
+    for b in range(len(s) // 8):
+        sums += (bits @ np.array(s[8 * b : 8 * b + 8], dtype=np.int64))[masks >> 8 * b & 255]
+    exponents, merged = np.unique(sums, return_inverse=True)
+    merged_coeffs = np.zeros(len(exponents), dtype=np.int64)
+    np.add.at(merged_coeffs, merged, coeffs)
+    S = int(exponents[-1])
+    numerator = sum(c * p ** (S - e) for e, c in zip(exponents.tolist(), merged_coeffs.tolist()))
+    return Fraction(numerator, p**S)
 
 
 def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:

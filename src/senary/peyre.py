@@ -168,23 +168,37 @@ def alpha_invariant() -> Rational:
 # inversion t -> 1/t onto the unit cube plus a logarithmic capture of the
 # integrable 1/t singularity) and integrated on a deterministic midpoint grid
 # over [-L, L]^3, with a two-level Richardson step and a heuristic error
-# estimate from the level difference.  ``_outer_level`` evaluates one level a
-# t1 slice at a time, each slice one array call on the whole (t2, t4) plane,
-# so memory stays at a few n^2-entry arrays.
+# estimate from the level difference.
+#
+# A level needs far fewer inner integrals than grid points.  Substituting
+# s = K sigma gives g = K max(1, b/sigma, |a + eps*sigma|) with a = alpha/K and
+# b = beta/K^2, so the inner integral is K^-3 F_eps(a, b), F_eps the same
+# integral at K = 1 (reached at t1 = min(a, 1), t2 = b, t4 = min(1/a, 1)).  On
+# the level-n grid log t = c h/2 for odd c in 1-n..n-1 (h = 2L/n), and with
+# k = max(c1, c2, c4, 0), log a = (c1 - c4 - k) h/2 and log b = (c2 - 2k) h/2:
+# both on the h/2 lattice.  So for even n the n^3 points share only
+# 13 n^2/4 - 7 n/2 + 1 distinct pairs (a, b): 777 at n = 16, 52,801 at
+# n = 128 (2,097,152 points).  ``_level_pairs`` sums each pair's weight
+# t1 t2 / K^3 over its points, a t1 slice at a time in an O(n^2) table, and
+# ``_outer_level`` runs the kernel once per pair.
+
+
+def _atanh_excess(u: np.ndarray) -> np.ndarray:
+    """2 (atanh(u) - u) = 2 u^3 sum_{j>=0} u^(2j)/(2j+3) for |u| <= 1/3: as
+    u^2 <= 1/9, Horner over j = 0..17 leaves out under 1e-18 of it."""
+    v = u * u
+    acc = np.full_like(u, 1.0 / 37.0)
+    for j in range(16, -1, -1):
+        acc *= v
+        acc += 1.0 / (2 * j + 3)
+    return 2.0 * (u * v) * acc
 
 
 def _log_series(z: np.ndarray) -> np.ndarray:
     """sum_{k>=3} z^k/k = -ln(1-z) - z - z^2/2 for |z| <= 1/2: with u = z/(2-z),
-    -ln(1-z) = 2 atanh(u) makes it z^3/(2(2-z)) + 2 u^3 sum_{j>=0} u^(2j)/(2j+3),
-    and as u^2 <= 1/9 Horner over j = 0..17 leaves out under 1e-18 of it."""
+    -ln(1-z) = 2 atanh(u) makes it z^3/(2(2-z)) + 2 (atanh(u) - u)."""
     d = 2.0 - z
-    u = z / d
-    v = u * u
-    acc = np.full_like(z, 1.0 / 37.0)
-    for j in range(16, -1, -1):
-        acc *= v
-        acc += 1.0 / (2 * j + 3)
-    return (z * z * z) / (2.0 * d) + 2.0 * (u * v) * acc
+    return (z * z * z) / (2.0 * d) + _atanh_excess(z / d)
 
 
 def _tail_plus(alpha: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -214,7 +228,17 @@ def _phi_piece(prev: np.ndarray, b: np.ndarray, alpha: np.ndarray, eps: float) -
     ya = prev / c
     yb = b / e
     d = alpha * (b - prev) / (c * e)
-    return np.log1p(d / ya) - 2.0 * eps * d + 0.5 * d * (ya + yb)
+    out = np.log1p(d / ya) - 2.0 * eps * d + 0.5 * d * (ya + yb)
+    if eps > 0:
+        # the piece is sum_{k>=3} (zp^k - zb^k)/k for z = alpha/(alpha + s),
+        # falling from zp = 1 - ya to zb = zp - d.  Below zp = 1/2 the terms
+        # above cancel to about d zp^2, so it is taken as the positive
+        # 2 (atanh(w) - w) + d m^2/(1 - m), m = (zp + zb)/2, w = d/(2 - 2m)
+        i = np.nonzero(alpha < 0.5 * c)[0]
+        m = 0.5 * (alpha[i] / c[i] + alpha[i] / e[i])
+        two_rest = ya[i] + yb[i]  # 2 - 2m
+        out[i] = _atanh_excess(d[i] / two_rest) + 2.0 * d[i] * m * m / two_rest
+    return out
 
 
 def _flat(*arrays) -> tuple[np.ndarray, ...]:
@@ -242,7 +266,8 @@ def _pieces(bps: list, eps: float, K, alpha, beta, a3, K3, beta3x3) -> np.ndarra
         sm = roots[j - 1] * roots[j]
         g_beta = beta / sm
         g_phi = np.abs(alpha + eps * sm)
-        piece = np.log(b / prev) / K3
+        # not log(b/prev): rounding b/prev costs 1e-16 / (b/prev - 1) relative
+        piece = np.log1p((b - prev) / prev) / K3
         off = np.nonzero((K < np.maximum(g_beta, g_phi)) & (b > prev))[0]
         on_beta = g_beta[off] >= g_phi[off]
         i = off[on_beta]  # g = beta/s
@@ -277,26 +302,59 @@ def _inner_t5_pair(t1, t2, t4) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+_PAIR_CHUNK = 4096  # kernel entries per array call: keeps a level's memory flat
+
+
+@lru_cache(maxsize=8)
+def _level_pairs(n: int, L: float) -> tuple[np.ndarray, ...]:
+    """The distinct pairs (a, b) = (alpha/K, beta/K^2) of the level-n grid
+    over [-L, L]^3 as kernel arguments at K = 1, with the weight t1 t2 / K^3
+    of every grid point summed per pair: (t1, t2, t4, weight).
+
+    Logs are integers in units of h/2, as the section comment derives; a t1
+    slice at a time, the weights go into a table keyed by log a and log b,
+    which holds (4n - 3)(3n - 2) entries.  Cached apart from ``_outer_level``
+    so that ``archimedean_density`` can count a level's pairs."""
+    h = 2.0 * L / n
+    c = np.arange(1 - n, n, 2)
+    low = 5 * (1 - n)  # the least log t1 t2 / K^3: c1 = c2 = 1 - n, k = c4 = n - 1
+    powers = np.exp(0.5 * h * np.arange(low, n))  # powers[m - low] = exp(m h/2)
+    a_low = b_low = 3 * (1 - n)  # log a runs over a_low..n-1, log b over b_low..0
+    b_size = 1 - b_low
+    table = np.zeros((n - a_low) * b_size)
+    c2, c4 = np.repeat(c, n), np.tile(c, n)
+    for c1 in c.tolist():
+        k = np.maximum(np.maximum(c2, c4), max(c1, 0))  # log K
+        keys = (c1 - c4 - k - a_low) * b_size + (c2 - 2 * k - b_low)
+        np.add.at(table, keys, powers[c1 + c2 - 3 * k - low])
+    keys = np.flatnonzero(table)  # every weight is positive
+    log_a = keys // b_size + a_low
+    log_b = keys % b_size + b_low
+    pairs = (powers[np.minimum(log_a, 0) - low], powers[log_b - low],
+             powers[np.minimum(-log_a, 0) - low], table[keys])
+    for array in pairs:  # shared by every caller through the cache
+        array.flags.writeable = False
+    return pairs
+
+
 @lru_cache(maxsize=64)
 def _outer_level(n: int, L: float) -> float:
     """One midpoint level on the n^3 grid in log coordinates over [-L, L]^3.
     The Jacobian dt = t du weights each point by t1 t2 (t4 cancels the
-    density's 1/t4); one t1 slice at a time, the (t2, t4) plane is one array
-    call for both eps.
+    density's 1/t4), and s = K sigma turns the inner integral into K^-3 times
+    the one at (alpha/K, beta/K^2) and K = 1.  So the kernel runs once per
+    distinct pair of ``_level_pairs``, both eps at once, a chunk at a time,
+    and the terms weight x (plus + minus) go to ``math.fsum``: the level is
+    their exactly rounded sum, whatever their order."""
+    t1, t2, t4, weight = _level_pairs(n, L)
 
-    The points are added one by one in (t1, t2, t4) order, as a plain triple
-    loop would: the level then moves only by the rounding of the inner
-    integral, not by a new summation order."""
-    h = 2.0 * L / n
-    ts = np.array([math.exp(-L + h * (i + 0.5)) for i in range(n)])
-    t2 = np.repeat(ts, n)
-    t4 = np.tile(ts, n)
-    total = np.zeros(1)
-    for t1 in ts:
-        plus, minus = _inner_t5_pair(t1, t2, t4)
-        terms = (t1 * t2) * (plus + minus)
-        total = np.add.accumulate(np.concatenate((total, terms)))[-1:]  # sequential
-    return 8.0 * float(total[0]) * h**3
+    def terms():
+        for lo in range(0, len(weight), _PAIR_CHUNK):
+            part = slice(lo, lo + _PAIR_CHUNK)
+            plus, minus = _inner_t5_pair(t1[part], t2[part], t4[part])
+            yield from (weight[part] * (plus + minus)).tolist()
+
+    return 8.0 * math.fsum(terms()) * (2.0 * L / n) ** 3
 
 
 @dataclass
@@ -334,8 +392,9 @@ def archimedean_density(tolerance: float = 0.01) -> ConstantReport:
 
     ``tolerance`` is the requested relative accuracy (heuristic two-level
     estimate, reported in the result).  The level pairs of ``_QUAD_SCHEDULE``
-    run in turn until one meets it; the provenance names that pair and counts
-    the grid points of every level evaluated, each once.
+    run in turn until one meets it; the provenance names that pair and counts,
+    over every level evaluated, each once, the grid points and the kernel's
+    evaluations (one per distinct pair of ``_level_pairs``).
     """
     if not (math.isfinite(tolerance) and tolerance >= 1e-3):
         raise ValueError(f"tolerance must be finite and >= 1e-3 (fixed schedule), got {tolerance}")
@@ -360,6 +419,8 @@ def archimedean_density(tolerance: float = 0.01) -> ConstantReport:
                     "levels": [n_lo, n_hi],
                     "log_box_halfwidth": _QUAD_L,
                     "samples": 2 * sum(n**3 for n in evaluated),  # both values of eps
+                    # the distinct pairs the kernel ran on, both eps in one call
+                    "evaluations": sum(len(_level_pairs(n, _QUAD_L)[3]) for n in evaluated),
                     "error_estimate": "two-level Richardson difference (heuristic)",
                 },
             )

@@ -217,9 +217,28 @@ def inner_t5(t1: float, t2: float, t4: float, eps: float) -> float:
         g_beta = beta / sm
         g_phi = abs(alpha + eps * sm)
         if g_const >= g_beta and g_const >= g_phi:
-            total += math.log(b / prev) / (K * K * K)
+            total += math.log1p((b - prev) / prev) / (K * K * K)
         elif g_beta >= g_phi:
             total += (b * b * b - prev * prev * prev) / (3.0 * beta**3)
+        elif eps > 0 and alpha < 0.5 * (alpha + prev):
+            # z = alpha/(alpha + s) < 1/2 falls from zp to zb: the piece is
+            # sum_{k>=3} (zp^k - zb^k)/k, each term d h_{k-1}(zp, zb) / k with
+            # h_m = sum_j zp^j zb^(m-j) > 0
+            zp, zb = alpha / (alpha + prev), alpha / (alpha + b)
+            d = alpha * (b - prev) / ((alpha + prev) * (alpha + b))
+            h = zp * zp + zp * zb + zb * zb
+            zb_m = zb * zb
+            acc = 0.0
+            k = 3
+            while True:
+                term = h / k
+                acc += term
+                if term < 1e-18 * acc or k > 200:
+                    break
+                k += 1
+                zb_m *= zb
+                h = zp * h + zb_m
+            total += d * acc / a3
         elif eps > 0:
             ya = prev / (alpha + prev)
             yb = b / (alpha + b)
@@ -243,17 +262,25 @@ def inner_t5(t1: float, t2: float, t4: float, eps: float) -> float:
     return total
 
 
-def outer_level(n, L):
-    """The midpoint level as a plain triple loop over the n^3 log grid."""
+def outer_level_terms(n, L):
+    """The midpoint level's terms t1 t2 (I(+) + I(-)), one per point of the
+    n^3 log grid, in plain triple-loop order."""
     h = 2.0 * L / n
     ts = [math.exp(-L + h * (i + 0.5)) for i in range(n)]
-    total = 0.0
     for t1 in ts:
         for t2 in ts:
             w12 = t1 * t2
             for t4 in ts:
-                total += w12 * (inner_t5(t1, t2, t4, 1.0) + inner_t5(t1, t2, t4, -1.0))
-    return 8.0 * total * h**3
+                yield w12 * (inner_t5(t1, t2, t4, 1.0) + inner_t5(t1, t2, t4, -1.0))
+
+
+def outer_level(n, L):
+    """The midpoint level as a plain triple loop over the n^3 log grid, its
+    terms added one by one."""
+    total = 0.0
+    for term in outer_level_terms(n, L):
+        total += term
+    return 8.0 * total * (2.0 * L / n) ** 3
 
 
 # --- leading constant: per-prime factors and the scalar prefactor ---------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -131,7 +132,36 @@ def test_b_vector_isomorphism_invariance():
 def test_euler_factor_examples():
     assert euler_factor_exact(SENARY_GRAPH, 2, [1] * 6) == Fraction(13, 64)
     assert euler_factor(EMPTY2, 5, (0.9, 2.3)) == 1.0
+    assert json.dumps(euler_factor(EMPTY2, 5, (0.9, 2.3))) == "1"  # an int, as printed
     assert euler_factor(SINGLE_EDGE, 3, (2.0, 2.0)) == pytest.approx(1 - 3.0**-4, abs=1e-15)
+
+
+def _per_mask_loop(G, p, s):
+    """S_G at x_j = p^-s_j as one scalar loop over the brute-force subset
+    polynomial: each term from the lowest bit up, the terms in ascending mask
+    order, starting from the int 0."""
+    x = [p ** (-sj) for sj in s]
+    value = 0
+    for mask, coeff in sorted(_sg_brute(G).items()):
+        term = coeff
+        for j in range(mask.bit_length()):
+            if mask >> j & 1:
+                term = term * x[j]
+        value = value + term
+    return value
+
+
+@settings(max_examples=200)
+@given(
+    st.data(),
+    _graphs(max_edges=10),
+    st.sampled_from([2, 3, 5, 7, 13, 101, 2**31 - 1]),
+)
+def test_euler_factor_bytes_are_the_per_mask_loop(data, G, p):
+    # the array evaluation keeps the loop's order, so its float bytes
+    s = data.draw(st.lists(st.floats(-3.0, 5.0), min_size=G.r, max_size=G.r))
+    want = _per_mask_loop(G, p, s)
+    assert json.dumps(euler_factor(G, p, s)) == json.dumps(want)
 
 
 def test_euler_factor_via_b_vector():
@@ -209,9 +239,10 @@ def test_truncated_dg_empty_graph_factorizes():
         lambda: xi(EMPTY2, (2.0, 2.0), 1),
         lambda: tg_series_check(SINGLE_EDGE, -1),
         lambda: euler_factor(SENARY_GRAPH, 2, (math.nan,) + (1.0,) * 5),
+        lambda: euler_factor_exact(SINGLE_EDGE, 2, [2**62, 0]),
     ],
     ids=["composite-p", "extra-exponent", "zero-p", "xi-limit-1", "negative-degree",
-         "nan-exponent"],
+         "nan-exponent", "exponent-sum-2^62"],
 )
 def test_bad_arguments_raise_value_error(call):
     with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from senary.peyre import (
     _euler_factor_polynomials,
     _euler_product_local,
     _inner_t5_pair,
+    _level_pairs,
     _outer_level,
     _tail_minus,
     _tail_plus,
@@ -191,6 +192,8 @@ def test_archimedean_samples_count_each_level_once():
     report = archimedean_density(0.03)
     assert report.provenance["levels"] == [32, 64]
     assert report.provenance["samples"] == 2 * (16**3 + 32**3 + 64**3) == 598016
+    # the distinct (alpha/K, beta/K^2) pairs the kernel ran on
+    assert report.provenance["evaluations"] == 777 + 3217 + 13089 == 17083
 
 
 def test_archimedean_nonconvergence_carries_best_estimate(monkeypatch):
@@ -211,6 +214,20 @@ def test_archimedean_orthant_symmetry():
 
 
 _LOG_T = st.floats(-18.0, 18.0)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_LOG_T, _LOG_T, _LOG_T), min_size=1, max_size=8))
+@example([(-8.0, 0.0, 1.192092896e-07), (-18.0, 0.0, 0.0)])  # alpha << s near b = 1
+def test_inner_integral_scales_to_K_one(logs):
+    # s = K sigma: I(t1, t2, t4) = K^-3 I at (a, b) = (alpha/K, beta/K^2) and K = 1,
+    # the identity that lets ``_outer_level`` run the kernel once per pair
+    t1, t2, t4 = (np.exp(np.array(col)) for col in zip(*logs))
+    K = np.maximum(np.maximum(t1, t2), np.maximum(t4, 1.0))
+    a, b = t1 / t4 / K, t2 / (K * K)
+    scaled = _inner_t5_pair(np.minimum(a, 1.0), b, np.minimum(1.0 / a, 1.0))
+    for got, unit in zip(_inner_t5_pair(t1, t2, t4), scaled):
+        np.testing.assert_allclose(got, unit / K**3, rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=300)
@@ -259,32 +276,84 @@ def test_outer_level_against_scalar_triple_loop(n):
     assert _outer_level(n, 18.0) == pytest.approx(oracles.outer_level(n, 18.0), rel=1e-11)
 
 
-def test_inner_integral_against_adaptive_quadrature():
+@pytest.mark.parametrize("n", [16, 32])
+def test_outer_level_is_the_exactly_rounded_sum_of_its_terms(n):
+    h = 2.0 * 18.0 / n
+    want = 8.0 * math.fsum(oracles.outer_level_terms(n, 18.0)) * h**3
+    assert _outer_level(n, 18.0) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 16, 32, 64])
+def test_level_pairs_are_few_and_carry_every_point(n):
+    # 13 n^2/4 - 7 n/2 + 1 distinct pairs for even n; their weights add up to
+    # the grid's sum of t1 t2 / K^3
+    t1, t2, t4, weight = _level_pairs(n, 18.0)
+    assert len(weight) == 13 * n * n // 4 - 7 * n // 2 + 1
+    assert len(set(zip(t1.tolist(), t2.tolist(), t4.tolist()))) == len(weight)
+    ts = np.exp(-18.0 + 36.0 / n * (np.arange(n) + 0.5))
+    g1, g2, g4 = np.meshgrid(ts, ts, ts, indexing="ij")
+    K = np.maximum(np.maximum(g1, g2), np.maximum(g4, 1.0))
+    assert math.fsum(weight) == pytest.approx(math.fsum((g1 * g2 / K**3).ravel()), rel=1e-13)
+
+
+def test_outer_level_memory_stays_below_one_grid_array():
+    # one n^3 float64 array at n = 128 is 16 MiB; a level holds O(n^2) entries
+    # and one chunk of kernel temporaries
+    import tracemalloc
+
+    _level_pairs.cache_clear()
+    tracemalloc.start()
+    try:
+        _outer_level.__wrapped__(128, 18.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 128**3
+
+
+def _adaptive_inner(t1, t2, t4, eps):
+    """The inner integral by mpmath's quadrature in log s, split at every
+    breakpoint, with the tail below s = e^-70 in closed form."""
     import mpmath as mp
 
+    K = max(t1, t2, t4, 1.0)
+    alpha, beta = t1 / t4, t2
+
+    def integrand(ls):
+        s = mp.e ** mp.mpf(ls)
+        return 1 / max(K, beta / s, abs(alpha + eps * s)) ** 3
+
+    bps = {beta / K, abs(alpha - K), alpha + K, alpha}
+    disc = alpha * alpha - 4.0 * beta
+    if disc >= 0:
+        r2 = 0.5 * (alpha + math.sqrt(disc))
+        bps.update((r2, beta / r2))
+    bps.add(0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 * beta)))
+    grid = [mp.mpf(-70)] + sorted(mp.log(b) for b in bps if b > 0) + [mp.mpf(70)]
+    return float(mp.quad(integrand, grid) + mp.e ** mp.mpf(-210) / (3 * mp.mpf(beta) ** 3))
+
+
+def test_inner_integral_against_adaptive_quadrature():
     for (t1, t2, t4, eps) in [
         (0.5, 2.0, 1.5, 1.0),
         (3.0, 0.2, 0.9, -1.0),
         (40.0, 0.01, 0.003, -1.0),
         (0.02, 5.0, 7.0, 1.0),
     ]:
-        K = max(t1, t2, t4, 1.0)
-        alpha, beta = t1 / t4, t2
-
-        def integrand(ls):
-            s = mp.e ** mp.mpf(ls)
-            return 1.0 / max(K, beta / s, abs(alpha + eps * s)) ** 3
-
-        bps = {beta / K, abs(alpha - K), alpha + K, alpha}
-        disc = alpha * alpha - 4.0 * beta
-        if disc >= 0:
-            r2 = 0.5 * (alpha + math.sqrt(disc))
-            bps.update((r2, beta / r2))
-        bps.add(0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 * beta)))
-        grid = [mp.mpf(-70)] + sorted(mp.log(b) for b in bps if b > 0) + [mp.mpf(70)]
-        ref = float(mp.quad(integrand, grid)) + float(mp.e ** mp.mpf(-70)) ** 3 / (3 * beta**3)
         got = _inner_t5_pair(t1, t2, t4)[0 if eps > 0 else 1][0]
-        assert got == pytest.approx(ref, rel=1e-9)
+        assert got == pytest.approx(_adaptive_inner(t1, t2, t4, eps), rel=1e-9)
+
+
+def test_inner_integral_where_alpha_dwarfs_K():
+    # alpha = e^30.56 against K = e^12.59: the K-branch piece between alpha and
+    # alpha + K has b/prev - 1 = e^-18, which a rounded ratio would cost 3e-9
+    import mpmath as mp
+
+    t1, t2, t4 = (math.exp(v) for v in (12.59, -17.03, -17.97))
+    with mp.workdps(40):
+        want = _adaptive_inner(t1, t2, t4, -1.0)
+    assert _inner_t5_pair(t1, t2, t4)[1][0] == pytest.approx(want, rel=1e-12)
+    assert oracles.inner_t5(t1, t2, t4, -1.0) == pytest.approx(want, rel=1e-12)
 
 
 # --- constant assembly -----------------------------------------------------------
