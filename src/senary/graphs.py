@@ -5,8 +5,8 @@ variables must be coprime.  Dividing the constrained series by the product of
 the r zeta factors leaves an Euler product whose p-factor is the multilinear
 subset polynomial S_G evaluated at (p^-s1, ..., p^-sr); at s = 1 the factor
 collapses to an integer combination sum_k b_k p^-k.  This module builds the
-polynomial edge by edge, as a dict from vertex bitmask to coefficient, reads
-the b-vector off it exactly, evaluates the Euler product with a tail bound
+polynomial edge by edge, as numpy arrays of vertex bitmasks and coefficients,
+reads the b-vector off it exactly, evaluates the Euler product with a tail bound
 read off the factor's own terms (the package's one truncated Euler product;
 zeta comes whole from ``_zeta``), and cross-checks the identity against
 direct truncation of the constrained series.
@@ -24,19 +24,14 @@ import numpy as np
 
 from senary.arith import is_prime, primes_up_to
 
-# ``_sg_terms`` folds in one edge at a time and sorts every mask it holds, so
-# its cost is about |E| x masks; the masks are capped (2^20 of them, a 20-edge
-# matching, take 0.2 s and about 110 MiB at peak).  No bound uses 2^|E|, but
-# the edge cap still bounds the build: K16 (120 edges, past the cap) would
-# build 65,520 masks in 0.8 s, 6x more per two vertices.
-_MAX_EDGES = 24
-_MAX_MASKS = 1 << 20
-# The most edges ``sg_polynomial`` takes touch at most twice as many vertices,
-# so past this r some vertex is isolated and only scales D_G by a zeta factor
-# (and the masks, one bit per vertex, could number 2^r; ``_MAX_MASKS`` holds).
-# Every action builds at least one entry per vertex (the b-vector, the default
-# exponents, the weight vectors), so a huge r is refused before it allocates.
-_MAX_VERTICES = 2 * _MAX_EDGES
+# ``_sg_terms`` folds in one edge at a time and sorts every mask it holds;
+# masks never shrink, so a cap on |E| x masks after each edge bounds its whole
+# work (a 20-edge matching's 2^20 masks take 0.2 s and 110 MiB at peak).
+_MAX_BUILD = 24 << 20
+# One bit per vertex keeps every mask inside int64, and every action builds
+# an entry per vertex (the b-vector, the exponents, the weight vectors), so a
+# huge r is refused before it allocates.
+_MAX_VERTICES = 48
 _MAX_INTERMEDIATE = 1 << 22  # entries (32 MiB of float64) of one truncated_DG factor
 
 
@@ -113,17 +108,16 @@ def _sg_terms(G: CoprimalityGraph) -> tuple[np.ndarray, np.ndarray]:
 
     It is built edge by edge from {0: 1}: the subsets with edge e are those
     without it, each with e's vertices joined to its mask and its sign
-    flipped, and equal masks are merged.  More than ``_MAX_MASKS`` masks,
-    counted before the zero coefficients are dropped, are refused."""
+    flipped, and equal masks are merged.  |E| x masks past ``_MAX_BUILD``,
+    the masks counted before the zero coefficients are dropped, is refused."""
     edges = G.edge_list
-    if len(edges) > _MAX_EDGES:
-        raise ValueError(f"too many edges ({len(edges)} > {_MAX_EDGES})")
     masks, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     for k, l in edges:
         e = (1 << (k - 1)) | (1 << (l - 1))
         masks, merged = np.unique(np.concatenate((masks, masks | e)), return_inverse=True)
-        if len(masks) > _MAX_MASKS:
-            raise ValueError(f"the subset polynomial has more than {_MAX_MASKS} terms")
+        if len(edges) * len(masks) > _MAX_BUILD:
+            raise ValueError(f"the subset polynomial's build, {len(edges)} edges x "
+                             f"{len(masks)} terms, passes {_MAX_BUILD}")
         grown = np.zeros(len(masks), dtype=np.int64)
         np.add.at(grown, merged, np.concatenate((coeffs, -coeffs)))
         coeffs = grown
@@ -139,13 +133,29 @@ def sg_polynomial(G: CoprimalityGraph) -> dict[int, int]:
     return dict(zip(masks.tolist(), coeffs.tolist()))
 
 
+def _merged_terms(G: CoprimalityGraph, s) -> list[tuple[float, int]]:
+    """The coefficients of S_G summed by the exponent sum of their masks, the
+    s_j of the mask's bits j added lowest bit first: the nonzero sums as
+    (exponent, coefficient) pairs, exponents ascending."""
+    masks, coeffs = _sg_terms(G)
+    sums = np.zeros(len(masks))
+    with np.errstate(over="ignore"):  # a sum past the largest float is inf
+        for j, sj in enumerate(s):
+            sums = np.where(masks >> j & 1, sums + sj, sums)
+    exponents, merged = np.unique(sums, return_inverse=True)
+    totals = np.zeros(len(exponents), dtype=np.int64)
+    np.add.at(totals, merged, coeffs)
+    keep = np.flatnonzero(totals)
+    return list(zip(exponents[keep].tolist(), totals[keep].tolist()))
+
+
 def b_coefficients(G: CoprimalityGraph) -> tuple[int, ...]:
     """b_0..b_r: b_k = sum over edge subsets touching exactly k vertices of
     (-1)^|U|, the coefficients of S_G summed by the degree of their
-    monomials."""
+    monomials (``_merged_terms`` at s = 1)."""
     b = [0] * (G.r + 1)
-    for mask, coeff in sg_polynomial(G).items():
-        b[mask.bit_count()] += coeff
+    for k, coeff in _merged_terms(G, (1.0,) * G.r):
+        b[int(k)] = coeff
     return tuple(b)
 
 
@@ -229,11 +239,7 @@ def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     if m <= 1:
         raise ValueError("every edge's exponent sum must exceed 1")
     primes = primes_up_to(prime_limit)
-    merged: dict[float, int] = {}
-    for mask, coeff in sg_polynomial(G).items():
-        expo = sum(s[j] for j in range(G.r) if mask >> j & 1)
-        merged[expo] = merged.get(expo, 0) + coeff
-    terms = sorted((e, b) for e, b in merged.items() if e and b)  # e = 0: the empty mask
+    terms = [(e, b) for e, b in _merged_terms(G, s) if e]  # e = 0: the empty mask
     product = np.ones(len(primes))
     for e, b in terms:
         product += b * primes ** (-e)

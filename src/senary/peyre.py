@@ -150,19 +150,22 @@ def alpha_invariant() -> Rational:
 # Within the positive orthant the t5 integral is elementary: substituting
 # s = t2/t5 it becomes int ds / (s * g(s)^3) with
 #     g(s) = max(K, beta/s, |alpha + eps*s|),
-#     K = max(t1, t2, t4, 1), alpha = t1/t4, beta = t2,
-# a piecewise combination of three explicitly integrable branches.  The
+#     K = max(t1, t2, t4, 1), alpha = t1/t4, beta = t2.
+# Substituting s = K sigma makes it K^-3 times the same integral at K = 1 and
+# (alpha/K, beta/K^2), where beta/K^2 <= 1; ``_level_pairs`` does this, so the
+# kernel ``_inner_pair`` runs at K = 1 only, entrywise over arrays and both
+# couplings at once.  There g(s) = max(1, beta/s, |alpha + eps*s|) is a
+# piecewise combination of three explicitly integrable branches.  The
 # breakpoints are the pairwise crossings of the branches; every piece is
 # integrated in closed form (the |alpha + eps*s| branch through the stable
-# substitution y = s / (alpha +- s)).  ``_inner_t5_pair`` evaluates this
-# entrywise over arrays, both couplings at once.  Each coupling's breakpoints
-# are a list of arrays, an absent crossing repeating a present one (an empty
-# piece), sorted entrywise by a network of np.minimum/np.maximum.  The pieces
-# are summed in order, each with the branch largest at its geometric midpoint,
+# substitution y = s / (alpha +- s)).  Each coupling's breakpoints are a list
+# of arrays, an absent crossing repeating a present one (an empty piece),
+# sorted entrywise by a network of np.minimum/np.maximum.  The pieces are
+# summed in order, each with the branch largest at its geometric midpoint,
 # then the tail past the last breakpoint, by Horner where it is a short series.
 # For eps = -1 the two largest, h = (alpha + sqrt(alpha^2 + 4 beta))/2 and
-# alpha + K, need no sort: h >= alpha >= r2 >= beta/r2, alpha - K;
-# h >= sqrt(beta) >= beta/K; and h <= alpha + K as beta = t2 <= K.
+# alpha + 1, need no sort: h >= alpha >= r2 >= beta/r2, alpha - 1;
+# h >= sqrt(beta) >= beta; and h <= alpha + 1 as beta <= 1.
 #
 # The remaining three variables are compactified by t -> log t (equivalently:
 # inversion t -> 1/t onto the unit cube plus a logarithmic capture of the
@@ -170,11 +173,8 @@ def alpha_invariant() -> Rational:
 # over [-L, L]^3, with a two-level Richardson step and a heuristic error
 # estimate from the level difference.
 #
-# A level needs far fewer inner integrals than grid points.  Substituting
-# s = K sigma gives g = K max(1, b/sigma, |a + eps*sigma|) with a = alpha/K and
-# b = beta/K^2, so the inner integral is K^-3 F_eps(a, b), F_eps the same
-# integral at K = 1 (reached at t1 = min(a, 1), t2 = b, t4 = min(1/a, 1)).  On
-# the level-n grid log t = c h/2 for odd c in 1-n..n-1 (h = 2L/n), and with
+# A level needs far fewer inner integrals than grid points.  On the level-n
+# grid log t = c h/2 for odd c in 1-n..n-1 (h = 2L/n), and with
 # k = max(c1, c2, c4, 0), log a = (c1 - c4 - k) h/2 and log b = (c2 - 2k) h/2:
 # both on the h/2 lattice.  So for even n the n^3 points share only
 # 13 n^2/4 - 7 n/2 + 1 distinct pairs (a, b): 777 at n = 16, 52,801 at
@@ -221,7 +221,7 @@ def _tail_minus(w: np.ndarray) -> np.ndarray:
 def _phi_piece(prev: np.ndarray, b: np.ndarray, alpha: np.ndarray, eps: float) -> np.ndarray:
     """alpha^3 * int_prev^b ds / (s (alpha + eps*s)^3), through the stable
     substitution y = s / (alpha + eps*s), for b <= alpha when eps < 0: past
-    alpha every breakpoint is at most alpha + K, so s - alpha <= K up to there
+    alpha every breakpoint is at most alpha + 1, so s - alpha <= 1 up to there
     and the coupling branch is never the largest."""
     c = alpha + eps * prev
     e = alpha + eps * b
@@ -241,12 +241,6 @@ def _phi_piece(prev: np.ndarray, b: np.ndarray, alpha: np.ndarray, eps: float) -
     return out
 
 
-def _flat(*arrays) -> tuple[np.ndarray, ...]:
-    """The arguments as float64 arrays, broadcast together and flattened."""
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in arrays))
-    return tuple(np.ravel(a) for a in arrays)
-
-
 def _sorted_rows(rows: list) -> list:
     """``rows`` sorted entrywise, smallest first, by odd-even transposition."""
     for rank in range(len(rows)):
@@ -255,20 +249,20 @@ def _sorted_rows(rows: list) -> list:
     return rows
 
 
-def _pieces(bps: list, eps: float, K, alpha, beta, a3, K3, beta3x3) -> np.ndarray:
+def _pieces(bps: list, eps: float, alpha, beta, a3, beta3x3) -> np.ndarray:
     """The integral over s up to the last of the sorted breakpoints ``bps``."""
     roots = [np.sqrt(b) for b in bps]
     total = bps[0] ** 3 / beta3x3  # leading branch g = beta/s
     for j in range(1, len(bps)):
         prev, b = bps[j - 1], bps[j]
         # on [prev, b] g is the branch largest at the geometric midpoint; an
-        # empty piece (b = prev) takes the branch g = K, which gives 0
+        # empty piece (b = prev) takes the branch g = 1, which gives 0
         sm = roots[j - 1] * roots[j]
         g_beta = beta / sm
         g_phi = np.abs(alpha + eps * sm)
         # not log(b/prev): rounding b/prev costs 1e-16 / (b/prev - 1) relative
-        piece = np.log1p((b - prev) / prev) / K3
-        off = np.nonzero((K < np.maximum(g_beta, g_phi)) & (b > prev))[0]
+        piece = np.log1p((b - prev) / prev)
+        off = np.nonzero((1.0 < np.maximum(g_beta, g_phi)) & (b > prev))[0]
         on_beta = g_beta[off] >= g_phi[off]
         i = off[on_beta]  # g = beta/s
         lo, hi = prev[i], b[i]
@@ -279,23 +273,20 @@ def _pieces(bps: list, eps: float, K, alpha, beta, a3, K3, beta3x3) -> np.ndarra
     return total
 
 
-def _inner_t5_pair(t1, t2, t4) -> tuple[np.ndarray, np.ndarray]:
+def _inner_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form integrals over s in (0, inf) of ds / (s * g(s)^3) for eps = +1
-    and -1, entrywise over the broadcast and flattened t1, t2, t4."""
-    t1, t2, t4 = _flat(t1, t2, t4)
-    K = np.maximum(np.maximum(t1, t2), np.maximum(t4, 1.0))
-    alpha, beta = t1 / t4, t2
+    and -1, entrywise over float64 arrays alpha > 0 and 0 < beta <= 1, with
+    g(s) = max(1, beta/s, |alpha + eps*s|): the inner integral at K = 1."""
     sq = np.sqrt(alpha * alpha + 4.0 * beta)
     a3 = alpha**3
-    shared = (K, alpha, beta, a3, K * K * K, 3.0 * beta**3)
-    lo = beta / K
-    plus = _sorted_rows([lo, np.where(K > alpha, K - alpha, lo), 2.0 * beta / (alpha + sq)])
+    shared = (alpha, beta, a3, 3.0 * beta**3)
+    plus = _sorted_rows([beta, np.where(1.0 > alpha, 1.0 - alpha, beta), 2.0 * beta / (alpha + sq)])
     disc = alpha * alpha - 4.0 * beta
     real = disc >= 0.0
     r2 = np.where(real, 0.5 * (alpha + np.sqrt(np.maximum(disc, 0.0))), alpha)
-    minus = _sorted_rows([lo, np.where(alpha > K, alpha - K, alpha), alpha, r2,
+    minus = _sorted_rows([beta, np.where(alpha > 1.0, alpha - 1.0, alpha), alpha, r2,
                           np.where(real, beta / r2, alpha)])
-    minus += [0.5 * (alpha + sq), alpha + K]
+    minus += [0.5 * (alpha + sq), alpha + 1.0]
     return (
         _pieces(plus, 1.0, *shared) + _tail_plus(alpha, plus[-1]) / a3,
         _pieces(minus, -1.0, *shared) + _tail_minus(alpha / (minus[-1] - alpha)) / a3,
@@ -308,8 +299,8 @@ _PAIR_CHUNK = 4096  # kernel entries per array call: keeps a level's memory flat
 @lru_cache(maxsize=8)
 def _level_pairs(n: int, L: float) -> tuple[np.ndarray, ...]:
     """The distinct pairs (a, b) = (alpha/K, beta/K^2) of the level-n grid
-    over [-L, L]^3 as kernel arguments at K = 1, with the weight t1 t2 / K^3
-    of every grid point summed per pair: (t1, t2, t4, weight).
+    over [-L, L]^3, the kernel's (alpha, beta) at K = 1, with the weight
+    t1 t2 / K^3 of every grid point summed per pair: (alpha, beta, weight).
 
     Logs are integers in units of h/2, as the section comment derives; a t1
     slice at a time, the weights go into a table keyed by log a and log b,
@@ -330,8 +321,9 @@ def _level_pairs(n: int, L: float) -> tuple[np.ndarray, ...]:
     keys = np.flatnonzero(table)  # every weight is positive
     log_a = keys // b_size + a_low
     log_b = keys % b_size + b_low
-    pairs = (powers[np.minimum(log_a, 0) - low], powers[log_b - low],
-             powers[np.minimum(-log_a, 0) - low], table[keys])
+    # alpha = t1/t4 at t1 = min(a, 1) and t4 = min(1/a, 1), one of them exp(0) = 1
+    pairs = (powers[np.minimum(log_a, 0) - low] / powers[np.minimum(-log_a, 0) - low],
+             powers[log_b - low], table[keys])
     for array in pairs:  # shared by every caller through the cache
         array.flags.writeable = False
     return pairs
@@ -342,16 +334,16 @@ def _outer_level(n: int, L: float) -> float:
     """One midpoint level on the n^3 grid in log coordinates over [-L, L]^3.
     The Jacobian dt = t du weights each point by t1 t2 (t4 cancels the
     density's 1/t4), and s = K sigma turns the inner integral into K^-3 times
-    the one at (alpha/K, beta/K^2) and K = 1.  So the kernel runs once per
-    distinct pair of ``_level_pairs``, both eps at once, a chunk at a time,
-    and the terms weight x (plus + minus) go to ``math.fsum``: the level is
-    their exactly rounded sum, whatever their order."""
-    t1, t2, t4, weight = _level_pairs(n, L)
+    the one at (alpha/K, beta/K^2) and K = 1, the only K the kernel runs at:
+    once per distinct pair of ``_level_pairs``, both eps at once, a chunk at
+    a time.  The terms weight x (plus + minus) go to ``math.fsum``: the level
+    is their exactly rounded sum, whatever their order."""
+    alpha, beta, weight = _level_pairs(n, L)
 
     def terms():
         for lo in range(0, len(weight), _PAIR_CHUNK):
             part = slice(lo, lo + _PAIR_CHUNK)
-            plus, minus = _inner_t5_pair(t1[part], t2[part], t4[part])
+            plus, minus = _inner_pair(alpha[part], beta[part])
             yield from (weight[part] * (plus + minus)).tolist()
 
     return 8.0 * math.fsum(terms()) * (2.0 * L / n) ** 3
@@ -420,7 +412,7 @@ def archimedean_density(tolerance: float = 0.01) -> ConstantReport:
                     "log_box_halfwidth": _QUAD_L,
                     "samples": 2 * sum(n**3 for n in evaluated),  # both values of eps
                     # the distinct pairs the kernel ran on, both eps in one call
-                    "evaluations": sum(len(_level_pairs(n, _QUAD_L)[3]) for n in evaluated),
+                    "evaluations": sum(len(_level_pairs(n, _QUAD_L)[2]) for n in evaluated),
                     "error_estimate": "two-level Richardson difference (heuristic)",
                 },
             )

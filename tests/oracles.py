@@ -9,8 +9,9 @@ arrays: the descent counter's lattice count (``senary.torsor``), which counts
 the runs of the package's own scalar enumerator, and the archimedean
 density's inner integral (``senary.peyre``).  A last section keeps the
 Fraction form of the per-prime Euler-factor identities and of a graph's Euler
-factor, which the package computes over the integers, and the scalar
-prefactor identity of the paper.
+factor, which the package computes over the integers, the per-mask loop of
+the graph Euler product, which the package runs over mask arrays, and the
+scalar prefactor identity of the paper.
 """
 
 import itertools
@@ -178,7 +179,8 @@ def tail_minus(w: float) -> float:
 
 def inner_t5(t1: float, t2: float, t4: float, eps: float) -> float:
     """Closed-form integral over s in (0, inf) of ds / (s * g(s)^3), one point
-    at a time (the reference for ``senary.peyre._inner_t5_pair``)."""
+    at a time and at any K (the reference for ``senary.peyre._inner_pair``,
+    which runs at K = 1 only, after s = K sigma)."""
     K = t1 if t1 > t2 else t2
     if t4 > K:
         K = t4
@@ -315,6 +317,33 @@ def subset_euler_factor(edges, p, s):
             touched = {v for e in U for v in e}
             total += (-1) ** k * math.prod((x[v - 1] for v in touched), start=Fraction(1))
     return total
+
+
+def xi_per_mask(polynomial, s, prime_limit):
+    """The Euler product of a graph's factors over p <= prime_limit and its
+    tail bound, from ``polynomial`` ({vertex bitmask: coefficient}) with each
+    mask's exponent sum added in Python, one bit at a time, and the sums
+    merged in a dict (the reference for ``senary.graphs.xi``)."""
+    import numpy as np
+
+    from senary.arith import primes_up_to
+
+    merged = {}
+    for mask, coeff in polynomial.items():
+        expo = sum(s[j] for j in range(len(s)) if mask >> j & 1)
+        merged[expo] = merged.get(expo, 0) + coeff
+    terms = sorted((e, b) for e, b in merged.items() if e and b)  # e = 0: the empty mask
+    primes = primes_up_to(prime_limit)
+    product = np.ones(len(primes))
+    for e, b in terms:
+        product += b * primes ** (-e)
+    value = float(np.prod(product))
+    L = prime_limit
+    a = sum(abs(b) * (L + 1.0) ** (-e) for e, b in terms)
+    tail_log = 1.25506 / ((1.0 - a) * math.log(L)) * sum(
+        abs(b) * (1.0 + 1.0 / (e - 1.0)) * L ** (1.0 - e) for e, b in terms
+    )
+    return value, abs(value) * math.expm1(tail_log)
 
 
 def scalar_prefactor_identity():

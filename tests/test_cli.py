@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -276,8 +277,8 @@ USAGE_MESSAGES = [
         ("graph", "b-vector", "--graph", "r=1000000000000"),
         "a graph has at most 48 vertices, got 1000000000000",
     ),
-    # and a subset polynomial of more than 2^20 terms: 21 disjoint edges have
-    # 2^21, refused at the first past 2^20
+    # and a subset polynomial whose build passes |E| x terms = 24 x 2^20:
+    # 21 disjoint edges have 2^21 terms, refused at the last edge
     (
         (
             "graph",
@@ -285,7 +286,7 @@ USAGE_MESSAGES = [
             "--graph",
             "r=42;edges=" + ",".join(f"{2 * i + 1}-{2 * i + 2}" for i in range(21)),
         ),
-        "the subset polynomial has more than 1048576 terms",
+        "the subset polynomial's build, 21 edges x 2097152 terms, passes 25165824",
     ),
     # constants and graph actions refuse a flag they do not read, like verify
     # suites, whatever its value
@@ -521,6 +522,35 @@ def test_graph_b_vector(capsys):
     code, out = run(capsys, "graph", "b-vector")
     assert code == EXIT_OK
     assert json.loads(out)["b"] == [1, 0, -9, 16, -9, 0, 1]
+
+
+def _b_by_vertex_subsets(r, edges):
+    """b_k by inclusion-exclusion over the vertex sets S of size k: the edge
+    subsets touching exactly S sum (-1)^|U| to the sum of (-1)^|S - T| over
+    the T in S that span no edge."""
+    free = [all(T >> (k - 1) & 1 == 0 or T >> (l - 1) & 1 == 0 for k, l in edges)
+            for T in range(1 << r)]
+    b = [0] * (r + 1)
+    for S in range(1 << r):
+        T = S
+        while True:  # every T in S, S first and 0 last
+            if free[T]:
+                b[S.bit_count()] += (-1) ** (S.bit_count() - T.bit_count())
+            if T == 0:
+                break
+            T = (T - 1) & S
+    return b
+
+
+def test_graph_b_vector_of_K8(capsys):
+    # 28 edges but only 248 terms: the build cap counts edges x terms
+    edges = list(itertools.combinations(range(1, 9), 2))
+    spec = "r=8;edges=" + ",".join(f"{k}-{l}" for k, l in edges)
+    code, out = run(capsys, "graph", "b-vector", "--graph", spec)
+    assert code == EXIT_OK
+    assert json.loads(out)["b"] == _b_by_vertex_subsets(8, edges) == [
+        1, 0, -28, 112, -210, 224, -140, 48, -7
+    ]
 
 
 def test_graph_euler_exact(capsys):

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import subset_euler_factor
+from oracles import subset_euler_factor, xi_per_mask
 
 from senary import graphs
 from senary.graphs import (
@@ -105,6 +106,22 @@ def _random_graph(rng, r_max=8, e_max=12):
     all_edges = list(itertools.combinations(range(1, r + 1), 2))
     k = rng.randint(1, min(e_max, len(all_edges)))
     return CoprimalityGraph.from_edges(r, rng.sample(all_edges, k))
+
+
+def test_b_vector_at_the_build_cap():
+    # 24 edges building 2^20 terms, |E| x terms = 24 x 2^20 exactly: two
+    # copies of a 7-edge graph with 2^5 unions of edges each, and a 10-edge
+    # matching.  b multiplies over components, (1, 0, -1) per matching edge
+    part = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 6), (3, 6)]
+    edges = part + [(k + 6, l + 6) for k, l in part]
+    edges += [(13 + 2 * i, 14 + 2 * i) for i in range(10)]
+    part_b = [0] * 7
+    for mask, coeff in _sg_brute(CoprimalityGraph.from_edges(6, part)).items():
+        part_b[mask.bit_count()] += coeff
+    want = np.array([1])
+    for factor in [part_b] * 2 + [(1, 0, -1)] * 10:
+        want = np.convolve(want, factor)
+    assert b_coefficients(CoprimalityGraph.from_edges(32, edges)) == tuple(want.tolist())
 
 
 def test_b_vector_structure_on_random_graphs():
@@ -328,6 +345,27 @@ def test_verify_theorem3_checks_prime_limit_before_truncating(monkeypatch):
     monkeypatch.setattr(graphs, "truncated_DG", never)
     with pytest.raises(ValueError, match="prime limit must be >= 2"):
         verify_theorem3(SENARY_GRAPH, (2.0,) * 6, 50, prime_limit=0)
+
+
+@st.composite
+def _graphs_and_exponents(draw):
+    """A graph of ``_graphs`` and exponents in [0.75, 4] with 1 to 17 digits
+    after the point: few digits make many masks share an exponent sum."""
+    G = draw(_graphs(max_edges=10))
+    digits = draw(st.integers(1, 17))
+    exponent = st.floats(0.75, 4.0).map(lambda v: round(v, digits))
+    return G, draw(st.lists(exponent, min_size=G.r, max_size=G.r))
+
+
+@settings(max_examples=150)
+@given(_graphs_and_exponents(), st.sampled_from([1000, 100_000]))
+@example((SENARY_GRAPH, [1.3, 0.9, 1.1, 0.8, 1.2, 1.0]), 1000)
+@example((SENARY_GRAPH, [1.0] * 6), 100_000)
+def test_xi_bytes_are_the_per_mask_loop(graph_and_s, prime_limit):
+    # the exponent sums over mask arrays keep the loop's order, so the value
+    # and the tail bound keep their bits
+    G, s = graph_and_s
+    assert xi(G, s, prime_limit) == xi_per_mask(_sg_brute(G), s, prime_limit)
 
 
 def test_xi_matches_per_prime_factor_loop():

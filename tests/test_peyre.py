@@ -19,7 +19,7 @@ from senary.peyre import (
     UnboundedPolytopeError,
     _euler_factor_polynomials,
     _euler_product_local,
-    _inner_t5_pair,
+    _inner_pair,
     _level_pairs,
     _outer_level,
     _tail_minus,
@@ -203,39 +203,36 @@ def test_archimedean_nonconvergence_carries_best_estimate(monkeypatch):
     assert abs(info.value.best_value - MU_TARGET) <= info.value.error_estimate
 
 
+def _inner_at(t1, t2, t4):
+    """The inner integral at a general (t1, t2, t4), both couplings, the way
+    ``_level_pairs`` reduces it: s = K sigma makes it K^-3 times the kernel at
+    K = 1 and (alpha/K, beta/K^2)."""
+    t1, t2, t4 = (np.atleast_1d(np.asarray(t, dtype=np.float64)) for t in (t1, t2, t4))
+    K = np.maximum(np.maximum(t1, t2), np.maximum(t4, 1.0))
+    return tuple(f / K**3 for f in _inner_pair(t1 / t4 / K, t2 / (K * K)))
+
+
 def test_archimedean_orthant_symmetry():
     # flipping every sign fixes the coupling sign, so opposite orthants give
     # identical integrals; the implementation integrates each coupling class
     # once, and the two classes differ
-    plus, minus = _inner_t5_pair(0.7, 1.3, 0.4)
+    plus, minus = _inner_at(0.7, 1.3, 0.4)
     assert plus.shape == minus.shape == (1,)
     assert plus[0] != minus[0]
-    assert _inner_t5_pair(0.7, 1.3, 0.4)[0][0] == plus[0]  # deterministic
+    assert _inner_at(0.7, 1.3, 0.4)[0][0] == plus[0]  # deterministic
 
 
 _LOG_T = st.floats(-18.0, 18.0)
 
 
 @settings(max_examples=300)
-@given(st.lists(st.tuples(_LOG_T, _LOG_T, _LOG_T), min_size=1, max_size=8))
-@example([(-8.0, 0.0, 1.192092896e-07), (-18.0, 0.0, 0.0)])  # alpha << s near b = 1
-def test_inner_integral_scales_to_K_one(logs):
-    # s = K sigma: I(t1, t2, t4) = K^-3 I at (a, b) = (alpha/K, beta/K^2) and K = 1,
-    # the identity that lets ``_outer_level`` run the kernel once per pair
-    t1, t2, t4 = (np.exp(np.array(col)) for col in zip(*logs))
-    K = np.maximum(np.maximum(t1, t2), np.maximum(t4, 1.0))
-    a, b = t1 / t4 / K, t2 / (K * K)
-    scaled = _inner_t5_pair(np.minimum(a, 1.0), b, np.minimum(1.0 / a, 1.0))
-    for got, unit in zip(_inner_t5_pair(t1, t2, t4), scaled):
-        np.testing.assert_allclose(got, unit / K**3, rtol=1e-13, atol=0.0)
-
-
-@settings(max_examples=300)
 @given(st.lists(st.tuples(_LOG_T, _LOG_T, _LOG_T), min_size=1, max_size=8),
        st.sampled_from([1.0, -1.0]))
+@example([(-8.0, 0.0, 1.192092896e-07), (-18.0, 0.0, 0.0)], 1.0)  # alpha << s near b = 1
 def test_inner_integral_array_kernel_against_scalar_oracle(logs, eps):
+    # the general-t oracle against the kernel at K = 1 through s = K sigma
     t1, t2, t4 = (np.exp(np.array(col)) for col in zip(*logs))
-    got = _inner_t5_pair(t1, t2, t4)[0 if eps > 0 else 1]
+    got = _inner_at(t1, t2, t4)[0 if eps > 0 else 1]
     for j in range(len(logs)):
         want = oracles.inner_t5(float(t1[j]), float(t2[j]), float(t4[j]), eps)
         assert got[j] == pytest.approx(want, rel=1e-12)
@@ -283,13 +280,20 @@ def test_outer_level_is_the_exactly_rounded_sum_of_its_terms(n):
     assert _outer_level(n, 18.0) == pytest.approx(want, rel=1e-13)
 
 
+def test_outer_level_bits_are_pinned():
+    # the printed constants follow these levels to the last bit
+    assert [_outer_level(n, 18.0) for n in (16, 32, 64, 128)] == [
+        361.209172635451, 303.493214422582, 287.4435437118003, 283.41401658237345
+    ]
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 16, 32, 64])
 def test_level_pairs_are_few_and_carry_every_point(n):
     # 13 n^2/4 - 7 n/2 + 1 distinct pairs for even n; their weights add up to
     # the grid's sum of t1 t2 / K^3
-    t1, t2, t4, weight = _level_pairs(n, 18.0)
+    alpha, beta, weight = _level_pairs(n, 18.0)
     assert len(weight) == 13 * n * n // 4 - 7 * n // 2 + 1
-    assert len(set(zip(t1.tolist(), t2.tolist(), t4.tolist()))) == len(weight)
+    assert len(set(zip(alpha.tolist(), beta.tolist()))) == len(weight)
     ts = np.exp(-18.0 + 36.0 / n * (np.arange(n) + 0.5))
     g1, g2, g4 = np.meshgrid(ts, ts, ts, indexing="ij")
     K = np.maximum(np.maximum(g1, g2), np.maximum(g4, 1.0))
@@ -340,7 +344,7 @@ def test_inner_integral_against_adaptive_quadrature():
         (40.0, 0.01, 0.003, -1.0),
         (0.02, 5.0, 7.0, 1.0),
     ]:
-        got = _inner_t5_pair(t1, t2, t4)[0 if eps > 0 else 1][0]
+        got = _inner_at(t1, t2, t4)[0 if eps > 0 else 1][0]
         assert got == pytest.approx(_adaptive_inner(t1, t2, t4, eps), rel=1e-9)
 
 
@@ -352,7 +356,7 @@ def test_inner_integral_where_alpha_dwarfs_K():
     t1, t2, t4 = (math.exp(v) for v in (12.59, -17.03, -17.97))
     with mp.workdps(40):
         want = _adaptive_inner(t1, t2, t4, -1.0)
-    assert _inner_t5_pair(t1, t2, t4)[1][0] == pytest.approx(want, rel=1e-12)
+    assert _inner_at(t1, t2, t4)[1][0] == pytest.approx(want, rel=1e-12)
     assert oracles.inner_t5(t1, t2, t4, -1.0) == pytest.approx(want, rel=1e-12)
 
 
