@@ -259,7 +259,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         out.emit(
             json.dumps(
                 {
-                    "name": name,
+                    "name": exc.name,
                     "error": "nonconvergent",
                     "best_value": exc.best_value,
                     "error_estimate": exc.error_estimate,

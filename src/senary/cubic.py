@@ -141,10 +141,14 @@ def _octant_cells(P: int, y1s):
             yield y1, y2[j], X1[r], X2[r], mq.ravel()[i] // q[j]
 
 
-def _count_chunk(P: int, count, k: int, T: int):
+def _count_chunk(count, P: int, k: int, T: int):
     """Sum of count(P, y1, y2, x1, x2, m) over the kernel's cells of share k
-    of T, the y1 with y1 - 1 = k or 2T - 1 - k (mod 2T), an int or an array
-    summed elementwise; count is module-level so the pool can pickle it."""
+    of T, an int or an array summed elementwise; count is module-level so
+    the pool can pickle the share ``partial(_count_chunk, count)``.  The y1
+    are dealt in snake order, share k taking y1 - 1 = k or 2T - 1 - k
+    (mod 2T).  Small y1 own the most solutions, so a plain stride would hand
+    share 0 the heavier y1 of every round; the snake gives each share one
+    light and one heavy y1 per two rounds."""
     y1s = sorted(itertools.chain(range(1 + k, P + 1, 2 * T), range(2 * T - k, P + 1, 2 * T)))
     return sum(count(P, *cells) for cells in _octant_cells(P, y1s))
 
@@ -212,32 +216,22 @@ def iter_box_solutions(P: int):
                 yield (s1 * a1, s2 * a2, s3 * a3, s1 * y1, s2 * b2, s3 * b3)
 
 
-def _run_partitioned(deal, threads: int, serial_s: float):
-    """Sum of fn(*args) over the jobs deal(T), a list of (fn, args) pairs
-    that split one count into T shares, fn module-level so the pool can
-    pickle it.  A count whose estimated serial time ``serial_s`` does not
-    exceed the cost of starting ``threads`` workers runs in this process as
-    deal(1); otherwise one pool of ``threads`` workers takes every job of
-    deal(threads), and the results are summed in submission order, so the
-    sum does not depend on which worker ran what."""
+def _run_partitioned(share, terms, threads: int, serial_s: float):
+    """The sum of c * share(m, k, T) over the (m, c) in ``terms`` and the
+    shares k < T, whose sum over k is share(m, 0, 1) at every T; share is
+    module-level, or a partial of one, so the pool can pickle it.  T is 1,
+    in this process, at threads = 1 or when the estimated serial time
+    ``serial_s`` does not exceed the cost of starting ``threads`` workers;
+    otherwise one pool of T = ``threads`` workers runs one job per share of
+    every term, summed in submission order, so the sum does not depend on
+    which worker ran what."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if serial_s <= threads * _WORKER_START_S:
-        threads = 1
-    jobs = deal(threads)
-    if threads == 1:
-        return sum(fn(*args) for fn, args in jobs)
+    if threads == 1 or serial_s <= threads * _WORKER_START_S:
+        return sum(c * share(m, 0, 1) for m, c in terms)
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in jobs]
-        return sum(f.result() for f in futures)
-
-
-def _y1_jobs(P: int, count, T: int) -> list:
-    """The naive kernel's jobs: y1 in 1..P dealt to T shares in snake order,
-    worker k taking y1 - 1 = k or 2T - 1 - k (mod 2T).  Small y1 own the
-    most solutions, so a plain stride would hand worker 0 the heavier y1 of
-    every round; the snake gives each one light and one heavy y1 per two."""
-    return [(_count_chunk, (P, count, k, T)) for k in range(T)]
+        jobs = [(c, pool.submit(share, m, k, threads)) for m, c in terms for k in range(threads)]
+        return sum(c * job.result() for c, job in jobs)
 
 
 def _naive_serial_s(P: int) -> float:
@@ -251,7 +245,7 @@ def naive_count_V(P: int, threads: int = 1) -> CountReport:
     with y1*y2*y3 != 0 (no coprimality, both signs)."""
     _check_box_bound(P)
     t0 = time.perf_counter()
-    total = 8 * _run_partitioned(partial(_y1_jobs, P, _count_all), threads, _naive_serial_s(P))
+    total = 8 * _run_partitioned(partial(_count_chunk, _count_all), [(P, 1)], threads, _naive_serial_s(P))
     return CountReport(P, "naive", total, time.perf_counter() - t0)
 
 
@@ -264,8 +258,8 @@ def count_N(B: int, threads: int = 1) -> CountReport:
     R = integer_cube_root(B)
     _check_box_bound(R)
     t0 = time.perf_counter()
-    deal = partial(_y1_jobs, R, _count_primitive)
-    total = 4 * _run_partitioned(deal, threads, _naive_serial_s(R))
+    share = partial(_count_chunk, _count_primitive)
+    total = 4 * _run_partitioned(share, [(R, 1)], threads, _naive_serial_s(R))
     return CountReport(B, "naive-primitive", total, time.perf_counter() - t0)
 
 
@@ -282,7 +276,7 @@ def mobius_check(B: int, threads: int = 1) -> list[tuple[int, bool, int]]:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)
     _check_box_bound(R)
-    bins = _run_partitioned(partial(_y1_jobs, R, _count_by_height), threads, _naive_serial_s(R))
+    bins = _run_partitioned(partial(_count_chunk, _count_by_height), [(R, 1)], threads, _naive_serial_s(R))
     radii = np.arange(R + 1)
     V = 8 * (np.cumsum(bins[:-1, 1:], axis=0) * (radii[:, None] // radii[1:])).sum(axis=1)
     V, N2 = V.tolist(), (V - 8 * np.cumsum(bins[-1])).tolist()

@@ -47,30 +47,36 @@ class CoprimalityGraph:
             raise ValueError("need at least one vertex")
         if self.r > _MAX_VERTICES:
             raise ValueError(f"a graph has at most {_MAX_VERTICES} vertices, got {self.r}")
-        seen = set()
         for e in self.edges:
             k, l = e
             if k == l:
                 raise ValueError(f"loop at vertex {k}")
             if not (1 <= k < l <= self.r):
                 raise ValueError(f"edge {e} out of range or not sorted")
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
 
     @classmethod
     def from_edges(cls, r: int, edges) -> "CoprimalityGraph":
-        return cls(r, frozenset(tuple(sorted(e)) for e in edges))
+        """The graph on 1..r with these edges, each (k, l) or (l, k) once."""
+        seen = set()
+        for e in edges:
+            e = tuple(sorted(e))
+            if e in seen:
+                raise ValueError(f"duplicate edge {e}")
+            seen.add(e)
+        return cls(r, frozenset(seen))
 
     @classmethod
     def parse(cls, spec: str) -> "CoprimalityGraph":
-        """Parse 'r=6;edges=1-2,1-3,...' or the built-in name 'senary'."""
+        """Parse 'r=6;edges=1-2,1-3,...' or the built-in name 'senary'; each
+        field at most once."""
         if spec == "senary":
             return SENARY_GRAPH
-        r = None
-        edges = []
+        r, edges, given = None, [], set()
         for part in spec.split(";"):
             key, _, val = part.partition("=")
+            if key in given:
+                raise ValueError(f"graph field {key!r} given twice")
+            given.add(key)
             if key == "r":
                 r = int(val)
             elif key == "edges":

@@ -29,10 +29,12 @@ TWO_PI_LOG_CONSTANT = math.pi**2 + 24.0 * math.log(2.0) - 3.0  # appears as 12*(
 
 class QuadratureNonconvergence(RuntimeError):
     """Raised when the level schedule runs out before the tolerance is met;
-    carries the best estimate obtained so far."""
+    carries the name the constant's report would have had and the best
+    estimate obtained so far."""
 
-    def __init__(self, message: str, best_value: float, error_estimate: float):
+    def __init__(self, message: str, name: str, best_value: float, error_estimate: float):
         super().__init__(message)
+        self.name = name
         self.best_value = best_value
         self.error_estimate = error_estimate
 
@@ -417,7 +419,7 @@ def archimedean_density(tolerance: float = 0.01) -> ConstantReport:
                 },
             )
     raise QuadratureNonconvergence(
-        f"level schedule ended before reaching relative tolerance {tolerance}", best, best_err
+        f"level schedule ended before reaching relative tolerance {tolerance}", "mu_infinity", best, best_err
     )
 
 
@@ -461,17 +463,24 @@ def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> Con
 
     Raises if the two paths disagree beyond their combined error bound, which
     is also the reported tolerance: the quadrature's share plus theta's share
-    of the Euler tail, (closed / product) times the product's tail.
+    of the Euler tail, (closed / product) times the product's tail.  A
+    quadrature that does not converge raises QuadratureNonconvergence on
+    theta's scale: the assembled best estimate, with the same error bound.
     """
     if prime_limit < 1000:
         raise ValueError("prime_limit must be at least 1000")
     # the sieve refuses a prime limit above its cap before any quadrature
     product, product_tail = _euler_product_local(prime_limit)
-    alpha = alpha_invariant()
-    mu = archimedean_density(quad_tolerance)
-    assembled = float(alpha) * mu.value * product
+    alpha = float(alpha_invariant())
     closed = (TWO_PI_LOG_CONSTANT / 324.0) * product
-    combined = float(alpha) * mu.tolerance * product + (closed / product) * product_tail
+    tail = (closed / product) * product_tail
+    try:
+        mu = archimedean_density(quad_tolerance)
+    except QuadratureNonconvergence as exc:
+        best, err = alpha * exc.best_value * product, alpha * exc.error_estimate * product + tail
+        raise QuadratureNonconvergence(str(exc), "theta", best, err) from exc
+    assembled = alpha * mu.value * product
+    combined = alpha * mu.tolerance * product + tail
     if abs(assembled - closed) > combined:
         raise RuntimeError(
             f"theta paths disagree beyond tolerance: {assembled} vs {closed} (allow {combined})"

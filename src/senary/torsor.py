@@ -24,7 +24,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -468,23 +467,12 @@ def _torsor_V_chunk(P: int, k: int, T: int) -> int:
     return sum(_keyed_sum(P, keys, M, inv) for keys, M in _calls(blocks))
 
 
-def _weighted_V_chunk(c: int, P: int, k: int, T: int) -> int:
-    """c times worker k's share of V(P) / 8: one stride job of a Moebius
-    term c V(P)."""
-    return c * _torsor_V_chunk(P, k, T)
-
-
-def _V_jobs(terms, T: int) -> list:
-    """The jobs of sum c V(m) / 8 over the (m, c) terms, T stride jobs per
-    term."""
-    return [(_weighted_V_chunk, (c, m, k, T)) for m, c in terms for k in range(T)]
-
-
-def _run_V_terms(terms: list, threads: int) -> int:
-    """sum c V(m) over the (m, c) terms; the descent's estimated serial time
-    is its grid cells, sum m^3, at ``_DESCENT_CELL_S`` each."""
+def _run_V_terms(terms, threads: int) -> int:
+    """sum c V(m) over the (m, c) terms, each dealt as the shares of
+    ``_torsor_V_chunk``; the descent's estimated serial time is its grid
+    cells, sum m^3, at ``_DESCENT_CELL_S`` each."""
     serial_s = sum(m**3 for m, _ in terms) * _DESCENT_CELL_S
-    return 8 * _run_partitioned(partial(_V_jobs, terms), threads, serial_s)
+    return 8 * _run_partitioned(_torsor_V_chunk, terms, threads, serial_s)
 
 
 def torsor_count_V(P: int, threads: int = 1) -> CountReport:
@@ -498,9 +486,10 @@ def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     P // w3, and the kernel counts the lattice parameters of each distinct
     key (u3, P // w1, P // w2, P // w3) once (``_torsor_V_chunk``).  With
     threads = T > 1 and a count above the pool's cost line
-    (``cubic._run_partitioned``), one pool of T workers takes the grid
-    slices by stride.  Bounds above ``_MAX_TORSOR_BOUND`` raise OverflowError
-    before any work, since the int64 sums could wrap there."""
+    (``cubic._run_partitioned``), one pool of T workers takes the T shares
+    of ``_torsor_V_chunk``, the grid slices by stride.  Bounds above
+    ``_MAX_TORSOR_BOUND`` raise OverflowError before any work, since the
+    int64 sums could wrap there."""
     _check_torsor_bound(P)
     t0 = time.perf_counter()
     total = _run_V_terms([(P, 1)], threads)
@@ -517,15 +506,15 @@ def torsor_count_N(B: int, threads: int = 1) -> CountReport:
     The terms are grouped by m = R // d into c_m V(m), c_m the sum of the
     mu(d) with R // d = m (8 values of V in place of 19 at R = 30, 63 in
     place of 1,309 at R = 2154).  With threads = T > 1 and a count above
-    the pool's cost line, every V(m) with c_m != 0 is split into T stride
-    jobs (``_torsor_V_chunk``), and one pool of T workers takes the jobs of
-    all the terms."""
+    the pool's cost line, one pool of T workers takes the T stride shares
+    (``_torsor_V_chunk``) of every V(m) with c_m != 0, and the partitioner
+    weights each share's result by c_m."""
     if B < 1:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)
     _check_torsor_bound(R)
     t0 = time.perf_counter()
-    total = _run_V_terms(list(_moebius_weights(R).items()), threads)
+    total = _run_V_terms(_moebius_weights(R).items(), threads)
     return CountReport(B, "torsor-primitive", total // 2, time.perf_counter() - t0)
 
 

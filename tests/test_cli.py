@@ -277,6 +277,11 @@ USAGE_MESSAGES = [
         ("graph", "b-vector", "--graph", "r=1000000000000"),
         "a graph has at most 48 vertices, got 1000000000000",
     ),
+    # a graph spec names each edge and each field once
+    (("graph", "b-vector", "--graph", "r=3;edges=1-2,2-1"), "duplicate edge (1, 2)"),
+    (("graph", "b-vector", "--graph", "r=3;edges=1-2,1-2"), "duplicate edge (1, 2)"),
+    (("graph", "b-vector", "--graph", "r=3;r=4;edges=1-2"), "graph field 'r' given twice"),
+    (("graph", "b-vector", "--graph", "r=3;edges=1-2;edges=2-3"), "graph field 'edges' given twice"),
     # and a subset polynomial whose build passes |E| x terms = 24 x 2^20:
     # 21 disjoint edges have 2^21 terms, refused at the last edge
     (
@@ -507,8 +512,24 @@ def test_constants_nonconvergent_exit_code(capsys, monkeypatch):
     obj = json.loads(out)
     # the schedule ran out, but its best estimate is emitted and its error bar
     # still brackets the target
-    assert obj["error"] == "nonconvergent"
+    assert obj["name"] == "mu_infinity" and obj["error"] == "nonconvergent"
     assert abs(obj["best_value"] - 282.0616408143365) <= obj["error_estimate"]
+
+
+def test_constants_theta_nonconvergent_is_on_thetas_scale(capsys, monkeypatch):
+    # theta's best estimate and bound, alpha mu product with the converged
+    # bound's formula, not mu_infinity's; theta is about 0.002977, mu 282,
+    # and one level pair bounds theta within about 9%
+    from senary.cli import EXIT_NONCONVERGENT
+
+    monkeypatch.setattr(peyre, "_QUAD_SCHEDULE", ((16, 32),))
+    code, out = run(capsys, "constants", "theta", "--prime-limit", "1000", "--tolerance", "0.001")
+    assert code == EXIT_NONCONVERGENT
+    obj = json.loads(out)
+    assert obj["name"] == "theta" and obj["error"] == "nonconvergent"
+    for prime_limit in (1000, 100_000):
+        closed = peyre.TWO_PI_LOG_CONSTANT / 324 * peyre._euler_product_local(prime_limit)[0]
+        assert abs(obj["best_value"] - closed) <= obj["error_estimate"] < closed / 10
 
 
 def test_constants_leading_v(capsys):

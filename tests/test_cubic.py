@@ -16,7 +16,6 @@ from senary.cubic import (
     _moebius_weights,
     _nonprimitive,
     _octant_cells,
-    _y1_jobs,
     CountReport,
     SolutionSextuple,
     count_N,
@@ -94,7 +93,7 @@ def test_height_bins_match_the_oracles():
     # a cell of height c owns r // m solutions of height at most r once
     # c <= r; the last row bins the non-primitive solutions by height
     R = 12
-    bins = _count_chunk(R, _count_by_height, 0, 1).tolist()
+    bins = _count_chunk(_count_by_height, R, 0, 1).tolist()
     assert len(bins) == R + 2 and all(len(row) == R + 1 for row in bins)
     for r in range(1, R + 1):
         V = 8 * sum(bins[c][m] * (r // m) for c in range(r + 1) for m in range(1, R + 1))
@@ -108,12 +107,11 @@ def test_height_bins_match_the_oracles():
     ids=["naive_count_V", "count_N", "mobius_check"],
 )
 def test_snake_shares_sum_to_the_serial_pass(count):
-    # the jobs of naive_count_V, count_N and mobius_check at threads = 3,
+    # the shares of naive_count_V, count_N and mobius_check at threads = 3,
     # dealt in snake order: two strides of 2T per worker
     R = 12
-    shares = [_count_chunk(*args) for _, args in _y1_jobs(R, count, 3)]
-    assert len(shares) == 3
-    assert np.array_equal(sum(shares), _count_chunk(R, count, 0, 1))
+    shares = [_count_chunk(count, R, k, 3) for k in range(3)]
+    assert np.array_equal(sum(shares), _count_chunk(count, R, 0, 1))
 
 
 def test_the_y1_deal_is_a_snake():
@@ -122,7 +120,7 @@ def test_the_y1_deal_is_a_snake():
     R, T = 14, 3
     taken = {}
     for k in range(T):
-        share = _count_chunk(R, lambda P, y1, *_: np.bincount([y1], minlength=R + 1), k, T)
+        share = _count_chunk(lambda P, y1, *_: np.bincount([y1], minlength=R + 1), R, k, T)
         taken[k] = np.flatnonzero(share).tolist()
     assert taken == {0: [1, 6, 7, 12, 13], 1: [2, 5, 8, 11, 14], 2: [3, 4, 9, 10]}
 

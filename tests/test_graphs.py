@@ -46,6 +46,20 @@ def test_graph_parse():
         CoprimalityGraph.parse("edges=1-2")
 
 
+def test_graph_spec_names_each_edge_and_field_once():
+    # the edges become a frozenset, which would merge a repeated edge, and a
+    # repeated field would overwrite the first
+    for edges in ([(1, 2), (2, 1)], [(1, 2), (1, 2)]):
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+            CoprimalityGraph.from_edges(3, edges)
+    for spec in ("r=3;edges=1-2,2-1", "r=3;edges=1-2,1-2"):
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+            CoprimalityGraph.parse(spec)
+    for spec, field in (("r=3;r=4;edges=1-2", "r"), ("r=3;edges=1-2;edges=2-3", "edges")):
+        with pytest.raises(ValueError, match=f"graph field '{field}' given twice"):
+            CoprimalityGraph.parse(spec)
+
+
 def test_sg_polynomial_single_edge():
     poly = sg_polynomial(SINGLE_EDGE)
     assert poly == {0: 1, 0b11: -1}  # 1 - x1 x2

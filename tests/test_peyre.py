@@ -332,7 +332,9 @@ def _adaptive_inner(t1, t2, t4, eps):
     if disc >= 0:
         r2 = 0.5 * (alpha + math.sqrt(disc))
         bps.update((r2, beta / r2))
-    bps.add(0.5 * (alpha + math.sqrt(alpha * alpha + 4.0 * beta)))
+    # beta / s meets s - alpha (eps = -1) and alpha + s (eps = +1)
+    sq = math.sqrt(alpha * alpha + 4.0 * beta)
+    bps.update((0.5 * (alpha + sq), 2.0 * beta / (alpha + sq)))
     grid = [mp.mpf(-70)] + sorted(mp.log(b) for b in bps if b > 0) + [mp.mpf(70)]
     return float(mp.quad(integrand, grid) + mp.e ** mp.mpf(-210) / (3 * mp.mpf(beta) ** 3))
 
@@ -343,6 +345,9 @@ def test_inner_integral_against_adaptive_quadrature():
         (3.0, 0.2, 0.9, -1.0),
         (40.0, 0.01, 0.003, -1.0),
         (0.02, 5.0, 7.0, 1.0),
+        # log t = (0, 2.5e-13, 0): the kink where beta / s = alpha + s, at
+        # s = 0.618, which the reference must split at to converge
+        (1.0, math.exp(2.5e-13), 1.0, 1.0),
     ]:
         got = _inner_at(t1, t2, t4)[0 if eps > 0 else 1][0]
         assert got == pytest.approx(_adaptive_inner(t1, t2, t4, eps), rel=1e-9)

@@ -427,7 +427,7 @@ def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
     with pytest.raises(OverflowError):
         torsor_count_N((P + 1) ** 3)
     # the bound itself passes the check, whatever box the naive counter holds
-    monkeypatch.setattr(torsor, "_run_partitioned", lambda deal, threads, serial_s: 0)
+    monkeypatch.setattr(torsor, "_run_partitioned", lambda share, terms, threads, serial_s: 0)
     assert torsor_count_V(P).count == 0
 
 
