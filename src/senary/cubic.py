@@ -18,8 +18,8 @@ open set.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -50,12 +50,15 @@ _BATCH_CELLS = 1 << 13
 # only when its estimated serial time exceeds T * _WORKER_START_S.  The
 # estimate is a cell count times its kernel's seconds per cell: the naive
 # kernel's R^2 (2R+1)^2 cells below, the descent's sum of m^3 in
-# senary.torsor.  Calibrated on a 2-core Xeon VM, best of three runs in one
-# process: two workers first beat one at about 50 ms of serial work (V(150),
-# N(150^3), the naive counters at R = 22 to 24), so a worker costs 25 ms: its
-# fork, pickling and join and the speed-up that falls short of T-fold.  The
-# naive kernel takes 28-49 ns per cell at R = 20 to 28.
-_WORKER_START_S = 0.025
+# senary.torsor.  Calibrated on a 2-core Xeon VM in fresh CLI processes (the
+# first pool imports the pool module), by the median of the 2-worker over the
+# 1-worker time in 6 to 16 alternating pairs: the descent read 0.85 to 1.86 up
+# to 300 ms of estimated work and 0.78 to 0.95 above (V(267) to V(300),
+# N(252^3) to N(350^3)), the naive counters 0.79 to 1.52 up to 200 ms and
+# 0.64 to 0.89 above.  So a worker costs 150 ms: its import, fork, pickling
+# and join and the speed-up that falls short of T-fold.  The naive kernel
+# takes 28-49 ns per cell at R = 20 to 28.
+_WORKER_START_S = 0.15
 _NAIVE_CELL_S = 4.0e-8
 
 
@@ -224,14 +227,24 @@ def _run_partitioned(share, terms, threads: int, serial_s: float):
     ``serial_s`` does not exceed the cost of starting ``threads`` workers;
     otherwise one pool of T = ``threads`` workers runs one job per share of
     every term, summed in submission order, so the sum does not depend on
-    which worker ran what."""
+    which worker ran what.  The pool class is read off this module as the
+    pool opens: it is imported only then, or a class bound there is used."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if threads == 1 or serial_s <= threads * _WORKER_START_S:
         return sum(c * share(m, 0, 1) for m, c in terms)
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with sys.modules[__name__].ProcessPoolExecutor(max_workers=threads) as pool:
         jobs = [(c, pool.submit(share, m, k, threads)) for m, c in terms for k in range(threads)]
         return sum(c * job.result() for c, job in jobs)
+
+
+def __getattr__(name: str):
+    """The process pool, imported on first use (PEP 562)."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _naive_serial_s(P: int) -> float:

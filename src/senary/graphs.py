@@ -78,12 +78,12 @@ class CoprimalityGraph:
                 raise ValueError(f"graph field {key!r} given twice")
             given.add(key)
             if key == "r":
-                r = int(val)
+                r = _spec_int(key, val)
             elif key == "edges":
                 if val:
                     for e in val.split(","):
                         a, _, b = e.partition("-")
-                        edges.append((int(a), int(b)))
+                        edges.append((_spec_int(key, a), _spec_int(key, b)))
             else:
                 raise ValueError(f"unknown graph field {key!r}")
         if r is None:
@@ -93,6 +93,13 @@ class CoprimalityGraph:
     @property
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+def _spec_int(field: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"graph field {field!r}: {token!r} is not an integer") from None
 
 
 SENARY_GRAPH = CoprimalityGraph.from_edges(

@@ -173,7 +173,7 @@ _PLANE_CAP = 1 << 13
 # The descent's seconds per cell in the cost rule of
 # ``cubic._run_partitioned``, V(m) counting m^3 cells: 16 ns at P = 100 to
 # 150 on the machine that calibrated the rule, falling to 10 ns at P = 300,
-# so the line sits near P = 146.
+# so the line sits near P = 266.
 _DESCENT_CELL_S = 1.6e-8
 
 

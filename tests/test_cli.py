@@ -18,15 +18,44 @@ def run(capsys, *argv):
     return code, out.out
 
 
+def _fresh(code: str, **env) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports senary
+    from src/, with no OPENBLAS_* variable in its environment but ``env``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    code = "import sys; sys.path.insert(0, sys.argv[1]); " + code
+    run = subprocess.run([sys.executable, "-c", code, src], env={**base, **env}, check=True, capture_output=True)
+    return run.stdout.decode()
+
+
 def test_the_cli_runs_without_scipy():
     # scipy is a test dependency only: importing senary and counting load none of it
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import senary.cli; "
+    _fresh(
+        "import senary.cli; "
         "assert senary.cli.main(['count', '--box', '10']) == 0; "
         "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
     )
-    subprocess.run([sys.executable, "-c", code, src], check=True, capture_output=True)
+
+
+def test_an_idle_cli_process_burns_no_cpu():
+    # OpenBLAS's helper thread, started when numpy loads, spins for 2^28
+    # cycles unless senary sets its timeout: 30-70 ms of CPU in a 100 ms sleep
+    code = (
+        "import time; from senary import cli; "
+        "t = time.process_time(); time.sleep(0.1); print(time.process_time() - t)"
+    )
+    assert float(_fresh(code)) < 0.010
+
+
+def test_the_cli_imports_the_process_pool_only_when_one_opens():
+    code = "from senary import cli; print('concurrent.futures.process' in sys.modules)"
+    assert _fresh(code) == "False\n"
+
+
+def test_a_callers_openblas_timeout_wins():
+    code = "import os, senary; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+    assert _fresh(code, OPENBLAS_THREAD_TIMEOUT="7") == "7\n"
+    assert _fresh(code) == "4\n"
 
 
 def test_count_box_naive(capsys):
@@ -282,6 +311,10 @@ USAGE_MESSAGES = [
     (("graph", "b-vector", "--graph", "r=3;edges=1-2,1-2"), "duplicate edge (1, 2)"),
     (("graph", "b-vector", "--graph", "r=3;r=4;edges=1-2"), "graph field 'r' given twice"),
     (("graph", "b-vector", "--graph", "r=3;edges=1-2;edges=2-3"), "graph field 'edges' given twice"),
+    # and a malformed number names its field and token
+    (("graph", "b-vector", "--graph", "r=x;edges=1-2"), "graph field 'r': 'x' is not an integer"),
+    (("graph", "b-vector", "--graph", "r=3;edges=1-2,"), "graph field 'edges': '' is not an integer"),
+    (("graph", "b-vector", "--graph", "r=3;edges=1-2-3"), "graph field 'edges': '2-3' is not an integer"),
     # and a subset polynomial whose build passes |E| x terms = 24 x 2^20:
     # 21 disjoint edges have 2^21 terms, refused at the last edge
     (

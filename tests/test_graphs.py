@@ -60,6 +60,16 @@ def test_graph_spec_names_each_edge_and_field_once():
             CoprimalityGraph.parse(spec)
 
 
+def test_graph_spec_names_the_field_of_a_malformed_number():
+    for spec, field, token in (
+        ("r=x;edges=1-2", "r", "'x'"),
+        ("r=3;edges=1-2,", "edges", "''"),
+        ("r=3;edges=1-2-3", "edges", "'2-3'"),
+    ):
+        with pytest.raises(ValueError, match=f"^graph field '{field}': {token} is not an integer$"):
+            CoprimalityGraph.parse(spec)
+
+
 def test_sg_polynomial_single_edge():
     poly = sg_polynomial(SINGLE_EDGE)
     assert poly == {0: 1, 0b11: -1}  # 1 - x1 x2
