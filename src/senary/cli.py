@@ -318,10 +318,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _s_entry(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"--s: {token!r} is not a number") from None
+
+
 def _parse_s(text: str | None):
-    if not text:
-        return None
-    return tuple(float(v) for v in text.split(","))
+    return tuple(map(_s_entry, text.split(","))) if text else None
 
 
 _COMMON = {

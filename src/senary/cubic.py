@@ -144,15 +144,20 @@ def _octant_cells(P: int, y1s):
             yield y1, y2[j], X1[r], X2[r], mq.ravel()[i] // q[j]
 
 
+def _snake(i, k: int, T: int):
+    """Whether index i (an int or int array) falls to share k of T in snake
+    order, i = k or 2T - 1 - k (mod 2T): each share takes an early and a late
+    index per two rounds, so work that falls with the index stays balanced."""
+    r = i % (2 * T)
+    return (r == k) | (r == 2 * T - 1 - k)
+
+
 def _count_chunk(count, P: int, k: int, T: int):
     """Sum of count(P, y1, y2, x1, x2, m) over the kernel's cells of share k
     of T, an int or an array summed elementwise; count is module-level so
-    the pool can pickle the share ``partial(_count_chunk, count)``.  The y1
-    are dealt in snake order, share k taking y1 - 1 = k or 2T - 1 - k
-    (mod 2T).  Small y1 own the most solutions, so a plain stride would hand
-    share 0 the heavier y1 of every round; the snake gives each share one
-    light and one heavy y1 per two rounds."""
-    y1s = sorted(itertools.chain(range(1 + k, P + 1, 2 * T), range(2 * T - k, P + 1, 2 * T)))
+    the pool can pickle the share ``partial(_count_chunk, count)``.  ``_snake``
+    deals y1 - 1, since small y1 own the most solutions."""
+    y1s = [y1 for y1 in range(1, P + 1) if _snake(y1 - 1, k, T)]
     return sum(count(P, *cells) for cells in _octant_cells(P, y1s))
 
 

@@ -390,7 +390,8 @@ def _zeta(s: float) -> float:
     corrections = 0.0
     for k, b in enumerate(_BERNOULLI, start=1):
         corrections += b * term
-        term *= (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2) * N * N)
+        # an underflowed term stays 0: past s = 1.34e154 the factor is inf
+        term = term and term * (s + 2 * k - 1) * (s + 2 * k) / ((2 * k + 1) * (2 * k + 2) * N * N)
     tail = N ** (1 - s) / (s - 1) + N**-s / 2 + corrections
     # add the small terms first
     return 1.0 + (sum(n**-s for n in range(N - 1, 1, -1)) + tail)

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from senary.arith import integer_cube_root, is_prime, primes_up_to
-from senary.cubic import (
-    CountReport,
-    SolutionSextuple,
-    _moebius_weights,
-    _run_partitioned,
-)
+from senary.cubic import CountReport, SolutionSextuple, _moebius_weights, _run_partitioned, _snake
 
 
 # ---------------------------------------------------------------------------
@@ -264,40 +259,42 @@ def _coprime_table(P: int) -> np.ndarray:
     return T
 
 
-def _w_chunks(P: int, u1: int, u2: int, T: np.ndarray, mine):
-    """The distinct keys of the orbit representatives with this (u1, u2)
-    (the tuples of ``_uw_tuples``) with the sums M of their tuples' orbit
-    sizes, in int64 blocks (keys, M), a key in one block only; a key packs
-    u1, u2 base 64 over u3, P - P // w1, P - P // w2, P - P // w3 base P + 1.
-    T is ``_coprime_table(P)``; ``mine`` yields one bool per grid slice, in
-    cut order across calls, and a False slice is skipped before its grid.
+def _w_chunks(P: int, u1: int, u2: int, table: np.ndarray, k: int, T: int):
+    """Share k of T of the distinct keys of the orbit representatives with
+    this (u1, u2) (the tuples of ``_uw_tuples``) with the sums M of their
+    tuples' orbit sizes, in int64 blocks (keys, M), a key in one block only;
+    a key packs u1, u2 base 64 over u3, P - P // w1, P - P // w2, P - P // w3
+    base P + 1.  table is ``_coprime_table(P)``.
 
     Each level is built from the last and masked by its coprimality
-    conditions: the u3, the (u3, w1) rows, the (u3, w1, w2) rows (by
-    ``_ranges``, in slices of about ``_PLANE_CAP`` candidates), and grids of
-    about ``_PLANE_CAP`` cells of these rows by the w3 in 1..P // (u1*u2),
-    summed over each run of constant q3 = P // w3.  The keys of these
-    (row, run) counts join the open keys ``_PLANE_CAP`` at a time; they rise
-    with the rows within each (u3, P // w1) group, and the groups with the
-    rows, so only the last row's group stays open, at most the distinct
-    (P // w2, P // w3), about 4P keys.
+    conditions: the u3, the (u3, w1) rows, of which share k keeps the groups
+    of equal (u3, P // w1) that ``_snake`` deals it in row order (a key fixes
+    its group), the (u3, w1, w2) rows (by ``_ranges``, in slices of about
+    ``_PLANE_CAP`` candidates), and grids of about ``_PLANE_CAP`` cells of
+    these rows by the w3 in 1..P // (u1*u2), summed over each run of constant
+    q3 = P // w3.  The keys of these (row, run) counts join the open keys
+    ``_PLANE_CAP`` at a time; they rise with the rows, so only the last row's
+    group stays open, at most the distinct (P // w2, P // w3), about 4P keys.
 
     A tie w_i = w_j with gcd(w_i, w_j) = 1 forces w_i = w_j = 1, and with it
     u_i = u_j, coprime, forces u_i = u_j = 1.  So only the rows w1 = w2 = 1
     of the plane u1 = u2 = 1 have orbit size 3, and in them the first tuple,
-    u = w = (1, 1, 1), orbit size 1; every other tuple counts 6."""
+    u = w = (1, 1, 1), orbit size 1, in group 0 of share 0; every other
+    tuple counts 6."""
     base, digit = P + 1, P - P // np.arange(1, P + 1)  # digit[w - 1] = P - P // w
     u3 = np.arange(u2, P // u2 + 1)
-    u3 = u3[T[u3, u1 * u2]]
+    u3 = u3[table[u3, u1 * u2]]
     W1 = P // (u2 * u3)
     u3, w1 = np.repeat(u3, W1), _ranges(np.ones_like(W1), W1)
-    keep = T[w1, u1]
+    keep = table[w1, u1]
+    if T > 1:  # share k's groups of equal (u3, P // w1), numbered in row order
+        keep &= _snake(np.unique(u3 * base + digit[w1 - 1], return_inverse=True)[1], k, T)
     u3, w1 = u3[keep], w1[keep]
     # the orbit ordering: w2 >= w1 when u2 == u1, w3 >= w2 when u3 == u2
     s2 = w1 if u2 == u1 else np.ones_like(w1)
     n2 = P // (u1 * u3) - s2 + 1
     w3 = np.arange(1, P // (u1 * u2) + 1)
-    T3 = T[:, 1 : len(w3) + 1]  # the columns w3
+    T3 = table[:, 1 : len(w3) + 1]  # the columns w3
     q3 = P // w3
     starts = np.flatnonzero(np.concatenate(([True], q3[1:] != q3[:-1])))  # the q3-runs
     keys = M = np.zeros(0, np.int64)  # the open keys
@@ -305,20 +302,18 @@ def _w_chunks(P: int, u1: int, u2: int, T: np.ndarray, mine):
     for a, b in _chunks(n2):
         rows = n2[a:b]
         y3, z1, z2 = np.repeat(u3[a:b], rows), np.repeat(w1[a:b], rows), _ranges(s2[a:b], rows)
-        keep = T[z2, u2 * z1]
+        keep = table[z2, u2 * z1]
         y3, z1, z2 = y3[keep], z1[keep], z2[keep]
         s3 = np.where(y3 == u2, z2, 1)
         row_key = (((u1 * 64 + u2) * base + y3) * base + digit[z1 - 1]) * base + digit[z2 - 1]
         orbit = np.where((z1 == z2) & (u2 == u1), 3, 6)[:, None]  # the ties
         for c, d in _chunks(len(w3) - s3 + 1):
-            if not next(mine):
-                continue
             # u3*w1 <= P, and w3 is coprime to u3 and w1 when it is to u3*w1
             grid = T3[y3[c:d] * z1[c:d]] & T3[z2[c:d]]
             if y3[c] == u2:  # u3 = u2 = 1: the ordering w3 >= w2
                 grid &= w3 >= s3[c:d, None]
             counts = np.add.reduceat(grid, starts, axis=1, dtype=np.int64) * orbit[c:d]
-            if u2 == u1 and a == c == 0:  # the tuple u = w = (1, 1, 1)
+            if u2 == u1 and k == a == c == 0:  # the tuple u = w = (1, 1, 1)
                 counts[0, 0] -= 2
             row, run = np.nonzero(counts)
             pending.append((row_key[row + c] * base + digit[starts[run]], counts[row, run]))
@@ -446,21 +441,15 @@ def _keyed_sum(P: int, keys: np.ndarray, M: np.ndarray, inv: np.ndarray) -> int:
 
 
 def _torsor_V_chunk(P: int, k: int, T: int) -> int:
-    """Worker k's share of V(P) / 8 when T workers split it: the sum of
-    n*M*K over the keys of the grid slices k, k + T, k + 2T, ... of the one
-    slice sequence ``_w_chunks`` cuts over all (u1, u2) planes in turn;
-    T = 1, k = 0 gives all of V(P) / 8.
-
-    A tuple's number n of admissible u and its lattice count K depend only
-    on its key (u3, q1, q2, q3), q_j = P // w_j, so each worker counts each
-    of its keys once (at P = 300, 3.8M tuples give 1.9M (row, q3-run) counts
-    and 0.3M keys), in kernel calls the keys of consecutive planes fill.
-    Every worker lays out the rows of every plane (9% more work than one
-    pass at P = 300, T = 2)."""
+    """Worker k's share of V(P) / 8 when T workers split it, the sum of
+    n*M*K over the keys of share k of each (u1, u2) plane of ``_w_chunks``;
+    T = 1 gives all of V(P) / 8.  A tuple's number n of admissible u and its
+    lattice count K depend only on its key (u3, q1, q2, q3), q_j = P // w_j,
+    so the shares count each key once (at P = 300, 3.8M tuples give 1.9M
+    (row, q3-run) counts and 0.3M keys), in calls consecutive planes fill."""
     coprime, inv = _coprime_table(P), _inverses(math.isqrt(P))
-    mine = itertools.cycle([j == k for j in range(T)])
     blocks = itertools.chain.from_iterable(
-        _w_chunks(P, u1, u2, coprime, mine)
+        _w_chunks(P, u1, u2, coprime, k, T)
         for u1, u2 in itertools.combinations_with_replacement(range(1, math.isqrt(P) + 1), 2)
         if math.gcd(u1, u2) == 1
     )
@@ -487,9 +476,9 @@ def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     key (u3, P // w1, P // w2, P // w3) once (``_torsor_V_chunk``).  With
     threads = T > 1 and a count above the pool's cost line
     (``cubic._run_partitioned``), one pool of T workers takes the T shares
-    of ``_torsor_V_chunk``, the grid slices by stride.  Bounds above
-    ``_MAX_TORSOR_BOUND`` raise OverflowError before any work, since the
-    int64 sums could wrap there."""
+    of ``_torsor_V_chunk``, whole (u3, P // w1) groups in snake order.
+    Bounds above ``_MAX_TORSOR_BOUND`` raise OverflowError before any work,
+    since the int64 sums could wrap there."""
     _check_torsor_bound(P)
     t0 = time.perf_counter()
     total = _run_V_terms([(P, 1)], threads)
@@ -506,9 +495,8 @@ def torsor_count_N(B: int, threads: int = 1) -> CountReport:
     The terms are grouped by m = R // d into c_m V(m), c_m the sum of the
     mu(d) with R // d = m (8 values of V in place of 19 at R = 30, 63 in
     place of 1,309 at R = 2154).  With threads = T > 1 and a count above
-    the pool's cost line, one pool of T workers takes the T stride shares
-    (``_torsor_V_chunk``) of every V(m) with c_m != 0, and the partitioner
-    weights each share's result by c_m."""
+    the pool's cost line, one pool of T workers takes the T shares of every
+    V(m) with c_m != 0, and the partitioner weights each by c_m."""
     if B < 1:
         raise ValueError("height bound must be >= 1")
     R = integer_cube_root(B)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -315,6 +316,10 @@ USAGE_MESSAGES = [
     (("graph", "b-vector", "--graph", "r=x;edges=1-2"), "graph field 'r': 'x' is not an integer"),
     (("graph", "b-vector", "--graph", "r=3;edges=1-2,"), "graph field 'edges': '' is not an integer"),
     (("graph", "b-vector", "--graph", "r=3;edges=1-2-3"), "graph field 'edges': '2-3' is not an integer"),
+    # as does a malformed --s, in every command that reads it
+    (("graph", "euler", "--s", ",,"), "--s: '' is not a number"),
+    (("graph", "xi", "--s", "1,x,1,1,1,1"), "--s: 'x' is not a number"),
+    (("verify", "theorem3", "--s", "2,,2,2,2,2"), "--s: '' is not a number"),
     # and a subset polynomial whose build passes |E| x terms = 24 x 2^20:
     # 21 disjoint edges have 2^21 terms, refused at the last edge
     (
@@ -508,6 +513,13 @@ def test_verify_theorem3_single_edge(capsys):
         capsys, "verify", "theorem3", "--graph", "r=2;edges=1-2", "--s", "2,2", "--n", "1000"
     )
     assert code == EXIT_OK
+
+
+def test_verify_theorem3_at_a_huge_s(capsys):
+    # zeta(1e155) is 1 to the last place, not the NaN of an overflowed
+    # Euler-Maclaurin term
+    code, out = run(capsys, "verify", "theorem3", "--s", "1e155,2,2,2,2,2")
+    assert code == EXIT_OK and math.isfinite(json.loads(out)["allowance"])
 
 
 def test_verify_fp_counts(capsys):

@@ -442,6 +442,12 @@ def test_zeta_matches_mpmath(s):
         assert abs((graphs._zeta(s) - exact) / exact) <= 1e-15
 
 
+def test_zeta_is_one_at_huge_s():
+    # past s = 1.34e154 the Bernoulli factor overflows while the term it
+    # multiplies has underflowed to 0
+    assert graphs._zeta(1e155) == graphs._zeta(1e308) == 1.0
+
+
 @pytest.mark.parametrize("s", [1.0, 0.5, 0.0, -2.0, float("nan"), float("inf"), float("-inf")])
 def test_zeta_refuses_s_outside_its_domain(s):
     with pytest.raises(ValueError):

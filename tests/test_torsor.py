@@ -263,14 +263,13 @@ def _unpack(P, key):
 
 
 def _layer_M(P, T, k):
-    """Worker k's (row, run) layer of V(P) out of T stride shares: M per
+    """Worker k's (row, run) layer of V(P) out of T shares: M per
     (u1, u2, u3, q1, q2, q3); each key comes once in the worker's blocks."""
-    mine = itertools.cycle([j == k for j in range(T)])
     M = {}
     for u1 in range(1, math.isqrt(P) + 1):
         for u2 in range(u1, math.isqrt(P) + 1):
             if math.gcd(u1, u2) == 1:
-                for keys, m in _w_chunks(P, u1, u2, _coprime_table(P), mine):
+                for keys, m in _w_chunks(P, u1, u2, _coprime_table(P), k, T):
                     for key, value in zip(keys.tolist(), m.tolist()):
                         assert _unpack(P, key) not in M
                         M[_unpack(P, key)] = value
@@ -280,7 +279,7 @@ def _layer_M(P, T, k):
 @pytest.mark.parametrize("cap", [3, 1 << 13])
 def test_w_chunks_sum_the_scalar_orbit_sizes_per_key(monkeypatch, cap):
     # the (row, q3-run) counts against the orbit sizes of the scalar
-    # representatives, summed per key, serially and in stride shares
+    # representatives, summed per key, serially and in shares
     monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
     for P in (1, 2, 9, 25, 45):
         oracle = Counter()
@@ -431,9 +430,9 @@ def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
     assert torsor_count_V(P).count == 0
 
 
-def test_torsor_V_strided_shares_add_up():
-    # worker k of T takes the grid slices k, k + T, ...; at the small boxes
-    # some workers get no slice at all
+def test_torsor_V_shares_add_up():
+    # worker k of T takes the (u3, P // w1) groups of each plane that the
+    # snake deals it; at the small boxes some workers get no group at all
     for P in range(1, 41):
         whole = _torsor_V_chunk(P, 0, 1)
         for T in range(1, 5):
@@ -449,9 +448,10 @@ def test_torsor_primitive_count_matches_naive(B):
 # At these bounds no count is worth a pool, so the tests that deal them out
 # set the pool's start-up cost to 0.  The naive counters deal out y1 in snake
 # order, so at the lower bound, radius 3, each of 3 workers gets one y1.  The
-# torsor counters deal out grid slices by stride: V(3) and the V(m) of the
-# height counter at 27 have one slice, and V(8) two, so some workers get
-# none.  The height counters work on the box of radius floor(B^(1/3)).
+# torsor counters deal out each plane's (u3, P // w1) groups in snake order:
+# V(3) has three groups with tuples, groups 0, 2 and 3 of its one plane, and
+# V(1) one, so at the lower bounds some workers get none.  The height
+# counters work on the box of radius floor(B^(1/3)).
 _PARTITIONED = [
     ("naive_count_V", naive_count_V, 3, 6),
     ("count_N", count_N, 27, 216),
@@ -496,7 +496,7 @@ def test_no_workers_is_an_error(counter, bound):
 @pytest.mark.parametrize("P", range(1, 61))
 def test_aggregated_shares_match_the_scalar_oracle(P):
     # one scalar kernel call per representative, against the kernel run
-    # once per distinct key, serially and in stride shares
+    # once per distinct key, serially and in shares
     expected = torsor_V_chunk(P)
     for T in (1, 2, 3):
         assert sum(_torsor_V_chunk(P, k, T) for k in range(T)) == expected
@@ -513,10 +513,9 @@ def test_aggregated_shares_do_not_depend_on_the_cap(monkeypatch, cap):
             assert sum(_torsor_V_chunk(P, k, T) for k in range(T)) == value
 
 
-@pytest.mark.parametrize("cap", [5, 1 << 13])
-def test_the_kernel_sees_each_distinct_key_once(monkeypatch, cap):
-    # the keys of consecutive planes fill each call up to a quarter of the cap
-    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+def _kernel_calls(monkeypatch):
+    """The keys (u1, u2, u3, q1, q2, q3) the lattice kernel counts, with
+    their multiplicities, and the size of each call, as calls come in."""
     seen, sizes = Counter(), []
     kernel = torsor._lattice_counts
 
@@ -526,24 +525,57 @@ def test_the_kernel_sees_each_distinct_key_once(monkeypatch, cap):
         return kernel(u1, u2, u3, q1, q2, q3, inv)
 
     monkeypatch.setattr(torsor, "_lattice_counts", recording)
+    return seen, sizes
+
+
+def _distinct_keys_of(P):
+    return {(u1, u2, u3, P // w1, P // w2, P // w3) for _, _, u1, u2, u3, w1, w2, w3 in _uw_tuples(P)}
+
+
+@pytest.mark.parametrize("cap", [5, 1 << 13])
+def test_the_kernel_sees_each_distinct_key_once(monkeypatch, cap):
+    # the keys of consecutive planes fill each call up to a quarter of the cap
+    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+    seen, sizes = _kernel_calls(monkeypatch)
     P = 45
     _torsor_V_chunk(P, 0, 1)
-    keys = {
-        (u1, u2, u3, P // w1, P // w2, P // w3)
-        for _, _, u1, u2, u3, w1, w2, w3 in _uw_tuples(P)
-    }
-    assert set(seen) == keys and set(seen.values()) == {1}
+    assert set(seen) == _distinct_keys_of(P) and set(seen.values()) == {1}
     size = (cap + 3) // 4
     assert all(n == size for n in sizes[:-1]) and 0 < sizes[-1] <= size <= cap
+
+
+@pytest.mark.parametrize("T", [2, 3])
+def test_each_distinct_key_reaches_the_kernel_in_one_share(monkeypatch, T):
+    # a key fixes its (u3, P // w1) group, and a group falls to one share,
+    # however small the slices that split its rows
+    monkeypatch.setattr(torsor, "_PLANE_CAP", 5)
+    seen, _ = _kernel_calls(monkeypatch)
+    P = 45
+    for k in range(T):
+        _torsor_V_chunk(P, k, T)
+    assert set(seen) == _distinct_keys_of(P) and set(seen.values()) == {1}
 
 
 def test_torsor_count_V_300_is_pinned():
     assert torsor_count_V(300).count == 88_832_063_040
 
 
-def test_some_stride_workers_get_no_slice():
-    # V(8) has two grid slices, one per (u1, u2) plane: a third worker idles
-    assert [_torsor_V_chunk(8, k, 3) > 0 for k in range(3)] == [True, True, False]
+def test_the_group_deal_is_a_snake():
+    # share k of T takes the (u3, P // w1) groups k or 2T - 1 - k (mod 2T) of
+    # each plane, numbered in row order: at T = 3 the rounds go 0 1 2 2 1 0.
+    # In the plane u1 = u2 = 1 of V(8) the rows (u3, w1) have u3 <= 8 and
+    # w1 <= 8 // u3; groups 8 and 10, (u3, P // w1) = (3, 4) and (4, 4), hold
+    # no tuple, since their one row forces w2 = w1 = 2
+    P, T = 8, 3
+    rows = [(u3, P // w1) for u3 in range(1, P + 1) for w1 in range(1, P // u3 + 1)]
+    groups = list(dict.fromkeys(rows))
+    taken = {
+        k: sorted({groups.index(key[2:4]) for key in _layer_M(P, T, k) if key[:2] == (1, 1)})
+        for k in range(T)
+    }
+    assert taken == {0: [0, 5, 6, 11, 12], 1: [1, 4, 7, 13], 2: [2, 3, 9, 14]}
+    # so every worker gets a group
+    assert [_torsor_V_chunk(P, k, T) > 0 for k in range(T)] == [True] * T
 
 
 @pytest.fixture
