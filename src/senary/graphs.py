@@ -245,12 +245,10 @@ def xi(G: CoprimalityGraph, s, prime_limit: int) -> tuple[float, float]:
     float rounding: at 10^6 primes two summation orders differ by 6e-12.
     """
     s = _exponents(G, s)
-    # the region of absolute convergence
+    # the region of absolute convergence; then every float edge sum is >= 1 + 2^-52
     if any(sj <= 0.5 for sj in s):
-        raise ValueError("each exponent must exceed 1/2")
+        raise ValueError(f"each exponent must exceed 1/2, got {s}")
     m = min((s[k - 1] + s[l - 1] for k, l in G.edges), default=math.inf)
-    if m <= 1:
-        raise ValueError("every edge's exponent sum must exceed 1")
     primes = primes_up_to(prime_limit)
     terms = [(e, b) for e, b in _merged_terms(G, s) if e]  # e = 0: the empty mask
     product = np.ones(len(primes))
@@ -433,8 +431,10 @@ def tg_series_check(G: CoprimalityGraph, degree_cap: int) -> bool:
 
     Compares integer coefficients up to total degree ``degree_cap``.
     """
-    if not 0 <= degree_cap <= 8 or G.r > 6:
-        raise ValueError("0 <= degree_cap <= 8 and r <= 6 required")
+    if not 0 <= degree_cap <= 8:
+        raise ValueError(f"degree cap must be between 0 and 8, got {degree_cap}")
+    if G.r > 6:
+        raise ValueError(f"the T_G series check takes at most 6 vertices, got {G.r}")
     r = G.r
     edges = G.edge_list
     # T coefficients: indicator that every edge has a zero endpoint

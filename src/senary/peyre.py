@@ -468,7 +468,7 @@ def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> Con
     theta's scale: the assembled best estimate, with the same error bound.
     """
     if prime_limit < 1000:
-        raise ValueError("prime_limit must be at least 1000")
+        raise ValueError(f"prime limit must be >= 1000, got {prime_limit}")
     # the sieve refuses a prime limit above its cap before any quadrature
     product, product_tail = _euler_product_local(prime_limit)
     alpha = float(alpha_invariant())

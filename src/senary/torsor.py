@@ -11,9 +11,9 @@ what the fast exact counter iterates over.
 The counter ``torsor_count_V`` loops over the coprime (u1, u2) in Python.
 Below them everything is int64 arrays: the orbit representatives are counted
 per (u3, w1, w2) row and run of constant P // w3 (``_w_chunks``), these
-counts are reduced to their distinct keys (u3, P // w1, P // w2, P // w3),
-and one array kernel counts the lattice parameters of each distinct key once,
-as two floor sums (``_lattice_counts``).
+counts are merged across the planes into their distinct keys (u3, P // w1,
+P // w2, P // w3), and one array kernel counts the lattice parameters of each
+distinct key once, as two floor sums (``_lattice_counts``).
 ``verify_bijection`` walks the scalar tuples and lattice points, the
 generators ``_uw_tuples`` and ``_lattice_runs``.
 """
@@ -157,12 +157,13 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # n' = (a n + b) // m <= n and m' = a < m.
 _MAX_TORSOR_BOUND = 4000
 
-# Elements laid out at once by a level of the row build, and (row, run) counts
-# merged at once: enough to amortise the numpy calls, few enough to keep the
-# arrays alive near a few MiB (V(100) raises the peak RSS by 1.3 MiB with this
-# cap, 2.5 with twice it, 1.1 with half).  A kernel call takes a quarter: its
-# dozen temporaries of two entries per key outgrow glibc's trim threshold at
-# the whole cap and fault in afresh each call (1,866 faults at V(100), not 98).
+# Elements laid out at once by a level of the row build (bar the grid slices
+# of the rows u3 = u2 = 1, see ``_w_chunks``), and (row, run) counts merged at
+# once: enough to amortise the numpy calls, few enough to keep the arrays near
+# a few MiB (V(100) raises the peak RSS by 1.3 MiB with this cap, 2.5 with
+# twice it, 1.1 with half).  A kernel call takes a quarter: its dozen
+# temporaries of two entries per key outgrow glibc's trim threshold at the
+# whole cap and fault in afresh each call (1,866 faults at V(100), not 98).
 _PLANE_CAP = 1 << 13
 
 # The descent's seconds per cell in the cost rule of
@@ -260,21 +261,23 @@ def _coprime_table(P: int) -> np.ndarray:
 
 
 def _w_chunks(P: int, u1: int, u2: int, table: np.ndarray, k: int, T: int):
-    """Share k of T of the distinct keys of the orbit representatives with
-    this (u1, u2) (the tuples of ``_uw_tuples``) with the sums M of their
-    tuples' orbit sizes, in int64 blocks (keys, M), a key in one block only;
-    a key packs u1, u2 base 64 over u3, P - P // w1, P - P // w2, P - P // w3
-    base P + 1.  table is ``_coprime_table(P)``.
+    """Share k of T of the (row, run) counts of the orbit representatives
+    with this (u1, u2) (the tuples of ``_uw_tuples``): per grid slice, int64
+    keys and their nonzero sums M of orbit sizes, a key in any number of
+    blocks, packing u1, u2 base 64 over u3, P - P // w1, P - P // w2,
+    P - P // w3 base P + 1.  table is ``_coprime_table(P)``.
 
     Each level is built from the last and masked by its coprimality
     conditions: the u3, the (u3, w1) rows, of which share k keeps the groups
     of equal (u3, P // w1) that ``_snake`` deals it in row order (a key fixes
     its group), the (u3, w1, w2) rows (by ``_ranges``, in slices of about
-    ``_PLANE_CAP`` candidates), and grids of about ``_PLANE_CAP`` cells of
-    these rows by the w3 in 1..P // (u1*u2), summed over each run of constant
-    q3 = P // w3.  The keys of these (row, run) counts join the open keys
-    ``_PLANE_CAP`` at a time; they rise with the rows, so only the last row's
-    group stays open, at most the distinct (P // w2, P // w3), about 4P keys.
+    ``_PLANE_CAP`` candidates), and grids of these rows by the w3 in
+    1..P // (u1*u2), summed over each run of constant q3 = P // w3; the
+    blocks follow the rows, so their groups never fall.  A grid slice takes
+    rows until about ``_PLANE_CAP`` cells lie at or past w3 = s3 but lays out
+    every w3, and s3 = w2 in the rows u3 = u2 = 1 (the ordering w3 >= w2):
+    their slices outgrow the cap (to 456,000 cells at V(1000)), and the mask
+    w3 >= s3 drops 37% of the cells laid out.
 
     A tie w_i = w_j with gcd(w_i, w_j) = 1 forces w_i = w_j = 1, and with it
     u_i = u_j, coprime, forces u_i = u_j = 1.  So only the rows w1 = w2 = 1
@@ -297,8 +300,6 @@ def _w_chunks(P: int, u1: int, u2: int, table: np.ndarray, k: int, T: int):
     T3 = table[:, 1 : len(w3) + 1]  # the columns w3
     q3 = P // w3
     starts = np.flatnonzero(np.concatenate(([True], q3[1:] != q3[:-1])))  # the q3-runs
-    keys = M = np.zeros(0, np.int64)  # the open keys
-    pending, held = [], 0  # the (row, run) keys and M not merged yet
     for a, b in _chunks(n2):
         rows = n2[a:b]
         y3, z1, z2 = np.repeat(u3[a:b], rows), np.repeat(w1[a:b], rows), _ranges(s2[a:b], rows)
@@ -316,14 +317,7 @@ def _w_chunks(P: int, u1: int, u2: int, table: np.ndarray, k: int, T: int):
             if u2 == u1 and k == a == c == 0:  # the tuple u = w = (1, 1, 1)
                 counts[0, 0] -= 2
             row, run = np.nonzero(counts)
-            pending.append((row_key[row + c] * base + digit[starts[run]], counts[row, run]))
-            held += len(row)
-            if held >= _PLANE_CAP:
-                keys, M = _distinct_keys([(keys, M), *pending])
-                cut = np.searchsorted(keys, row_key[d - 1] // base * base * base)
-                yield keys[:cut], M[:cut]
-                keys, M, pending, held = keys[cut:], M[cut:], [], 0
-    yield _distinct_keys([(keys, M), *pending])
+            yield row_key[row + c] * base + digit[starts[run]], counts[row, run]
 
 
 def _distinct_keys(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -411,33 +405,19 @@ def _lattice_runs(u1: int, u2: int, u3: int, q1: int, q2: int, q3: int):
                 yield r1, range(max(lo, r2s.start), min(hi + 1, r2s.stop)), range(r3, r3 + 1)
 
 
-def _calls(blocks):
-    """The (keys, M) blocks as kernel calls of a quarter of ``_PLANE_CAP`` keys, bar the last."""
-    size, held, n = (_PLANE_CAP + 3) // 4, [], 0
-    for block in blocks:
-        held.append(block)
-        n += len(block[0])
-        if n >= size:
-            keys, M = (np.concatenate(col) for col in zip(*held))
-            whole = n - n % size
-            for a in range(0, whole, size):
-                yield keys[a : a + size], M[a : a + size]
-            held, n = [(keys[whole:], M[whole:])], n - whole
-    if n:
-        yield tuple(np.concatenate(col) for col in zip(*held))
-
-
 def _keyed_sum(P: int, keys: np.ndarray, M: np.ndarray, inv: np.ndarray) -> int:
-    """The sum of n*M*K over packed keys of ``_w_chunks``, in one kernel call."""
-    base = P + 1
-    key, d3 = np.divmod(keys, base)
-    key, d2 = np.divmod(key, base)
-    key, d1 = np.divmod(key, base)
-    (u1, u2), u3 = np.divmod(key // base, 64), key % base
-    q1, q2, q3 = P - d1, P - d2, P - d3
-    # P // max(a, b, c) = min(P // a, P // b, P // c), P // (u * w) = (P // w) // u
-    n = np.minimum(np.minimum(q1 // (u2 * u3), q2 // (u1 * u3)), q3 // (u1 * u2))
-    return int(np.dot(n * M, _lattice_counts(u1, u2, u3, q1, q2, q3, inv)))
+    """The sum of n*M*K over distinct packed keys, in kernel calls of a quarter of ``_PLANE_CAP`` keys."""
+    base, size, total = P + 1, (_PLANE_CAP + 3) // 4, 0
+    for a in range(0, len(keys), size):
+        key, d3 = np.divmod(keys[a : a + size], base)
+        key, d2 = np.divmod(key, base)
+        key, d1 = np.divmod(key, base)
+        (u1, u2), u3 = np.divmod(key // base, 64), key % base
+        q1, q2, q3 = P - d1, P - d2, P - d3
+        # P // max(a, b, c) = min(P // a, P // b, P // c), P // (u * w) = (P // w) // u
+        n = np.minimum(np.minimum(q1 // (u2 * u3), q2 // (u1 * u3)), q3 // (u1 * u2))
+        total += int(np.dot(n * M[a : a + size], _lattice_counts(u1, u2, u3, q1, q2, q3, inv)))
+    return total
 
 
 def _torsor_V_chunk(P: int, k: int, T: int) -> int:
@@ -446,14 +426,24 @@ def _torsor_V_chunk(P: int, k: int, T: int) -> int:
     T = 1 gives all of V(P) / 8.  A tuple's number n of admissible u and its
     lattice count K depend only on its key (u3, q1, q2, q3), q_j = P // w_j,
     so the shares count each key once (at P = 300, 3.8M tuples give 1.9M
-    (row, q3-run) counts and 0.3M keys), in calls consecutive planes fill."""
+    (row, q3-run) counts and 0.3M keys).  Keys rise with the groups, so each
+    merge of ``_PLANE_CAP`` counts takes the whole kernel calls below the last
+    key's group and keeps the rest, under a call plus a group, open."""
     coprime, inv = _coprime_table(P), _inverses(math.isqrt(P))
-    blocks = itertools.chain.from_iterable(
-        _w_chunks(P, u1, u2, coprime, k, T)
-        for u1, u2 in itertools.combinations_with_replacement(range(1, math.isqrt(P) + 1), 2)
-        if math.gcd(u1, u2) == 1
-    )
-    return sum(_keyed_sum(P, keys, M, inv) for keys, M in _calls(blocks))
+    planes = itertools.combinations_with_replacement(range(1, math.isqrt(P) + 1), 2)
+    blocks = (b for u1, u2 in planes if math.gcd(u1, u2) == 1 for b in _w_chunks(P, u1, u2, coprime, k, T))
+    keys = M = np.zeros(0, np.int64)  # the open keys
+    total, pending, held = 0, [], 0  # the (row, run) counts not merged yet
+    for block in blocks:
+        pending.append(block)
+        held += len(block[0])
+        if held >= _PLANE_CAP:
+            keys, M = _distinct_keys([(keys, M), *pending])
+            cut = np.searchsorted(keys, keys[-1] // (P + 1) ** 2 * (P + 1) ** 2)
+            cut -= cut % ((_PLANE_CAP + 3) // 4)
+            total += _keyed_sum(P, keys[:cut], M[:cut], inv)
+            keys, M, pending, held = keys[cut:], M[cut:], [], 0
+    return total + _keyed_sum(P, *_distinct_keys([(keys, M), *pending]), inv)
 
 
 def _run_V_terms(terms, threads: int) -> int:

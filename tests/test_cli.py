@@ -320,6 +320,18 @@ USAGE_MESSAGES = [
     (("graph", "euler", "--s", ",,"), "--s: '' is not a number"),
     (("graph", "xi", "--s", "1,x,1,1,1,1"), "--s: 'x' is not a number"),
     (("verify", "theorem3", "--s", "2,,2,2,2,2"), "--s: '' is not a number"),
+    # each refusal names its check and the value that failed it
+    (("verify", "tg-series", "--degree", "9"), "degree cap must be between 0 and 8, got 9"),
+    (("verify", "tg-series", "--degree", "-1"), "degree cap must be between 0 and 8, got -1"),
+    (
+        ("verify", "tg-series", "--graph", "r=7;edges=1-2"),
+        "the T_G series check takes at most 6 vertices, got 7",
+    ),
+    (("constants", "theta", "--prime-limit", "999"), "prime limit must be >= 1000, got 999"),
+    (
+        ("graph", "xi", "--s", "0.5,1,1,1,1,1"),
+        "each exponent must exceed 1/2, got (0.5, 1.0, 1.0, 1.0, 1.0, 1.0)",
+    ),
     # and a subset polynomial whose build passes |E| x terms = 24 x 2^20:
     # 21 disjoint edges have 2^21 terms, refused at the last edge
     (

@@ -264,15 +264,14 @@ def _unpack(P, key):
 
 def _layer_M(P, T, k):
     """Worker k's (row, run) layer of V(P) out of T shares: M per
-    (u1, u2, u3, q1, q2, q3); each key comes once in the worker's blocks."""
-    M = {}
+    (u1, u2, u3, q1, q2, q3), summed over the worker's blocks."""
+    M = Counter()
     for u1 in range(1, math.isqrt(P) + 1):
         for u2 in range(u1, math.isqrt(P) + 1):
             if math.gcd(u1, u2) == 1:
                 for keys, m in _w_chunks(P, u1, u2, _coprime_table(P), k, T):
                     for key, value in zip(keys.tolist(), m.tolist()):
-                        assert _unpack(P, key) not in M
-                        M[_unpack(P, key)] = value
+                        M[_unpack(P, key)] += value
     return M
 
 
@@ -542,6 +541,26 @@ def test_the_kernel_sees_each_distinct_key_once(monkeypatch, cap):
     assert set(seen) == _distinct_keys_of(P) and set(seen.values()) == {1}
     size = (cap + 3) // 4
     assert all(n == size for n in sizes[:-1]) and 0 < sizes[-1] <= size <= cap
+
+
+@pytest.mark.parametrize("P", [45, 100])
+@pytest.mark.parametrize("cap", [5, 64, 1 << 13])
+def test_the_open_keys_stay_below_a_call_and_a_group(monkeypatch, P, cap):
+    # the count is right wherever the merge cuts, so a cut that closed too
+    # little would show only as open keys growing with the box: they must
+    # stay below a kernel call plus one (u3, P // w1) group, at most q^2 keys
+    # for the q distinct P // w
+    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+    open_keys, merge = [], torsor._distinct_keys
+
+    def recording(blocks):
+        open_keys.append(len(blocks[0][0]))
+        return merge(blocks)
+
+    monkeypatch.setattr(torsor, "_distinct_keys", recording)
+    _torsor_V_chunk(P, 0, 1)
+    q = len({P // w for w in range(1, P + 1)})
+    assert max(open_keys) < (cap + 3) // 4 + q**2
 
 
 @pytest.mark.parametrize("T", [2, 3])
