@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from senary import cubic, graphs, peyre, torsor
-from senary.arith import integer_cube_root, primes_up_to
+from senary.arith import primes_up_to
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -71,7 +71,10 @@ def _emit_report(out: _Output, kind: str, report, fmt: str, stable: bool):
 def _count_reports(args: argparse.Namespace, method: str) -> list:
     """(kind, report) per requested bound, kind "box" or "height"; every
     report carries the bound the user gave."""
-    count_V = cubic.naive_count_V if method == "naive" else torsor.torsor_count_V
+    if method == "naive":
+        count_V, check = cubic.naive_count_V, cubic._check_box_bound
+    else:
+        count_V, check = torsor.torsor_count_V, torsor._check_torsor_bound
     reports = []
     if args.box is not None:
         if args.primitive:
@@ -83,7 +86,7 @@ def _count_reports(args: argparse.Namespace, method: str) -> list:
             report = counter(args.height, threads=args.threads)
         else:
             # V of the box of radius floor(B^(1/3)), reported at the height B
-            report = count_V(integer_cube_root(args.height), threads=args.threads)
+            report = count_V(cubic._height_radius(args.height, check), threads=args.threads)
             report = replace(report, bound=args.height)
         reports.append(("height", report))
     return reports

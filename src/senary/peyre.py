@@ -461,6 +461,12 @@ def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> Con
     (alpha x numeric archimedean density x exact local densities) and compared
     against the closed form (1/324)(pi^2 + 24 log 2 - 3) x Euler product.
 
+    theta predicts N(B) of ``cubic.count_N``: the +/- pairs of primitive
+    sextuples with y1*y2*y3 != 0 of height at most B, the box of radius
+    R = floor(B^(1/3)), so B = R^3.  theta is the coefficient of B (log B)^4
+    in N(B).  Since 2N(R^3) is about V(R) / zeta(3) and (log B)^4 is
+    81 (log R)^4, ``leading_coeff_V`` is 162 zeta(3) theta.
+
     Raises if the two paths disagree beyond their combined error bound, which
     is also the reported tolerance: the quadrature's share plus theta's share
     of the Euler tail, (closed / product) times the product's tail.  A
@@ -502,7 +508,13 @@ def peyre_theta(prime_limit: int = 100_000, quad_tolerance: float = 0.01) -> Con
 
 def leading_coeff_V(prime_limit: int = 100_000) -> ConstantReport:
     """Leading coefficient of the box-count asymptotics:
-    (1/2)(pi^2 + 24 log 2 - 3) times the graph Euler product at s = 1."""
+    (1/2)(pi^2 + 24 log 2 - 3) times the graph Euler product at s = 1.
+
+    It predicts V(P) of ``cubic.naive_count_V``, all sextuples of the box
+    [-P, P]^6 with y1*y2*y3 != 0, both signs and not only primitive ones:
+    leading_V is the coefficient of P^3 (log P)^4 in V(P).  In the height
+    B = P^3 the coefficient of B (log B)^4 is leading_V / 81 = 2 zeta(3)
+    theta, since (log B)^4 = 81 (log P)^4; see ``peyre_theta``."""
     ones = (1.0,) * 6
     xi_val, xi_tail = xi(SENARY_GRAPH, ones, prime_limit)
     value = 0.5 * TWO_PI_LOG_CONSTANT * xi_val

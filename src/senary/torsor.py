@@ -27,8 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from senary.arith import integer_cube_root, is_prime, primes_up_to
-from senary.cubic import CountReport, SolutionSextuple, _moebius_weights, _run_partitioned, _snake
+from senary.arith import is_prime, primes_up_to
+from senary.cubic import (
+    CountReport,
+    SolutionSextuple,
+    _bound_name,
+    _height_radius,
+    _moebius_weights,
+    _run_partitioned,
+    _snake,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +181,11 @@ _PLANE_CAP = 1 << 13
 _DESCENT_CELL_S = 1.6e-8
 
 
-def _check_torsor_bound(P: int):
+def _check_torsor_bound(P: int, B: int | None = None):
     if P < 1:
         raise ValueError("box bound must be >= 1")
     if P > _MAX_TORSOR_BOUND:
-        raise OverflowError(f"box bound {P} exceeds the int64-checked torsor range")
+        raise OverflowError(f"{_bound_name(P, B)} exceeds the int64-checked torsor range")
 
 
 def _uw_tuples(P: int, w_coprime: bool = True):
@@ -487,10 +495,7 @@ def torsor_count_N(B: int, threads: int = 1) -> CountReport:
     place of 1,309 at R = 2154).  With threads = T > 1 and a count above
     the pool's cost line, one pool of T workers takes the T shares of every
     V(m) with c_m != 0, and the partitioner weights each by c_m."""
-    if B < 1:
-        raise ValueError("height bound must be >= 1")
-    R = integer_cube_root(B)
-    _check_torsor_bound(R)
+    R = _height_radius(B, _check_torsor_bound)
     t0 = time.perf_counter()
     total = _run_V_terms(_moebius_weights(R).items(), threads)
     return CountReport(B, "torsor-primitive", total // 2, time.perf_counter() - t0)

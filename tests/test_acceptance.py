@@ -47,7 +47,7 @@ def test_criterion_01_oracle_equivalence():
     t0 = time.perf_counter()
     mismatches = []
     v1 = None
-    for P in range(1, 41):
+    for P in range(1, 51):
         naive = naive_count_V(P).count
         torsor = torsor_count_V(P).count
         if P == 1:
@@ -56,7 +56,7 @@ def test_criterion_01_oracle_equivalence():
             mismatches.append((P, naive, torsor))
     elapsed = time.perf_counter() - t0
     _report(
-        "01 oracle equivalence V(P), P=1..40",
+        "01 oracle equivalence V(P), P=1..50",
         not mismatches and v1 == 56 and elapsed < 300.0,
         f"V(1)={v1}, mismatches={mismatches}, {elapsed:.1f}s",
     )

@@ -396,7 +396,13 @@ USAGE_MESSAGES = [
     ),
     (
         ("count", "--height", "1000000000000000000", "--primitive"),
-        "box bound 1000000 exceeds 1000, the largest box the naive kernel holds in memory",
+        "radius 1000000 = floor(B^(1/3)) of height bound B = 1000000000000000000 exceeds 1000, "
+        "the largest box the naive kernel holds in memory",
+    ),
+    (
+        ("verify", "mobius", "--bmax", "1000000000000"),
+        "radius 10000 = floor(B^(1/3)) of height bound B = 1000000000000 exceeds 1000, "
+        "the largest box the naive kernel holds in memory",
     ),
     (
         ("verify", "lift", "--pmax", "100000"),
@@ -406,11 +412,13 @@ USAGE_MESSAGES = [
     # the bound check answers at once, also above the largest float
     (
         ("count", "--height", "1" + "0" * 72, "--primitive", "--method", "torsor"),
-        f"box bound {10**24} exceeds the int64-checked torsor range",
+        f"radius {10**24} = floor(B^(1/3)) of height bound B = {10**72} "
+        "exceeds the int64-checked torsor range",
     ),
     (
         ("count", "--height", "1" + "0" * 399, "--method", "torsor"),
-        f"box bound {10**133} exceeds the int64-checked torsor range",
+        f"radius {10**133} = floor(B^(1/3)) of height bound B = {10**399} "
+        "exceeds the int64-checked torsor range",
     ),
 ]
 

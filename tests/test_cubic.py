@@ -9,11 +9,13 @@ from oracles import (
     solutions_via_x3,
 )
 from senary.cubic import (
+    _NAIVE_CELL_S,
     _count_all,
     _count_by_height,
     _count_chunk,
     _count_primitive,
     _moebius_weights,
+    _naive_serial_s,
     _nonprimitive,
     _octant_cells,
     CountReport,
@@ -138,8 +140,10 @@ def _laid_out(P, y1, y2, x1, x2, m):
 
 
 def test_each_plane_matches_the_exhaustive_oracle():
-    # per (y1, y2) plane: the cells' sum of P // m and their laid-out
-    # solutions are the box solutions of that plane with y3 >= 1
+    # per laid-out (y1, y2) plane: its solutions, unfolded by x -> -x where
+    # x1 > 0 and by the 1 <-> 2 swap where y1 < y2, are the box solutions
+    # with y3 >= 1 of all P^2 planes, and the cells' weighted sum of P // m
+    # counts them
     sols = box_solutions(6)
     for P in range(1, 7):
         octant = {s for s in sols if s[3] > 0 and s[4] > 0 and s[5] > 0 and max(map(abs, s)) <= P}
@@ -150,12 +154,33 @@ def test_each_plane_matches_the_exhaustive_oracle():
                 cells = (y1, y2[plane], x1[plane], x2[plane], m[plane])
                 j, t, y3, x3 = _laid_out(P, *cells)
                 laid = set(zip(x1[plane][j].tolist(), x2[plane][j].tolist(), x3.tolist(), y3.tolist()))
-                assert len(laid) == len(t) == _count_all(P, *cells)
+                assert len(laid) == len(t) and min(a1 for a1, *_ in laid) == 0 and y1 <= b
+                laid |= {(-a1, -a2, -a3, c) for a1, a2, a3, c in laid if a1 > 0}
                 planes[y1, b] = laid
+                if y1 < b:
+                    planes[b, y1] = {(a2, a1, a3, c) for a1, a2, a3, c in laid}
+                assert len(laid) * (1 + (y1 < b)) == _count_all(P, *cells)
         assert len(planes) == P * P
         for (y1, y2), laid in planes.items():
             oracle = {(s[0], s[1], s[2], s[5]) for s in octant if s[3] == y1 and s[4] == y2}
             assert laid == oracle
+
+
+def test_the_cost_estimate_counts_the_cells_laid_out(monkeypatch):
+    # the kernel passes every cell it lays out to np.flatnonzero once, so
+    # the sizes it passes are the cells the cost line estimates
+    sizes = []
+
+    def flatnonzero(a):
+        sizes.append(a.size)
+        return np.ravel(a).nonzero()[0]
+
+    monkeypatch.setattr(np, "flatnonzero", flatnonzero)
+    for P in range(1, 13):
+        sizes.clear()
+        for _ in _octant_cells(P, range(1, P + 1)):
+            pass
+        assert sum(sizes) == round(_naive_serial_s(P) / _NAIVE_CELL_S)
 
 
 def test_primitivity_is_the_gcd_of_t_and_the_cell():

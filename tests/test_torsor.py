@@ -638,10 +638,10 @@ class _PoolReached(Exception):
         (lambda: torsor_count_V(300, threads=2), True),
         (lambda: torsor_count_N(10**9, threads=2), True),
         (lambda: mobius_check(8000, threads=2), False),
-        (lambda: mobius_check(27000, threads=2), False),
-        (lambda: mobius_check(64000, threads=2), True),
-        (lambda: count_N(27000, threads=2), False),
-        (lambda: count_N(64000, threads=2), True),
+        (lambda: mobius_check(64000, threads=2), False),
+        (lambda: mobius_check(216000, threads=2), True),
+        (lambda: count_N(64000, threads=2), False),
+        (lambda: count_N(216000, threads=2), True),
     ],
     ids=[
         "N(27000)",
@@ -650,10 +650,10 @@ class _PoolReached(Exception):
         "V(300)",
         "N(10^9)",
         "mobius_check(8000)",
-        "mobius_check(27000)",
         "mobius_check(64000)",
-        "count_N(27000)",
+        "mobius_check(216000)",
         "count_N(64000)",
+        "count_N(216000)",
     ],
 )
 def test_the_cost_line(monkeypatch, count, pool):
