@@ -56,22 +56,18 @@ _MAX_NAIVE_BOUND = 1000
 _BATCH_CELLS = 1 << 13
 
 # The cost rule of ``_run_partitioned``: a count opens a pool of T workers
-# only when its estimated serial time exceeds T * _WORKER_START_S.  The
-# estimate is a cell count times its kernel's seconds per cell: the naive
-# kernel's R(R+1)/2 (R+1)(2R+1) cells below, the descent's sum of m^3 in
-# senary.torsor.  Calibrated on a 2-core Xeon VM in fresh CLI processes (the
-# first pool imports the pool module), by the median of the 2-worker over the
-# 1-worker time in 6 to 16 alternating pairs: the descent read 0.85 to 1.86 up
-# to 300 ms of estimated work and 0.78 to 0.95 above (V(267) to V(300),
-# N(252^3) to N(350^3)).  So a worker costs 150 ms: its import, fork,
-# pickling and join and the speed-up that falls short of T-fold.  The naive
-# kernel takes 22-26 ns per cell for ``naive_count_V`` and 32-54 ns for
-# ``count_N`` and ``mobius_check`` at R = 28 to 68.  With the pool forced
-# open, the three naive counters read 1.01 to 1.22 at R = 36 (72 ms
-# estimated), 0.88 to 0.92 at R = 44 (158 ms) and 0.58 to 0.82 from R = 52
-# (307 ms), where they cross the line (8 pairs each).
-_WORKER_START_S = 0.15
-_NAIVE_CELL_S = 4.0e-8
+# only when the cells its kernel lays out exceed T times the cells that pay
+# for one worker, the naive kernel's R(R+1)/2 (R+1)(2R+1) (``_naive_cells``)
+# against _NAIVE_WORKER_CELLS and the descent's sum of m^3 against
+# ``torsor._DESCENT_WORKER_CELLS``.  Each sits at its kernel's break-even at
+# two workers: the median 2-worker over 1-worker time of alternating pairs of
+# fresh CLI processes on a 2-core Xeon VM (the first pool imports the pool
+# module).  The descent read 0.85 to 1.86 up to 2 x 9,375,000 cells and 0.78
+# to 0.95 above (V(267) to V(300), N(252^3) to N(350^3); 6 to 16 pairs each).
+# The three naive counters read 1.01 to 1.22 at R = 36 (8 pairs each), 0.97
+# to 1.04 at R = 40 and at R = 44, and 0.91 to 0.97 at R = 48 (48 pairs each),
+# so a pool of two opens from R = 48 on.
+_NAIVE_WORKER_CELLS = 2_600_000
 
 
 def cubic_form(x1: int, x2: int, x3: int, y1: int, y2: int, y3: int) -> int:
@@ -192,6 +188,14 @@ def _snake(i, k: int, T: int):
     return (r == k) | (r == 2 * T - 1 - k)
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges range(s, s + l) over the pairs (s, l), concatenated into
+    one int64 array; every length must be >= 0."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+
+
 def _count_chunk(count, P: int, k: int, T: int):
     """Sum of count(P, y1, y2, x1, x2, m) over the kernel's cells of share k
     of T, an int or an array summed elementwise; count is module-level so
@@ -203,12 +207,6 @@ def _count_chunk(count, P: int, k: int, T: int):
 
 def _count_all(P: int, y1, y2, x1, x2, m) -> int:
     return int((P // m * _weights(y1, y2, x1)).sum())
-
-
-def _terms(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The terms t = 1..n[i] of each cell i, as arrays (i, t)."""
-    i = np.repeat(np.arange(len(n)), n)
-    return i, np.arange(1, len(i) + 1) - (np.cumsum(n) - n)[i]
 
 
 @lru_cache(maxsize=1)
@@ -227,8 +225,8 @@ def _nonprimitive(P: int, y1, y2, x1, x2, m) -> tuple[np.ndarray, np.ndarray]:
     gcd = _gcd_table(P)
     d = gcd[gcd[np.abs(x1) * (P + 1) + np.abs(x2)] * (P + 1) + gcd[y1 * (P + 1) + y2]]
     j = np.flatnonzero(d > 1)
-    i, t = _terms(P // m[j])
-    j = j[i]
+    n = P // m[j]
+    j, t = np.repeat(j, n), _ranges(np.ones_like(n), n)
     keep = np.flatnonzero(gcd[t * (P + 1) + d[j]] > 1)
     return j[keep], t[keep]
 
@@ -262,7 +260,8 @@ def iter_box_solutions(P: int):
     _check_box_bound(P)
     signs = list(itertools.product((1, -1), repeat=3))
     for y1, y2, x1, x2, m in _octant_cells(P, range(1, P + 1)):
-        i, t = _terms(P // m)
+        n = P // m
+        i, t = np.repeat(np.arange(len(n)), n), _ranges(np.ones_like(n), n)
         x1, x2, y2 = x1[i], x2[i], y2[i]
         base, q = x1 * y2 + x2 * y1, y1 * y2
         g = np.gcd(base, q)
@@ -278,19 +277,20 @@ def iter_box_solutions(P: int):
                     yield (s1 * c1, s2 * c2, s3 * c3, s1 * d1, s2 * d2, s3 * d3)
 
 
-def _run_partitioned(share, terms, threads: int, serial_s: float):
+def _run_partitioned(share, terms, threads: int, cells: int, worker_cells: int):
     """The sum of c * share(m, k, T) over the (m, c) in ``terms`` and the
     shares k < T, whose sum over k is share(m, 0, 1) at every T; share is
     module-level, or a partial of one, so the pool can pickle it.  T is 1,
-    in this process, at threads = 1 or when the estimated serial time
-    ``serial_s`` does not exceed the cost of starting ``threads`` workers;
-    otherwise one pool of T = ``threads`` workers runs one job per share of
-    every term, summed in submission order, so the sum does not depend on
-    which worker ran what.  The pool class is read off this module as the
-    pool opens: it is imported only then, or a class bound there is used."""
+    in this process, at threads = 1 or when the ``cells`` the count's kernel
+    lays out are at most ``threads`` times ``worker_cells``, the cells that
+    pay for one worker; otherwise one pool of T = ``threads`` workers runs
+    one job per share of every term, summed in submission order, so the sum
+    does not depend on which worker ran what.  The pool class is read off
+    this module as the pool opens: it is imported only then, or a class
+    bound there is used."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if threads == 1 or serial_s <= threads * _WORKER_START_S:
+    if threads == 1 or cells <= threads * worker_cells:
         return sum(c * share(m, 0, 1) for m, c in terms)
     with sys.modules[__name__].ProcessPoolExecutor(max_workers=threads) as pool:
         jobs = [(c, pool.submit(share, m, k, threads)) for m, c in terms for k in range(threads)]
@@ -306,10 +306,16 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _naive_serial_s(P: int) -> float:
-    """The naive kernel's estimated serial time on the box of radius P: its
+def _naive_cells(P: int) -> int:
+    """The cells the naive kernel lays out on the box of radius P: its
     P(P+1)/2 planes y2 >= y1 of (P+1)(2P+1) cells x1 >= 0 each."""
-    return P * (P + 1) // 2 * (P + 1) * (2 * P + 1) * _NAIVE_CELL_S
+    return P * (P + 1) // 2 * (P + 1) * (2 * P + 1)
+
+
+def _run_naive(count, P: int, threads: int):
+    """The sum of count over the naive kernel's cells on the box of radius P,
+    dealt by y1 (``_count_chunk``)."""
+    return _run_partitioned(partial(_count_chunk, count), [(P, 1)], threads, _naive_cells(P), _NAIVE_WORKER_CELLS)
 
 
 def naive_count_V(P: int, threads: int = 1) -> CountReport:
@@ -317,7 +323,7 @@ def naive_count_V(P: int, threads: int = 1) -> CountReport:
     with y1*y2*y3 != 0 (no coprimality, both signs)."""
     _check_box_bound(P)
     t0 = time.perf_counter()
-    total = 8 * _run_partitioned(partial(_count_chunk, _count_all), [(P, 1)], threads, _naive_serial_s(P))
+    total = 8 * _run_naive(_count_all, P, threads)
     return CountReport(P, "naive", total, time.perf_counter() - t0)
 
 
@@ -327,8 +333,7 @@ def count_N(B: int, threads: int = 1) -> CountReport:
     max|coordinate| <= floor(B^(1/3))."""
     R = _height_radius(B)
     t0 = time.perf_counter()
-    share = partial(_count_chunk, _count_primitive)
-    total = 4 * _run_partitioned(share, [(R, 1)], threads, _naive_serial_s(R))
+    total = 4 * _run_naive(_count_primitive, R, threads)
     return CountReport(B, "naive-primitive", total, time.perf_counter() - t0)
 
 
@@ -342,7 +347,7 @@ def mobius_check(B: int, threads: int = 1) -> list[tuple[int, bool, int]]:
     non-primitive solutions up to r.  Returns one (r^3, equal, 2*N - sum) per r = 1..R, in
     exact integers."""
     R = _height_radius(B)
-    bins = _run_partitioned(partial(_count_chunk, _count_by_height), [(R, 1)], threads, _naive_serial_s(R))
+    bins = _run_naive(_count_by_height, R, threads)
     radii = np.arange(R + 1)
     V = 8 * (np.cumsum(bins[:-1, 1:], axis=0) * (radii[:, None] // radii[1:])).sum(axis=1)
     V, N2 = V.tolist(), (V - 8 * np.cumsum(bins[-1])).tolist()

@@ -186,7 +186,7 @@ def euler_factor(G: CoprimalityGraph, p: int, s) -> float:
     except OverflowError:
         value = math.inf
     else:
-        value = 1  # the empty mask's term, all an edgeless graph has
+        value = 1.0  # the empty mask's term, all an edgeless graph has
         if len(masks) > 1:
             terms = coeffs.astype(np.float64)
             with np.errstate(over="ignore", invalid="ignore"):

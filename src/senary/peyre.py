@@ -43,34 +43,6 @@ class QuadratureNonconvergence(RuntimeError):
 # exact polytope volume (Lasserre recursion)
 
 
-@dataclass(frozen=True)
-class HPolytope:
-    """H-representation a . z <= b with exact rational data; optional implicit
-    z_i >= 0 constraints."""
-
-    dim: int
-    inequalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    nonneg: bool = False
-
-    def rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        rows = [
-            (tuple(Fraction(c) for c in a), Fraction(b)) for a, b in self.inequalities
-        ]
-        if self.nonneg:
-            for i in range(self.dim):
-                a = tuple(Fraction(-1) if j == i else Fraction(0) for j in range(self.dim))
-                rows.append((a, Fraction(0)))
-        return rows
-
-    @classmethod
-    def from_ints(cls, dim: int, inequalities, nonneg: bool = False) -> "HPolytope":
-        return cls(
-            dim,
-            tuple((tuple(Fraction(c) for c in a), Fraction(b)) for a, b in inequalities),
-            nonneg,
-        )
-
-
 class UnboundedPolytopeError(ValueError):
     pass
 
@@ -117,16 +89,24 @@ def _volume_rec(d: int, rows) -> Fraction:
     return total / d
 
 
-def polytope_volume(poly: HPolytope) -> Rational:
-    """Exact Euclidean volume by Lasserre's facet recursion over rationals."""
-    if poly.dim > 6:
+def polytope_volume(dim: int, inequalities) -> Rational:
+    """Exact Euclidean volume of the polytope a . z <= b over the integer or
+    rational rows (a, b) in ``inequalities``, by Lasserre's facet recursion
+    over the rationals."""
+    if dim > 6:
         raise ValueError("dimension capped at 6")
-    return _volume_rec(poly.dim, poly.rows())
+    return _volume_rec(dim, inequalities)
 
 
-#: the polytope slice whose volume feeds the alpha invariant
-ALPHA_POLYTOPE = HPolytope.from_ints(
-    3, [((3, 3, 0), 1), ((3, 0, 3), 1), ((0, 3, 3), 1)], nonneg=True
+#: the polytope slice whose volume feeds the alpha invariant: three rows and
+#: z_i >= 0
+ALPHA_POLYTOPE = (
+    ((3, 3, 0), 1),
+    ((3, 0, 3), 1),
+    ((0, 3, 3), 1),
+    ((-1, 0, 0), 0),
+    ((0, -1, 0), 0),
+    ((0, 0, -1), 0),
 )
 
 
@@ -136,7 +116,7 @@ def alpha_invariant() -> Rational:
     contributes 1/3, and the remaining factor is the polytope volume."""
     z0_moment = Fraction(1, 12)
     elimination = Fraction(1, 3)
-    return z0_moment * elimination * polytope_volume(ALPHA_POLYTOPE)
+    return z0_moment * elimination * polytope_volume(3, ALPHA_POLYTOPE)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from senary.cubic import (
     _bound_name,
     _height_radius,
     _moebius_weights,
+    _ranges,
     _run_partitioned,
     _snake,
 )
@@ -174,11 +175,10 @@ _MAX_TORSOR_BOUND = 4000
 # whole cap and fault in afresh each call (1,866 faults at V(100), not 98).
 _PLANE_CAP = 1 << 13
 
-# The descent's seconds per cell in the cost rule of
-# ``cubic._run_partitioned``, V(m) counting m^3 cells: 16 ns at P = 100 to
-# 150 on the machine that calibrated the rule, falling to 10 ns at P = 300,
-# so the line sits near P = 266.
-_DESCENT_CELL_S = 1.6e-8
+# The cells that pay for one worker of the descent, V(m) laying out m^3, in
+# the cost rule of ``cubic._run_partitioned`` (calibrated there): a pool of
+# two opens from V(266) on.
+_DESCENT_WORKER_CELLS = 9_375_000
 
 
 def _check_torsor_bound(P: int, B: int | None = None):
@@ -235,14 +235,6 @@ def _uw_tuples(P: int, w_coprime: bool = True):
                             same23 = u3 == u2 and w3 == w2
                             m = 1 if same12 and same23 else 3 if same12 or same23 else 6
                             yield P // max(y12, u1 * u2 * w3), m, u1, u2, u3, w1, w2, w3
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges range(s, s + l) over the pairs (s, l), concatenated into
-    one int64 array; every length must be >= 0."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
 def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
@@ -456,10 +448,9 @@ def _torsor_V_chunk(P: int, k: int, T: int) -> int:
 
 def _run_V_terms(terms, threads: int) -> int:
     """sum c V(m) over the (m, c) terms, each dealt as the shares of
-    ``_torsor_V_chunk``; the descent's estimated serial time is its grid
-    cells, sum m^3, at ``_DESCENT_CELL_S`` each."""
-    serial_s = sum(m**3 for m, _ in terms) * _DESCENT_CELL_S
-    return 8 * _run_partitioned(_torsor_V_chunk, terms, threads, serial_s)
+    ``_torsor_V_chunk``; the descent lays out sum m^3 grid cells."""
+    cells = sum(m**3 for m, _ in terms)
+    return 8 * _run_partitioned(_torsor_V_chunk, terms, threads, cells, _DESCENT_WORKER_CELLS)
 
 
 def torsor_count_V(P: int, threads: int = 1) -> CountReport:

@@ -138,7 +138,7 @@ def test_criterion_06_series_identity_exact():
 def test_criterion_07_alpha_invariant():
     t0 = time.perf_counter()
     alpha = alpha_invariant()
-    vol = polytope_volume(ALPHA_POLYTOPE)
+    vol = polytope_volume(3, ALPHA_POLYTOPE)
     elapsed = time.perf_counter() - t0
     _report(
         "07 alpha invariant",

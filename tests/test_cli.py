@@ -182,9 +182,9 @@ def test_threads_above_the_cap_exit_2_before_any_pool(capsys, monkeypatch):
             captured = capsys.readouterr()
             assert code == EXIT_USAGE and captured.out == ""
             assert captured.err == f"senary: threads must be between 1 and 64, got {threads}\n"
-    # the cap itself passes the check and reaches the pool, once a pool costs
-    # nothing to open: V(3) is far below the cost line
-    monkeypatch.setattr(cubic, "_WORKER_START_S", 0.0)
+    # the cap itself passes the check and reaches the pool, once a worker
+    # pays from no cells on: V(3) is far below the cost line
+    monkeypatch.setattr(torsor, "_DESCENT_WORKER_CELLS", 0)
     with pytest.raises(AssertionError, match="pool was opened"):
         main(["count", "--box", "3", "--method", "torsor", "--threads", "64"])
 
@@ -643,6 +643,13 @@ def test_graph_euler_exact(capsys):
     code, out = run(capsys, "graph", "euler", "--p", "2", "--s", "1,1,1,1,1,1")
     assert code == EXIT_OK
     assert json.loads(out)["exact"] == "13/64"
+
+
+def test_graph_euler_of_an_edgeless_graph_is_a_float(capsys):
+    # S_G is the empty mask's term alone, printed as a float like any other
+    code, out = run(capsys, "graph", "euler", "--graph", "r=2;edges=", "--p", "3", "--s", "1.5,1")
+    assert code == EXIT_OK
+    assert out == '{"factor": 1.0, "graph": "r=2;edges=", "p": 3, "s": [1.5, 1.0]}\n'
 
 
 @pytest.mark.parametrize(

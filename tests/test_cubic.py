@@ -9,13 +9,12 @@ from oracles import (
     solutions_via_x3,
 )
 from senary.cubic import (
-    _NAIVE_CELL_S,
     _count_all,
     _count_by_height,
     _count_chunk,
     _count_primitive,
     _moebius_weights,
-    _naive_serial_s,
+    _naive_cells,
     _nonprimitive,
     _octant_cells,
     CountReport,
@@ -168,7 +167,7 @@ def test_each_plane_matches_the_exhaustive_oracle():
 
 def test_the_cost_estimate_counts_the_cells_laid_out(monkeypatch):
     # the kernel passes every cell it lays out to np.flatnonzero once, so
-    # the sizes it passes are the cells the cost line estimates
+    # the sizes it passes are the cells the cost line counts
     sizes = []
 
     def flatnonzero(a):
@@ -180,7 +179,7 @@ def test_the_cost_estimate_counts_the_cells_laid_out(monkeypatch):
         sizes.clear()
         for _ in _octant_cells(P, range(1, P + 1)):
             pass
-        assert sum(sizes) == round(_naive_serial_s(P) / _NAIVE_CELL_S)
+        assert sum(sizes) == _naive_cells(P)
 
 
 def test_primitivity_is_the_gcd_of_t_and_the_cell():

@@ -173,16 +173,16 @@ def test_b_vector_isomorphism_invariance():
 def test_euler_factor_examples():
     assert euler_factor_exact(SENARY_GRAPH, 2, [1] * 6) == Fraction(13, 64)
     assert euler_factor(EMPTY2, 5, (0.9, 2.3)) == 1.0
-    assert json.dumps(euler_factor(EMPTY2, 5, (0.9, 2.3))) == "1"  # an int, as printed
+    assert json.dumps(euler_factor(EMPTY2, 5, (0.9, 2.3))) == "1.0"  # a float, as printed
     assert euler_factor(SINGLE_EDGE, 3, (2.0, 2.0)) == pytest.approx(1 - 3.0**-4, abs=1e-15)
 
 
 def _per_mask_loop(G, p, s):
     """S_G at x_j = p^-s_j as one scalar loop over the brute-force subset
     polynomial: each term from the lowest bit up, the terms in ascending mask
-    order, starting from the int 0."""
+    order, starting from the float 0.0."""
     x = [p ** (-sj) for sj in s]
-    value = 0
+    value = 0.0
     for mask, coeff in sorted(_sg_brute(G).items()):
         term = coeff
         for j in range(mask.bit_length()):

@@ -425,7 +425,7 @@ def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
     with pytest.raises(OverflowError):
         torsor_count_N((P + 1) ** 3)
     # the bound itself passes the check, whatever box the naive counter holds
-    monkeypatch.setattr(torsor, "_run_partitioned", lambda share, terms, threads, serial_s: 0)
+    monkeypatch.setattr(torsor, "_run_partitioned", lambda share, terms, threads, cells, worker_cells: 0)
     assert torsor_count_V(P).count == 0
 
 
@@ -445,7 +445,7 @@ def test_torsor_primitive_count_matches_naive(B):
 
 # Every counter that splits its work over worker processes, at two bounds.
 # At these bounds no count is worth a pool, so the tests that deal them out
-# set the pool's start-up cost to 0.  The naive counters deal out y1 in snake
+# set the cells that pay for a worker to 0.  The naive counters deal out y1 in snake
 # order, so at the lower bound, radius 3, each of 3 workers gets one y1.  The
 # torsor counters deal out each plane's (u3, P // w1) groups in snake order:
 # V(3) has three groups with tuples, groups 0, 2 and 3 of its one plane, and
@@ -475,7 +475,8 @@ def _result(counter, bound, threads):
     ],
 )
 def test_thread_partitioning_is_count_neutral(monkeypatch, pools_opened, counter, bound):
-    monkeypatch.setattr(cubic, "_WORKER_START_S", 0.0)
+    monkeypatch.setattr(cubic, "_NAIVE_WORKER_CELLS", 0)
+    monkeypatch.setattr(torsor, "_DESCENT_WORKER_CELLS", 0)
     serial = _result(counter, bound, 1)
     assert _result(counter, bound, 2) == serial
     assert _result(counter, bound, 3) == serial
@@ -616,11 +617,11 @@ def pools_opened(monkeypatch):
     [(torsor_count_N, 27000, 11217988), (torsor_count_V, 100, 1866628352)],
 )
 def test_a_counter_call_opens_one_pool(monkeypatch, pools_opened, counter, bound, expected):
-    # with the pool's start-up cost set to 0 both counts are above the cost
-    # line, and N(27000) takes the jobs of all its eight Moebius terms in one
-    # pool (below the line they open none: ``test_the_cost_line``); the
-    # counts are the naive pins of bench/expected.json
-    monkeypatch.setattr(cubic, "_WORKER_START_S", 0.0)
+    # with no cells needed to pay for a worker both counts are above the
+    # cost line, and N(27000) takes the jobs of all its eight Moebius terms
+    # in one pool (below the line they open none: ``test_the_cost_line``);
+    # the counts are the naive pins of bench/expected.json
+    monkeypatch.setattr(torsor, "_DESCENT_WORKER_CELLS", 0)
     assert counter(bound, threads=2).count == expected
     assert len(pools_opened) == 1
 
@@ -642,6 +643,15 @@ class _PoolReached(Exception):
         (lambda: mobius_check(216000, threads=2), True),
         (lambda: count_N(64000, threads=2), False),
         (lambda: count_N(216000, threads=2), True),
+        # the naive line at two workers lies between R = 47 and R = 48
+        (lambda: mobius_check(47**3, threads=2), False),
+        (lambda: mobius_check(48**3, threads=2), True),
+        (lambda: count_N(47**3, threads=2), False),
+        (lambda: count_N(48**3, threads=2), True),
+        # the line scales with the workers: 300^3 <= 3 x 9,375,000 cells
+        (lambda: torsor_count_V(300, threads=3), False),
+        (lambda: torsor_count_N(10**9, threads=3), True),
+        (lambda: count_N(48**3, threads=3), False),
     ],
     ids=[
         "N(27000)",
@@ -654,6 +664,13 @@ class _PoolReached(Exception):
         "mobius_check(216000)",
         "count_N(64000)",
         "count_N(216000)",
+        "mobius_check(47^3)",
+        "mobius_check(48^3)",
+        "count_N(47^3)",
+        "count_N(48^3)",
+        "V(300)-T3",
+        "N(10^9)-T3",
+        "count_N(48^3)-T3",
     ],
 )
 def test_the_cost_line(monkeypatch, count, pool):
