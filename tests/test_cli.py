@@ -182,8 +182,8 @@ def test_threads_above_the_cap_exit_2_before_any_pool(capsys, monkeypatch):
             captured = capsys.readouterr()
             assert code == EXIT_USAGE and captured.out == ""
             assert captured.err == f"senary: threads must be between 1 and 64, got {threads}\n"
-    # the cap itself passes the check and reaches the pool, once a worker
-    # pays from no cells on: V(3) is far below the cost line
+    # the cap itself passes the check and reaches the pool, once no cells are
+    # needed to pay for a worker: V(3) is far below the cost line
     monkeypatch.setattr(torsor, "_DESCENT_WORKER_CELLS", 0)
     with pytest.raises(AssertionError, match="pool was opened"):
         main(["count", "--box", "3", "--method", "torsor", "--threads", "64"])
