@@ -199,7 +199,7 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 def _count_chunk(count, P: int, k: int, T: int):
     """Sum of count(P, y1, y2, x1, x2, m) over the kernel's cells of share k
     of T, an int or an array summed elementwise; count is module-level so
-    the pool can pickle the share ``partial(_count_chunk, count)``.  ``_snake``
+    the pool can pickle the share ``partial(_count_chunk, count, P)``.  ``_snake``
     deals y1 - 1, since small y1 own the most solutions."""
     y1s = [y1 for y1 in range(1, P + 1) if _snake(y1 - 1, k, T)]
     return sum(count(P, *cells) for cells in _octant_cells(P, y1s))
@@ -277,24 +277,23 @@ def iter_box_solutions(P: int):
                     yield (s1 * c1, s2 * c2, s3 * c3, s1 * d1, s2 * d2, s3 * d3)
 
 
-def _run_partitioned(share, terms, threads: int, cells: int, worker_cells: int):
-    """The sum of c * share(m, k, T) over the (m, c) in ``terms`` and the
-    shares k < T, whose sum over k is share(m, 0, 1) at every T; share is
-    module-level, or a partial of one, so the pool can pickle it.  T is 1,
-    in this process, at threads = 1 or when the ``cells`` the count's kernel
-    lays out are at most ``threads`` times ``worker_cells``, the cells that
-    pay for one worker; otherwise one pool of T = ``threads`` workers runs
-    one job per share of every term, summed in submission order, so the sum
-    does not depend on which worker ran what.  The pool class is read off
-    this module as the pool opens: it is imported only then, or a class
-    bound there is used."""
+def _run_partitioned(share, threads: int, cells: int, worker_cells: int):
+    """The sum of share(k, T) over the shares k < T, which is share(0, 1) at
+    every T; share is module-level, or a partial of one, so the pool can
+    pickle it.  T is 1, in this process, at threads = 1 or when the ``cells``
+    the count's kernel lays out are at most ``threads`` times
+    ``worker_cells``, the cells that pay for one worker; otherwise one pool
+    of T = ``threads`` workers runs one job per share, summed in submission
+    order, so the sum does not depend on which worker ran what.  The pool
+    class is read off this module as the pool opens: it is imported only
+    then, or a class bound there is used."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     if threads == 1 or cells <= threads * worker_cells:
-        return sum(c * share(m, 0, 1) for m, c in terms)
+        return share(0, 1)
     with sys.modules[__name__].ProcessPoolExecutor(max_workers=threads) as pool:
-        jobs = [(c, pool.submit(share, m, k, threads)) for m, c in terms for k in range(threads)]
-        return sum(c * job.result() for c, job in jobs)
+        jobs = [pool.submit(share, k, threads) for k in range(threads)]
+        return sum(job.result() for job in jobs)
 
 
 def __getattr__(name: str):
@@ -315,7 +314,7 @@ def _naive_cells(P: int) -> int:
 def _run_naive(count, P: int, threads: int):
     """The sum of count over the naive kernel's cells on the box of radius P,
     dealt by y1 (``_count_chunk``)."""
-    return _run_partitioned(partial(_count_chunk, count), [(P, 1)], threads, _naive_cells(P), _NAIVE_WORKER_CELLS)
+    return _run_partitioned(partial(_count_chunk, count, P), threads, _naive_cells(P), _NAIVE_WORKER_CELLS)
 
 
 def naive_count_V(P: int, threads: int = 1) -> CountReport:

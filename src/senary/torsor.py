@@ -8,12 +8,14 @@ u1*v1 + u2*v2 + u3*v3 = 0.  Replacing v by the lattice parameters (r1, r2, r3)
 turns the whole solution set into a transparently enumerable family, which is
 what the fast exact counter iterates over.
 
-The counter ``torsor_count_V`` loops over the coprime (u1, u2) in Python.
-Below them everything is int64 arrays: the orbit representatives are counted
-per (u3, w1, w2) row and run of constant P // w3 (``_w_chunks``), these
-counts are merged across the planes into their distinct keys (u3, P // w1,
-P // w2, P // w3), and one array kernel counts the lattice parameters of each
-distinct key once, as two floor sums (``_lattice_counts``).
+The counters run on int64 arrays from the first level down, one pass per
+count: ``torsor_count_V`` counts V(P) and ``torsor_count_N`` the Moebius sum
+of c_m V(m) over its terms.  The orbit representatives of every term and
+coprime (u1, u2) plane are counted per (u3, w1, w2) row and run of constant
+m // w3 (``_w_chunks``), these counts are merged across the planes and terms
+into their distinct keys (u, m // w1, m // w2, m // w3), and one array kernel
+counts the lattice parameters of each distinct key, as two floor sums
+(``_lattice_counts``).
 ``verify_bijection`` walks the scalar tuples and lattice points, the
 generators ``_uw_tuples`` and ``_lattice_runs``.
 """
@@ -24,6 +26,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -150,14 +153,21 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # enumeration helpers
 
 # int64 safety of the array path.  The sum adds n*M*K over the distinct keys,
-# M the sum of the orbit sizes of the key's tuples; a (row, q3-run) count adds
-# at most 6 times the run length to it.  K counts v in Z^3 with u.v = 0 and
-# |v_j| <= q_j <= P, and v1 is fixed by (v2, v3), so K <= (2P+1)^2; the n*M
-# over all keys add up to the n*m over all representatives, which is P^3 (one
-# descent tuple per positive y-triple).  So every n*M is at most P^3, and
-# every n*M*K, every partial sum of them, is at most P^3 (2P+1)^2, which stays
-# below 2^63 up to P = 4704.  The packed key, u1 <= u2 <= isqrt(P) < 64 base
-# 64 over four digits base P + 1, is below 2^12 (P+1)^4 < 2^60 at P = 4000.
+# M the sum of c_m times the orbit sizes of the key's tuples of each V(m); a
+# (row, q3-run) count adds c_m times at most 6 times the run length to it.  K
+# counts v in Z^3 with u.v = 0 and |v_j| <= q_j <= m, and v1 is fixed by
+# (v2, v3), so K <= (2m+1)^2 for a key of V(m).  The n*M of V(m) alone over
+# all its keys add up to the n*m over all its representatives, which is m^3
+# (one descent tuple per positive y-triple), so its n*M*K add up to at most
+# m^3 (2m+1)^2.  A key's n and K depend on (u, q) alone, not on its term, so
+# with the signed weights every |n*M*K|, and every partial sum of them, is at
+# most the sum of |c_m| m^3 (2m+1)^2 over the terms.  For V(P) that is
+# P^3 (2P+1)^2, below 2^63 up to P = 4704; for N(B), R = floor(B^(1/3)), the
+# c_m sum mu(d) over the d with R // d = m, so it is at most the sum over all
+# d <= R of (R/d)^3 (2R/d+1)^2 <= zeta(3) R^3 (2R+1)^2, below 2^63 up to
+# R = 4534 (a test sums it exactly at R = 4000).  The packed key,
+# u1 <= u2 <= isqrt(R) < 64 base 64 over four digits base R + 1, is below
+# 2^12 (R+1)^4 < 2^60 at R = 4000.
 # A kernel key has u2 u3 <= P, so c < u1 <= isqrt(P), u1 q1 + u3 q3 <= 2P^2,
 # and a floor sum has m <= u1 u3 <= P, n <= 2P + 1, |lo| <= P + 1,
 # |alpha| <= u2 + u3 c <= 2P and |alpha lo + beta| <= 5P^2; its quotient terms
@@ -166,8 +176,8 @@ def lift_to_X(s: SolutionSextuple) -> TriProjectivePoint:
 # n' = (a n + b) // m <= n and m' = a < m.
 _MAX_TORSOR_BOUND = 4000
 
-# Elements laid out at once by a level of the row build (bar the grid slices
-# of the rows u3 = u2 = 1, see ``_w_chunks``), and (row, run) counts merged at
+# Elements laid out at once by a level of the row build (a grid slice may lay
+# out about twice it, see ``_w_chunks``), and (row, run) counts merged at
 # once: enough to amortise the numpy calls, few enough to keep the arrays near
 # a few MiB (V(100) raises the peak RSS by 1.3 MiB with this cap, 2.5 with
 # twice it, 1.1 with half).  A kernel call takes a quarter: its dozen
@@ -237,16 +247,21 @@ def _uw_tuples(P: int, w_coprime: bool = True):
                             yield P // max(y12, u1 * u2 * w3), m, u1, u2, u3, w1, w2, w3
 
 
-def _chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
+def _chunks(lengths: np.ndarray, breaks: np.ndarray | None = None) -> list[tuple[int, int]]:
     """Cut consecutive rows into slices [a, b) whose lengths sum to about
     ``_PLANE_CAP``: a slice ends at the row that reaches the next multiple of
-    the cap, so it holds at most the cap plus one row."""
+    the cap, so it holds at most the cap plus one row, and before every row
+    where ``breaks`` is True."""
     if not len(lengths):
         return []
     running = np.cumsum(lengths)
-    cuts = np.searchsorted(running, np.arange(_PLANE_CAP, running[-1], _PLANE_CAP)) + 1
-    edges = [0, *cuts.tolist(), len(lengths)]
-    return [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
+    edges = np.zeros(len(lengths) + 1, dtype=bool)  # edges[i]: a slice starts at row i
+    edges[np.searchsorted(running, np.arange(_PLANE_CAP, running[-1], _PLANE_CAP)) + 1] = True
+    edges[[0, -1]] = True
+    if breaks is not None:
+        edges[:-1] |= breaks
+    edges = np.flatnonzero(edges).tolist()
+    return list(zip(edges, edges[1:]))
 
 
 def _coprime_table(P: int) -> np.ndarray:
@@ -260,64 +275,97 @@ def _coprime_table(P: int) -> np.ndarray:
     return T
 
 
-def _w_chunks(P: int, u1: int, u2: int, table: np.ndarray, k: int, T: int):
-    """Share k of T of the (row, run) counts of the orbit representatives
-    with this (u1, u2) (the tuples of ``_uw_tuples``): per grid slice, int64
-    keys and their nonzero sums M of orbit sizes, a key in any number of
-    blocks, packing u1, u2 base 64 over u3, P - P // w1, P - P // w2,
-    P - P // w3 base P + 1.  table is ``_coprime_table(P)``.
+def _w_chunks(R: int, terms: dict[int, int], table: np.ndarray, k: int, T: int):
+    """Share k of T of the (row, run) counts of the orbit representatives of
+    every V(m) in ``terms``, m -> c_m with every m <= R (the tuples of
+    ``_uw_tuples(m)``): per grid slice, int64 keys and their nonzero sums M
+    of c_m times the orbit sizes, a key in any number of blocks, packing
+    u1, u2 base 64 over u3, R - q1, R - q2, R - q3 base R + 1, q_j = m // w_j.
+    table is ``_coprime_table(R)``.
 
-    Each level is built from the last and masked by its coprimality
-    conditions: the u3, the (u3, w1) rows, of which share k keeps the groups
-    of equal (u3, P // w1) that ``_snake`` deals it in row order (a key fixes
-    its group), the (u3, w1, w2) rows (by ``_ranges``, in slices of about
-    ``_PLANE_CAP`` candidates), and grids of these rows by the w3 in
-    1..P // (u1*u2), summed over each run of constant q3 = P // w3; the
-    blocks follow the rows, so their groups never fall.  A grid slice takes
-    rows until about ``_PLANE_CAP`` cells lie at or past w3 = s3 but lays out
-    every w3, and s3 = w2 in the rows u3 = u2 = 1 (the ordering w3 >= w2):
-    their slices outgrow the cap (to 456,000 cells at V(1000)), and the mask
-    w3 >= s3 drops 37% of the cells laid out.
+    The rows of all terms and planes are built at once, each level from the
+    last and masked by its coprimality conditions: the (m, c_m, u1, u2) of
+    every term and coprime plane, in order of m and then (u1, u2); their u3;
+    the (u3, w1) rows, of which share k keeps, in each (m, u1, u2), the
+    groups of equal (u3, m // w1) that ``_snake`` deals it in row order (a
+    key fixes its group); the (u3, w1, w2) rows (by ``_ranges``, in slices
+    of about ``_PLANE_CAP`` candidates); and grids of these rows by w3,
+    summed over each run of constant q3 = m // w3.  A term's blocks follow
+    its rows, so its groups never fall.
+
+    A grid slice takes rows of one term and one width m // (u1*u2), so they
+    share its q3-runs, until about ``_PLANE_CAP`` cells lie at or past
+    w3 = s3, and lays out the w3 from its rows' least s3 to that width.
+    s3 = w2 in the rows u3 = u2 = 1 (the ordering w3 >= w2) and 1 in all
+    others.  Those tie rows take slices of their own, and each (u3, w1) row
+    of them whose w2 candidates would fill a cap at full width starts one,
+    so that a slice lays out about twice the cap at most.
 
     A tie w_i = w_j with gcd(w_i, w_j) = 1 forces w_i = w_j = 1, and with it
     u_i = u_j, coprime, forces u_i = u_j = 1.  So only the rows w1 = w2 = 1
     of the plane u1 = u2 = 1 have orbit size 3, and in them the first tuple,
     u = w = (1, 1, 1), orbit size 1, in group 0 of share 0; every other
     tuple counts 6."""
-    base, digit = P + 1, P - P // np.arange(1, P + 1)  # digit[w - 1] = P - P // w
-    u3 = np.arange(u2, P // u2 + 1)
-    u3 = u3[table[u3, u1 * u2]]
-    W1 = P // (u2 * u3)
-    u3, w1 = np.repeat(u3, W1), _ranges(np.ones_like(W1), W1)
-    keep = table[w1, u1]
-    if T > 1:  # share k's groups of equal (u3, P // w1), numbered in row order
-        keep &= _snake(np.unique(u3 * base + digit[w1 - 1], return_inverse=True)[1], k, T)
-    u3, w1 = u3[keep], w1[keep]
+    base, s, ms = R + 1, math.isqrt(R), sorted(terms)
+    u1, u2 = (x + 1 for x in np.nonzero(np.triu(table[1 : s + 1, 1 : s + 1])))
+    m, c = np.repeat(ms, len(u1)), np.repeat([terms[x] for x in ms], len(u1))
+    u1, u2 = np.tile(u1, len(ms)), np.tile(u2, len(ms))
+    keep = u2 * u2 <= m  # u2 <= u3 and u2 * u3 <= m
+    m, c, u1, u2 = m[keep], c[keep], u1[keep], u2[keep]
+    n = m // u2 - u2 + 1  # u3 in u2..m // u2, coprime to u1 * u2
+    i, u3 = np.repeat(np.arange(len(m)), n), _ranges(u2, n)
+    keep = table[u3, (u1 * u2)[i]]
+    i, u3 = i[keep], u3[keep]
+    n = m[i] // (u2[i] * u3)  # w1 in 1..m // (u2 * u3), coprime to u1
+    i, u3, w1 = np.repeat(i, n), np.repeat(u3, n), _ranges(np.ones_like(n), n)
+    keep = table[w1, u1[i]]
+    if T > 1:  # share k's groups of equal (u3, m // w1), numbered in row order per (m, u1, u2)
+        first, q1 = np.concatenate(([True], i[1:] != i[:-1])), m[i] // w1
+        group = np.cumsum(first | np.concatenate(([True], (u3[1:] != u3[:-1]) | (q1[1:] != q1[:-1]))))
+        keep &= _snake(group - np.maximum.accumulate(np.where(first, group, 0)), k, T)
+    i, u3, w1 = i[keep], u3[keep], w1[keep]
+    m, c, u1, u2 = m[i], c[i], u1[i], u2[i]
+    width = m // (u1 * u2)  # w3 <= m // (u1 * u2)
     # the orbit ordering: w2 >= w1 when u2 == u1, w3 >= w2 when u3 == u2
-    s2 = w1 if u2 == u1 else np.ones_like(w1)
-    n2 = P // (u1 * u3) - s2 + 1
-    w3 = np.arange(1, P // (u1 * u2) + 1)
-    T3 = table[:, 1 : len(w3) + 1]  # the columns w3
-    q3 = P // w3
-    starts = np.flatnonzero(np.concatenate(([True], q3[1:] != q3[:-1])))  # the q3-runs
+    tie12 = np.where(u1 == u2, w1, 0)  # w2 = tie12 is the tie w1 = w2
+    s2 = np.maximum(tie12, 1)
+    n2 = m // (u1 * u3) - s2 + 1
+    tie = u3 == u2  # u3 = u2 = 1
+    prefix = ((u1 * 64 + u2) * base + u3) * base + R - m // w1
+    # rows of one kind share grid slices: a new kind starts at a new term or
+    # width, at the tie rows, and at each tie row that fills a cap
+    kind = m * base + width
+    kind = np.concatenate(([True], (kind[1:] != kind[:-1]) | (tie[1:] != tie[:-1])))
+    kind = np.cumsum(kind | tie & (n2 * n2 >= _PLANE_CAP))
+    u2w1, u3w1 = u2 * w1, u3 * w1
+    runs = {}  # (m, s3, width): the first column of each q3-run and its digit R - q3
     for a, b in _chunks(n2):
         rows = n2[a:b]
-        y3, z1, z2 = np.repeat(u3[a:b], rows), np.repeat(w1[a:b], rows), _ranges(s2[a:b], rows)
-        keep = table[z2, u2 * z1]
-        y3, z1, z2 = y3[keep], z1[keep], z2[keep]
-        s3 = np.where(y3 == u2, z2, 1)
-        row_key = (((u1 * 64 + u2) * base + y3) * base + digit[z1 - 1]) * base + digit[z2 - 1]
-        orbit = np.where((z1 == z2) & (u2 == u1), 3, 6)[:, None]  # the ties
-        for c, d in _chunks(len(w3) - s3 + 1):
-            # u3*w1 <= P, and w3 is coprime to u3 and w1 when it is to u3*w1
-            grid = T3[y3[c:d] * z1[c:d]] & T3[z2[c:d]]
-            if y3[c] == u2:  # u3 = u2 = 1: the ordering w3 >= w2
-                grid &= w3 >= s3[c:d, None]
-            counts = np.add.reduceat(grid, starts, axis=1, dtype=np.int64) * orbit[c:d]
-            if u2 == u1 and k == a == c == 0:  # the tuple u = w = (1, 1, 1)
-                counts[0, 0] -= 2
+        j, z2 = np.repeat(np.arange(a, b), rows), _ranges(s2[a:b], rows)
+        keep = table[z2, u2w1[j]]
+        j, z2 = j[keep], z2[keep]
+        mj, wj, tj, y3z1, kj = m[j], width[j], tie[j], u3w1[j], kind[j]
+        row_key = prefix[j] * base + R - mj // z2
+        weight = c[j] * np.where(z2 == tie12[j], 3, 6)  # the ties
+        lengths = wj - np.where(tj, z2 - 1, 0)  # the cells at or past s3
+        for e, f in _chunks(lengths, np.concatenate(([False], kj[1:] != kj[:-1]))):
+            mm, w, t = int(mj[e]), int(wj[e]), bool(tj[e])
+            s3 = int(z2[e:f].min()) if t else 1
+            if (mm, s3, w) not in runs:
+                q3 = mm // np.arange(s3, w + 1)
+                starts = np.flatnonzero(np.concatenate(([True], q3[1:] != q3[:-1])))
+                runs[mm, s3, w] = starts, R - q3[starts]
+            starts, digits = runs[mm, s3, w]
+            # u3*w1 <= m, and w3 is coprime to u3 and w1 when it is to u3*w1
+            cols = table[:, s3 : w + 1]
+            grid = cols[y3z1[e:f]] & cols[z2[e:f]]
+            if t:  # u3 = u2 = 1: the ordering w3 >= w2
+                grid &= np.arange(s3, w + 1) >= z2[e:f, None]
+            counts = np.add.reduceat(grid, starts, axis=1, dtype=np.int64) * weight[e:f, None]
+            if t and s3 == 1:  # the tuple u = w = (1, 1, 1), at w3 = 1
+                counts[:, 0] -= (z2[e:f] == 1) * (weight[e:f] // 3 * 2)
             row, run = np.nonzero(counts)
-            yield row_key[row + c] * base + digit[starts[run]], counts[row, run]
+            yield row_key[row + e] * base + digits[run], counts[row, run]
 
 
 def _distinct_keys(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -405,52 +453,56 @@ def _lattice_runs(u1: int, u2: int, u3: int, q1: int, q2: int, q3: int):
                 yield r1, range(max(lo, r2s.start), min(hi + 1, r2s.stop)), range(r3, r3 + 1)
 
 
-def _keyed_sum(P: int, keys: np.ndarray, M: np.ndarray, inv: np.ndarray) -> int:
-    """The sum of n*M*K over distinct packed keys, in kernel calls of a quarter of ``_PLANE_CAP`` keys."""
-    base, size, total = P + 1, (_PLANE_CAP + 3) // 4, 0
+def _keyed_sum(R: int, keys: np.ndarray, M: np.ndarray, inv: np.ndarray) -> int:
+    """The sum of n*M*K over distinct packed keys of ``_w_chunks(R, ...)``,
+    in kernel calls of a quarter of ``_PLANE_CAP`` keys."""
+    base, size, total = R + 1, (_PLANE_CAP + 3) // 4, 0
     for a in range(0, len(keys), size):
         key, d3 = np.divmod(keys[a : a + size], base)
         key, d2 = np.divmod(key, base)
         key, d1 = np.divmod(key, base)
         (u1, u2), u3 = np.divmod(key // base, 64), key % base
-        q1, q2, q3 = P - d1, P - d2, P - d3
-        # P // max(a, b, c) = min(P // a, P // b, P // c), P // (u * w) = (P // w) // u
+        q1, q2, q3 = R - d1, R - d2, R - d3
+        # m // max(a, b, c) = min(m // a, m // b, m // c), m // (u * w) = (m // w) // u
         n = np.minimum(np.minimum(q1 // (u2 * u3), q2 // (u1 * u3)), q3 // (u1 * u2))
         total += int(np.dot(n * M[a : a + size], _lattice_counts(u1, u2, u3, q1, q2, q3, inv)))
     return total
 
 
-def _torsor_V_chunk(P: int, k: int, T: int) -> int:
-    """Worker k's share of V(P) / 8 when T workers split it, the sum of
-    n*M*K over the keys of share k of each (u1, u2) plane of ``_w_chunks``;
-    T = 1 gives all of V(P) / 8.  A tuple's number n of admissible u and its
-    lattice count K depend only on its key (u3, q1, q2, q3), q_j = P // w_j,
-    so the shares count each key once (at P = 300, 3.8M tuples give 1.9M
-    (row, q3-run) counts and 0.3M keys).  Keys rise with the groups, so each
-    merge of ``_PLANE_CAP`` counts takes the whole kernel calls below the last
-    key's group and keeps the rest, under a call plus a group, open."""
-    coprime, inv = _coprime_table(P), _inverses(math.isqrt(P))
-    planes = itertools.combinations_with_replacement(range(1, math.isqrt(P) + 1), 2)
-    blocks = (b for u1, u2 in planes if math.gcd(u1, u2) == 1 for b in _w_chunks(P, u1, u2, coprime, k, T))
+def _torsor_V_chunk(R: int, k: int, T: int, terms: dict[int, int] | None = None) -> int:
+    """Worker k's share of sum c_m V(m) / 8 over ``terms`` (m -> c_m, every
+    m <= R; V(R) alone by default) when T workers split it, the sum of
+    n*M*K over the keys of share k of ``_w_chunks``; T = 1 gives the whole
+    sum.  A tuple's number n of admissible u and its lattice count K depend
+    only on its key (u, q1, q2, q3), q_j = m // w_j, whatever its term, so
+    one coprime table, one inverse table and one stream of kernel calls
+    serve every term, and the shares of V(R) count each key once (at R = 300,
+    3.8M tuples give 1.9M (row, q3-run) counts and 0.3M keys).  A term's keys
+    rise with its groups, so each merge of ``_PLANE_CAP`` counts takes the
+    whole kernel calls below the group of the last count merged and keeps
+    the rest, under a call plus a group per term, open."""
+    coprime, inv = _coprime_table(R), _inverses(math.isqrt(R))
+    base2 = (R + 1) ** 2
     keys = M = np.zeros(0, np.int64)  # the open keys
     total, pending, held = 0, [], 0  # the (row, run) counts not merged yet
-    for block in blocks:
+    for block in _w_chunks(R, terms or {R: 1}, coprime, k, T):
         pending.append(block)
         held += len(block[0])
         if held >= _PLANE_CAP:
             keys, M = _distinct_keys([(keys, M), *pending])
-            cut = np.searchsorted(keys, keys[-1] // (P + 1) ** 2 * (P + 1) ** 2)
+            cut = np.searchsorted(keys, block[0][-1] // base2 * base2)
             cut -= cut % ((_PLANE_CAP + 3) // 4)
-            total += _keyed_sum(P, keys[:cut], M[:cut], inv)
+            total += _keyed_sum(R, keys[:cut], M[:cut], inv)
             keys, M, pending, held = keys[cut:], M[cut:], [], 0
-    return total + _keyed_sum(P, *_distinct_keys([(keys, M), *pending]), inv)
+    return total + _keyed_sum(R, *_distinct_keys([(keys, M), *pending]), inv)
 
 
-def _run_V_terms(terms, threads: int) -> int:
-    """sum c V(m) over the (m, c) terms, each dealt as the shares of
+def _run_V_terms(terms: dict[int, int], threads: int) -> int:
+    """sum c_m V(m) over the terms m -> c_m, dealt as the shares of
     ``_torsor_V_chunk``; the descent lays out sum m^3 grid cells."""
-    cells = sum(m**3 for m, _ in terms)
-    return 8 * _run_partitioned(_torsor_V_chunk, terms, threads, cells, _DESCENT_WORKER_CELLS)
+    R = max(terms)
+    share = partial(_torsor_V_chunk, R, terms=terms)
+    return 8 * _run_partitioned(share, threads, sum(m**3 for m in terms), _DESCENT_WORKER_CELLS)
 
 
 def torsor_count_V(P: int, threads: int = 1) -> CountReport:
@@ -462,7 +514,7 @@ def torsor_count_V(P: int, threads: int = 1) -> CountReport:
 
     The tuples are counted per (u3, w1, w2) row and run of constant
     P // w3, and the kernel counts the lattice parameters of each distinct
-    key (u3, P // w1, P // w2, P // w3) once (``_torsor_V_chunk``).  With
+    key (u, P // w1, P // w2, P // w3) once (``_torsor_V_chunk``).  With
     threads = T > 1 and a count above the pool's cost line
     (``cubic._run_partitioned``), one pool of T workers takes the T shares
     of ``_torsor_V_chunk``, whole (u3, P // w1) groups in snake order.
@@ -470,7 +522,7 @@ def torsor_count_V(P: int, threads: int = 1) -> CountReport:
     since the int64 sums could wrap there."""
     _check_torsor_bound(P)
     t0 = time.perf_counter()
-    total = _run_V_terms([(P, 1)], threads)
+    total = _run_V_terms({P: 1}, threads)
     return CountReport(P, "torsor", total, time.perf_counter() - t0)
 
 
@@ -483,12 +535,17 @@ def torsor_count_N(B: int, threads: int = 1) -> CountReport:
 
     The terms are grouped by m = R // d into c_m V(m), c_m the sum of the
     mu(d) with R // d = m (8 values of V in place of 19 at R = 30, 63 in
-    place of 1,309 at R = 2154).  With threads = T > 1 and a count above
-    the pool's cost line, one pool of T workers takes the T shares of every
-    V(m) with c_m != 0, and the partitioner weights each by c_m."""
+    place of 1,309 at R = 2154).  One pass of ``_torsor_V_chunk`` counts
+    all of them: the rows of every term are built together, c_m weights
+    their orbit sizes, and a key (u, m // w1, m // w2, m // w3) that several
+    terms share can reach the kernel once for all of them (1,677 kernel
+    entries at N(27000), where the terms have 1,779 distinct keys between
+    them).  With threads = T > 1 and a count above the pool's cost line, one
+    pool of T workers takes its T shares, each share the groups the snake
+    deals it in every (m, u1, u2)."""
     R = _height_radius(B, _check_torsor_bound)
     t0 = time.perf_counter()
-    total = _run_V_terms(_moebius_weights(R).items(), threads)
+    total = _run_V_terms(_moebius_weights(R), threads)
     return CountReport(B, "torsor-primitive", total // 2, time.perf_counter() - t0)
 
 

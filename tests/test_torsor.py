@@ -1,7 +1,7 @@
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,9 +17,11 @@ from oracles import (
     torsor_V_chunk,
 )
 from senary import cubic, torsor
+from senary.arith import integer_cube_root
 from senary.cubic import (
     CountReport,
     SolutionSextuple,
+    _moebius_weights,
     count_N,
     cubic_form,
     mobius_check,
@@ -252,26 +254,24 @@ def test_coprime_table_matches_gcd():
         assert np.array_equal(_coprime_table(P)[1:, 1:], np.gcd.outer(w, w) == 1)
 
 
-def _unpack(P, key):
+def _unpack(R, key):
     """The (u1, u2, u3, q1, q2, q3) of a packed key of ``_w_chunks``: the
-    digits u1, u2 base 64 over u3, P - q1, P - q2, P - q3 base P + 1."""
-    key, d3 = divmod(key, P + 1)
-    key, d2 = divmod(key, P + 1)
-    key, d1 = divmod(key, P + 1)
-    plane, u3 = divmod(key, P + 1)
-    return (*divmod(plane, 64), u3, P - d1, P - d2, P - d3)
+    digits u1, u2 base 64 over u3, R - q1, R - q2, R - q3 base R + 1."""
+    key, d3 = divmod(key, R + 1)
+    key, d2 = divmod(key, R + 1)
+    key, d1 = divmod(key, R + 1)
+    plane, u3 = divmod(key, R + 1)
+    return (*divmod(plane, 64), u3, R - d1, R - d2, R - d3)
 
 
-def _layer_M(P, T, k):
-    """Worker k's (row, run) layer of V(P) out of T shares: M per
-    (u1, u2, u3, q1, q2, q3), summed over the worker's blocks."""
+def _layer_M(R, T, k, terms=None):
+    """Worker k's (row, run) layer of sum c_m V(m) over the terms m -> c_m
+    (V(R) alone by default) out of T shares: M per (u1, u2, u3, q1, q2, q3),
+    summed over the worker's blocks."""
     M = Counter()
-    for u1 in range(1, math.isqrt(P) + 1):
-        for u2 in range(u1, math.isqrt(P) + 1):
-            if math.gcd(u1, u2) == 1:
-                for keys, m in _w_chunks(P, u1, u2, _coprime_table(P), k, T):
-                    for key, value in zip(keys.tolist(), m.tolist()):
-                        M[_unpack(P, key)] += value
+    for keys, m in _w_chunks(R, terms or {R: 1}, _coprime_table(R), k, T):
+        for key, value in zip(keys.tolist(), m.tolist()):
+            M[_unpack(R, key)] += value
     return M
 
 
@@ -288,6 +288,25 @@ def test_w_chunks_sum_the_scalar_orbit_sizes_per_key(monkeypatch, cap):
             shares = Counter()
             for k in range(T):
                 shares.update(_layer_M(P, T, k))
+            assert shares == oracle
+
+
+@pytest.mark.parametrize("cap", [3, 1 << 13])
+def test_w_chunks_sum_the_weighted_orbit_sizes_of_every_term_per_key(monkeypatch, cap):
+    # every Moebius term c_m V(m) of N(R^3) in one build: per key, the sum of
+    # c_m times the orbit sizes of V(m)'s scalar representatives, whose keys
+    # q_j = m // w_j the terms share; a sum of 0 equals a missing key
+    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+    for R in (9, 25, 45):
+        terms = _moebius_weights(R)
+        oracle = Counter()
+        for m, c in terms.items():
+            for _, orbit, u1, u2, u3, w1, w2, w3 in _uw_tuples(m):
+                oracle[u1, u2, u3, m // w1, m // w2, m // w3] += c * orbit
+        for T in (1, 2, 3):
+            shares = Counter()
+            for k in range(T):
+                shares.update(_layer_M(R, T, k, terms))
             assert shares == oracle
 
 
@@ -425,8 +444,15 @@ def test_torsor_counters_enforce_the_int64_bound_before_any_work(monkeypatch):
     with pytest.raises(OverflowError):
         torsor_count_N((P + 1) ** 3)
     # the bound itself passes the check, whatever box the naive counter holds
-    monkeypatch.setattr(torsor, "_run_partitioned", lambda share, terms, threads, cells, worker_cells: 0)
+    monkeypatch.setattr(torsor, "_run_partitioned", lambda share, threads, cells, worker_cells: 0)
     assert torsor_count_V(P).count == 0
+
+
+def test_the_moebius_sums_hold_in_int64_at_the_largest_box():
+    # a key's n and K do not depend on its term, so the |n M K| of a Moebius
+    # count add up to at most sum |c_m| m^3 (2m+1)^2 (``_MAX_TORSOR_BOUND``)
+    R = torsor._MAX_TORSOR_BOUND
+    assert sum(abs(c) * m**3 * (2 * m + 1) ** 2 for m, c in _moebius_weights(R).items()) < 2**63
 
 
 def test_torsor_V_shares_add_up():
@@ -441,6 +467,39 @@ def test_torsor_V_shares_add_up():
 @pytest.mark.parametrize("B", [1, 7, 8, 26, 27, 64, 100, 1000, 12345, 15625])
 def test_torsor_primitive_count_matches_naive(B):
     assert torsor_count_N(B).count == count_N(B).count
+
+
+@pytest.fixture(scope="module")
+def naive_N_at_the_cubes():
+    """count_N at r^3 - 1 and r^3 for every r <= 30."""
+    return {B: count_N(B).count for r in range(1, 31) for B in (r**3 - 1, r**3) if B}
+
+
+@pytest.mark.parametrize("cap", [1, 5, 64])
+def test_torsor_primitive_shares_match_naive_at_every_cube(monkeypatch, naive_N_at_the_cubes, cap):
+    # all Moebius terms of N(B) in one build, serially and in shares, with
+    # slices and merges from one row (cap 1) up; floor(B^(1/3)) steps at r^3
+    monkeypatch.setattr(torsor, "_PLANE_CAP", cap)
+    for B, expected in naive_N_at_the_cubes.items():
+        R = integer_cube_root(B)
+        terms = _moebius_weights(R)
+        for T in (1, 2, 3):
+            assert 8 * sum(torsor._torsor_V_chunk(R, k, T, terms) for k in range(T)) == 2 * expected
+
+
+def test_torsor_primitive_count_merges_the_keys_of_its_terms(monkeypatch):
+    # N(27000) = sum c_m V(m) over 8 terms: counted one term at a time, the
+    # kernel took 1,779 keys, the sum of each term's distinct keys; the terms
+    # share 1,677 distinct keys in all, and their counts fit in one merge,
+    # so each of these reaches the kernel once
+    seen, _ = _kernel_calls(monkeypatch)
+    assert torsor_count_N(27000).count == 11217988
+    terms = _moebius_weights(30)
+    assert sum(len(_distinct_keys_of(m)) for m in terms) == 1779
+    shared = set().union(*map(_distinct_keys_of, terms))
+    assert len(shared) == 1677
+    assert sum(seen.values()) <= 1779
+    assert set(seen) == shared and set(seen.values()) == {1}
 
 
 # Every counter that splits its work over worker processes, at two bounds.
@@ -618,12 +677,40 @@ def pools_opened(monkeypatch):
 )
 def test_a_counter_call_opens_one_pool(monkeypatch, pools_opened, counter, bound, expected):
     # with no cells needed to pay for a worker both counts are above the
-    # cost line, and N(27000) takes the jobs of all its eight Moebius terms
-    # in one pool (below the line they open none: ``test_the_cost_line``);
+    # cost line, and N(27000) deals all its eight Moebius terms to the jobs
+    # of one pool (below the line they open none: ``test_the_cost_line``);
     # the counts are the naive pins of bench/expected.json
     monkeypatch.setattr(torsor, "_DESCENT_WORKER_CELLS", 0)
     assert counter(bound, threads=2).count == expected
     assert len(pools_opened) == 1
+
+
+@pytest.mark.parametrize("T", [2, 3])
+def test_a_pooled_moebius_count_submits_one_job_per_share(monkeypatch, T):
+    # all eight Moebius terms of N(27000) go to each share: T jobs, not 8 T;
+    # the stand-in pool runs each job as it is submitted
+    jobs = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            assert max_workers == T
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, share, *args):
+            jobs.append(args)
+            future = Future()
+            future.set_result(share(*args))
+            return future
+
+    monkeypatch.setattr(torsor, "_DESCENT_WORKER_CELLS", 0)
+    monkeypatch.setattr(cubic, "ProcessPoolExecutor", InlinePool)
+    assert torsor_count_N(27000, threads=T).count == 11217988
+    assert jobs == [(k, T) for k in range(T)]
 
 
 class _PoolReached(Exception):
